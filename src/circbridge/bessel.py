@@ -30,8 +30,8 @@ class BesselEval:
 
 
 def _check_nonneg(x, name="x"):
-    if not (x >= 0.0):
-        raise ValueError("%s must be >= 0, got %r" % (name, x))
+    if not (0.0 <= x < math.inf):
+        raise ValueError("%s must be finite and >= 0, got %r" % (name, x))
 
 
 def _check_order(order):

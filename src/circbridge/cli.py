@@ -106,7 +106,13 @@ def _emit(rows, header, meta, args):
         sys.stdout.write(text)
 
 
+def _require_finite(option, value):
+    if not (-math.inf < value < math.inf):
+        raise _UsageError("%s must be finite, got %r" % (option, value))
+
+
 def _wrapped_mu(mu):
+    _require_finite("--mu", mu)
     w = normalize_angle(mu)
     if w != mu:
         print("warning: mu=%r wrapped to %r" % (mu, w), file=sys.stderr)
@@ -116,6 +122,7 @@ def _wrapped_mu(mu):
 def _wrapped_x(x, mu):
     # x is kept on the principal window (mu - pi, mu + pi] around the
     # wrapped mean direction.
+    _require_finite("--x", x)
     xw = mu + wrap_angle(x - mu)
     if xw != x:
         print("warning: x=%r wrapped to %r (principal window around mu)" % (x, xw), file=sys.stderr)

@@ -11,11 +11,10 @@ from dataclasses import dataclass, field
 
 from . import backend
 from . import bessel
+from .backend import INV_SQRT_2PI, TWO_PI
 
-TWO_PI = 2.0 * math.pi
 SQRT2 = math.sqrt(2.0)
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
-INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
 # Above this concentration the circular variance switches from the series
@@ -50,8 +49,10 @@ class VonMisesParams:
     kappa: float
 
     def __post_init__(self):
-        if not (self.kappa >= 0.0):
-            raise ValueError("kappa must be >= 0, got %r" % (self.kappa,))
+        if not (-math.inf < self.mu < math.inf):
+            raise ValueError("mu must be finite, got %r" % (self.mu,))
+        if not (0.0 <= self.kappa < math.inf):
+            raise ValueError("kappa must be finite and >= 0, got %r" % (self.kappa,))
         object.__setattr__(self, "mu", normalize_angle(self.mu))
 
 
@@ -63,8 +64,10 @@ class WrappedNormalParams:
     v: float
 
     def __post_init__(self):
-        if not (self.v > 0.0):
-            raise ValueError("v must be > 0, got %r" % (self.v,))
+        if not (-math.inf < self.mu < math.inf):
+            raise ValueError("mu must be finite, got %r" % (self.mu,))
+        if not (0.0 < self.v < math.inf):
+            raise ValueError("v must be finite and > 0, got %r" % (self.v,))
         object.__setattr__(self, "mu", normalize_angle(self.mu))
 
 

@@ -21,6 +21,7 @@ from . import bessel
 from .distributions import (
     SQRT2,
     VonMisesParams,
+    _require_positive_kappa,
     circular_variance_exact,
     normal_cdf,
     normal_pdf,
@@ -85,11 +86,6 @@ class ExpansionValue:
     value: float
     order: int
     remainder_scale: float
-
-
-def _require_positive_kappa(kappa):
-    if not (kappa > 0.0):
-        raise ValueError("kappa must be > 0, got %r" % (kappa,))
 
 
 def standardized_deviate(params: VonMisesParams, x: float) -> StandardizedDeviate:

@@ -1,10 +1,11 @@
 """Independent brute-force references and error-order scan machinery.
 
-Everything the expansions are validated against lives here: a generic
-adaptive Gauss-Kronrod integrator, the integral representation of I0, a
-compensated scaled-series reference for the Bessel brackets, quadrature
-of the circular distribution function, residual scans over the bulk, and
-the log-log slope fit used to measure decay orders.
+Everything the expansions are validated against lives here: adaptive
+Gauss-Kronrod quadrature of any integrand (on the kernels' GK15 engine),
+the integral representation of I0, a compensated scaled-series reference
+for the Bessel brackets, quadrature of the circular distribution
+function, residual scans over the bulk, and the log-log slope fit used
+to measure decay orders.
 """
 
 import math
@@ -13,7 +14,13 @@ from typing import Callable, List, Sequence, Tuple
 
 from . import backend
 from . import bessel
-from .distributions import SQRT2, VonMisesParams, circular_variance_exact
+from .backend import QuadratureError  # re-exported: raised by the integrator
+from .distributions import (
+    SQRT2,
+    VonMisesParams,
+    _require_positive_kappa,
+    circular_variance_exact,
+)
 from .expansions import (
     BulkSpec,
     _log_ratio_core,
@@ -29,40 +36,6 @@ RESIDUAL_FLOOR = 1e-14
 
 SCAN_TARGETS = ("log_ratio", "ratio", "cdf")
 _ENVELOPE_POWER = {"log_ratio": 8, "ratio": 12, "cdf": 11}
-
-# 15-point Kronrod rule with embedded 7-point Gauss rule (odd-index and
-# center nodes).  Same constants as the compute kernels.
-_XGK = (
-    0.9914553711208126,
-    0.9491079123427585,
-    0.8648644233597691,
-    0.7415311855993945,
-    0.5860872354676911,
-    0.4058451513773972,
-    0.20778495500789848,
-    0.0,
-)
-_WGK = (
-    0.022935322010529224,
-    0.06309209262997856,
-    0.10479001032225019,
-    0.14065325971552592,
-    0.1690047266392679,
-    0.19035057806478542,
-    0.20443294007529889,
-    0.20948214108472782,
-)
-_WG = (
-    0.1294849661688697,
-    0.27970539148927664,
-    0.3818300505051189,
-    0.4179591836734694,
-)
-
-
-class QuadratureError(ArithmeticError):
-    """Raised when adaptive refinement cannot reach the requested tolerance."""
-
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -83,23 +56,6 @@ class ScanReport:
     regime: BulkSpec
 
 
-def _gk15_panel(f, a: float, b: float):
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fc = f(c)
-    resk = _WGK[7] * fc
-    resg = _WG[3] * fc
-    for i in range(7):
-        dx = h * _XGK[i]
-        f1 = f(c - dx)
-        f2 = f(c + dx)
-        fsum = f1 + f2
-        resk += _WGK[i] * fsum
-        if i & 1:
-            resg += _WG[i >> 1] * fsum
-    return resk * h, abs(resk - resg) * h
-
-
 def adaptive_quadrature(
     f: Callable[[float], float],
     a: float,
@@ -118,28 +74,8 @@ def adaptive_quadrature(
         raise ValueError("need a < b, got a=%r b=%r" % (a, b))
     if not (tol > 0.0):
         raise ValueError("tol must be > 0, got %r" % (tol,))
-    stack = [(a, b, tol, 0)]
-    total = 0.0
-    err_total = 0.0
-    evals = 0
-    while stack:
-        a1, b1, tol1, depth = stack.pop()
-        val, err = _gk15_panel(f, a1, b1)
-        evals += 15
-        if err <= tol1:
-            total += val
-            err_total += err
-        elif depth >= max_depth:
-            raise QuadratureError(
-                "no convergence on [%g, %g] at depth %d (err=%.3e, tol=%.3e)"
-                % (a1, b1, depth, err, tol1)
-            )
-        else:
-            mid = 0.5 * (a1 + b1)
-            half = 0.5 * tol1
-            stack.append((mid, b1, half, depth + 1))
-            stack.append((a1, mid, half, depth + 1))
-    return QuadratureResult(value=total, abs_error_estimate=err_total, evaluations=evals)
+    value, err, evals = backend.adaptive_gk15(backend.gk15_panel, f, a, b, tol, max_depth)
+    return QuadratureResult(value=value, abs_error_estimate=err, evaluations=evals)
 
 
 def bessel_i0_integral(kappa: float, tol: float = 1e-13, max_depth: int = DEFAULT_MAX_DEPTH) -> float:
@@ -220,8 +156,7 @@ def vm_cdf_quadrature(
     (kappa >= 1e4) the integration is restricted to |t - mu| <= 20 sigma;
     the omitted tail is below e^(-40) of the total mass.
     """
-    if not (params.kappa > 0.0):
-        raise ValueError("kappa must be > 0, got %r" % (params.kappa,))
+    _require_positive_kappa(params.kappa)
     if not (tol > 0.0):
         raise ValueError("tol must be > 0, got %r" % (tol,))
     t_hi = x - params.mu
@@ -242,12 +177,9 @@ def vm_cdf_quadrature(
     inv_norm = 1.0 / (2.0 * math.pi * bessel.i0e(params.kappa))
     seg_tol = tol / inv_norm / (len(cuts) - 1)
     mass = 0.0
-    try:
-        for lo, hi in zip(cuts, cuts[1:]):
-            part, _err, _n = backend.vm_scaled_mass(params.kappa, lo, hi, seg_tol, max_depth)
-            mass += part
-    except ArithmeticError as exc:
-        raise QuadratureError(str(exc)) from None
+    for lo, hi in zip(cuts, cuts[1:]):
+        part, _err, _n = backend.vm_scaled_mass(params.kappa, lo, hi, seg_tol, max_depth)
+        mass += part
     return inv_norm * mass
 
 

@@ -148,3 +148,12 @@ def test_domain_and_range_errors():
         bessel_i1e_asymptotic(10.0, -1)
     with pytest.raises(ValueError):
         log_i0(-2.0)
+
+
+@pytest.mark.parametrize(
+    "fn", [bessel_i0_series, bessel_i1_series, i0e, log_i0e, log_i0], ids=lambda fn: fn.__name__
+)
+@pytest.mark.parametrize("x", [float("inf"), float("nan")])
+def test_non_finite_argument_rejected(fn, x):
+    with pytest.raises(ValueError, match="finite"):
+        fn(x)

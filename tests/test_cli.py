@@ -93,6 +93,27 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "option, value, field",
+    [
+        ("--mu", "nan", "mu"),
+        ("--mu", "inf", "mu"),
+        ("--x", "nan", "x"),
+        ("--x", "-inf", "x"),
+        ("--kappa", "inf", "kappa"),
+        ("--kappa", "nan", "kappa"),
+    ],
+)
+def test_eval_rejects_non_finite_input(option, value, field, capsys):
+    args = {"--mu": "0", "--kappa": "5", "--x": "0.1"}
+    args[option] = value
+    # "--x=-inf" keeps argparse from reading the value as an option
+    argv = ["eval", "--quantity", "density"] + ["%s=%s" % kv for kv in args.items()]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "%s must be finite" % field in err
+
+
 def test_numerical_failure_exit_code():
     # one subdivision level cannot resolve a concentrated peak
     r = run_cli(

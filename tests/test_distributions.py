@@ -49,6 +49,28 @@ def test_params_normalize_mu():
         WrappedNormalParams(0.0, 0.0)
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "mu, kappa, field",
+    [(NAN, 5.0, "mu"), (INF, 5.0, "mu"), (-INF, 5.0, "mu"), (0.0, INF, "kappa"), (0.0, NAN, "kappa")],
+)
+def test_vm_params_reject_non_finite(mu, kappa, field):
+    with pytest.raises(ValueError, match="^%s must be finite" % field):
+        VonMisesParams(mu, kappa)
+
+
+@pytest.mark.parametrize(
+    "mu, v, field",
+    [(NAN, 1.0, "mu"), (INF, 1.0, "mu"), (-INF, 1.0, "mu"), (0.0, INF, "v"), (0.0, NAN, "v")],
+)
+def test_wn_params_reject_non_finite(mu, v, field):
+    with pytest.raises(ValueError, match="^%s must be finite" % field):
+        WrappedNormalParams(mu, v)
+
+
 def test_wrap_angle_range():
     for t in [-9.0, -math.pi, -1.0, 0.0, 1.0, math.pi, 9.0, 100.0]:
         w = wrap_angle(t)

@@ -63,6 +63,31 @@ def test_quadrature_halving_tolerance_never_hurts():
     assert all(b <= a for a, b in zip(errors, errors[1:]))
 
 
+# ---------------------------------------------------------------- kernels
+
+
+def test_backend_name_is_python():
+    assert backend.backend_name() == "python"
+
+
+def test_vm_scaled_mass_empty_interval():
+    assert backend.vm_scaled_mass(5.0, 1.0, 1.0, 1e-10, 40) == (0.0, 0.0, 0)
+
+
+@pytest.mark.parametrize("kappa", [0.5, 5.0, 100.0, 2048.0, 1e5])
+@pytest.mark.parametrize("hi", [-3.0, -0.01, 0.02, 0.5, math.pi])
+def test_vm_scaled_mass_matches_generic_engine_bitwise(kappa, hi):
+    # the in-line vm panel must be the generic panel applied to the
+    # scaled density, operation for operation
+    def f(t):
+        u = math.sin(0.5 * t)
+        return math.exp(-2.0 * kappa * (u * u))
+
+    got = backend.vm_scaled_mass(kappa, -math.pi, hi, 1e-13, 40)
+    ref = backend.adaptive_gk15(backend.gk15_panel, f, -math.pi, hi, 1e-13, 40)
+    assert got == ref
+
+
 # --------------------------------------------------- integral representation
 
 
@@ -133,6 +158,11 @@ def test_vm_cdf_monotone():
     # adjacent quadratures round independently, so the saturated end can
     # wobble by an ulp of 1.0
     assert all(b >= a - 5e-16 for a, b in zip(vals, vals[1:]))
+
+
+def test_vm_cdf_nonconvergence_raises():
+    with pytest.raises(QuadratureError):
+        vm_cdf_quadrature(VonMisesParams(0.0, 500.0), 0.0, 1e-14, max_depth=2)
 
 
 def test_vm_cdf_window_domain():
