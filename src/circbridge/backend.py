@@ -59,15 +59,17 @@ def backend_name():
     return "python"
 
 
-def i0_series_sum(x):
+def i0_series_sum(x, head=1.0):
     """Power series for I0: sum over k of (x/2)^(2k) / (k!)^2.
 
     Plain recurrence summation; valid while the unscaled sum stays inside
-    double range (x <= ~700).
+    double range (x <= ~700).  head is the k = 0 term; head=0.0 sums
+    I0(x) - 1 to full relative accuracy, which adding 1 first would lose
+    for small x.
     """
     q = 0.25 * x * x
     t = 1.0
-    s = 1.0
+    s = head
     k = 1
     while True:
         t *= q / (k * k)

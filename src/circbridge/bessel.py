@@ -100,5 +100,10 @@ def log_i0(kappa: float) -> float:
     """log I0(kappa) without overflow for any kappa >= 0."""
     _check_nonneg(kappa, "kappa")
     if kappa <= SERIES_CUTOFF:
-        return math.log(backend.i0_series_sum(kappa))
+        s = backend.i0_series_sum(kappa)
+        if s < 2.0:
+            # log near 1 magnifies the rounding of s; log1p of the series
+            # summed without its leading 1 keeps full relative accuracy
+            return math.log1p(backend.i0_series_sum(kappa, 0.0))
+        return math.log(s)
     return kappa + log_i0e(kappa)

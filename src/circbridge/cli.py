@@ -23,7 +23,6 @@ from . import oracle
 from .distributions import (
     SQRT2,
     VonMisesParams,
-    circular_variance_exact,
     matched_sup_gap,
     matched_wn_scale,
     normalize_angle,
@@ -175,7 +174,7 @@ def _cmd_table(args):
         raise _UsageError("--grid must be odd and >= 3")
     spec = BulkSpec.fixed(args.eta)
     depth = _max_depth()
-    sigma = circular_variance_exact(params.kappa).sigma
+    sigma = params.variance.sigma
     hw_dt = spec.delta_halfwidth(params.kappa) / SQRT2
     half = (args.grid - 1) // 2
     step = hw_dt / half
@@ -224,6 +223,8 @@ def _geometric_kappas(lo, hi, steps):
 
 
 def _cmd_error_scan(args):
+    _require_finite("--kappa-min", args.kappa_min)
+    _require_finite("--kappa-max", args.kappa_max)
     if not (0 < args.kappa_min <= args.kappa_max):
         raise _UsageError("need 0 < --kappa-min <= --kappa-max")
     if args.regime == "fixed":

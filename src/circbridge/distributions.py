@@ -41,9 +41,33 @@ def wrap_angle(t: float) -> float:
     return t
 
 
+class _per_kappa:
+    """Computes a value from the instance on first access and stores it in
+    the instance dict, where later reads find it without calling back here
+    (a non-data descriptor; unlike functools.cached_property it takes no
+    lock, which costs single-point callers measurably on Python 3.11)."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.compute(obj)
+        obj.__dict__[self.name] = value
+        return value
+
+
 @dataclass(frozen=True)
 class VonMisesParams:
-    """Mean direction mu (normalized to [0, 2*pi)) and concentration kappa >= 0."""
+    """Mean direction mu (normalized to [0, 2*pi)) and concentration kappa >= 0.
+
+    Also carries the per-concentration values every evaluation at this
+    kappa shares, each computed once on first access: `variance`, `i0e`
+    and `log_i0e`.  Equality, hashing and repr depend on (mu, kappa) alone.
+    """
 
     mu: float
     kappa: float
@@ -54,6 +78,21 @@ class VonMisesParams:
         if not (0.0 <= self.kappa < math.inf):
             raise ValueError("kappa must be finite and >= 0, got %r" % (self.kappa,))
         object.__setattr__(self, "mu", normalize_angle(self.mu))
+
+    @_per_kappa
+    def variance(self) -> "CircularVariance":
+        """circular_variance_exact(kappa); raises ValueError when kappa == 0."""
+        return circular_variance_exact(self.kappa)
+
+    @_per_kappa
+    def i0e(self) -> float:
+        """e^(-kappa) I0(kappa); the scaled density divides by 2 pi times this."""
+        return bessel.i0e(self.kappa)
+
+    @_per_kappa
+    def log_i0e(self) -> float:
+        """log(e^(-kappa) I0(kappa))."""
+        return bessel.log_i0e(self.kappa)
 
 
 @dataclass(frozen=True)
@@ -87,6 +126,11 @@ def _require_positive_kappa(kappa):
         raise ValueError("kappa must be > 0, got %r" % (kappa,))
 
 
+def _require_tol(tol):
+    if not (0.0 < tol < math.inf):
+        raise ValueError("tol must be finite and > 0, got %r" % (tol,))
+
+
 def vm_density(params: VonMisesParams, theta: float) -> float:
     """Circular normal density exp(kappa cos(theta - mu)) / (2 pi I0(kappa)).
 
@@ -95,7 +139,7 @@ def vm_density(params: VonMisesParams, theta: float) -> float:
     """
     t = wrap_angle(theta - params.mu)
     s = math.sin(0.5 * t)
-    return math.exp(-2.0 * params.kappa * (s * s)) / (TWO_PI * bessel.i0e(params.kappa))
+    return math.exp(-2.0 * params.kappa * (s * s)) / (TWO_PI * params.i0e)
 
 
 def vm_log_density(params: VonMisesParams, theta: float) -> float:
@@ -153,8 +197,7 @@ def wn_density(params: WrappedNormalParams, theta: float, tol: float = 1e-12) ->
     The symmetric truncation bound kmax is chosen so the omitted tail mass
     is below tol.
     """
-    if not (tol > 0.0):
-        raise ValueError("tol must be > 0, got %r" % (tol,))
+    _require_tol(tol)
     t = wrap_angle(theta - params.mu)
     kmax = _wn_wrap_count(t, params.v, tol)
     return backend.wn_density_at(t, params.v, kmax)
@@ -182,7 +225,7 @@ def matched_sup_gap(
     in a computable form.
     """
     vm = VonMisesParams(mu, kappa)
-    wn = WrappedNormalParams(mu, matched_wn_scale(kappa))
+    wn = WrappedNormalParams(mu, SQRT2 * vm.variance.sigma)
     step = TWO_PI / grid_size
     sup = 0.0
     for j in range(grid_size):

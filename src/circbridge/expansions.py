@@ -90,9 +90,7 @@ class ExpansionValue:
 
 def standardized_deviate(params: VonMisesParams, x: float) -> StandardizedDeviate:
     """Deviate of a point x on the line near mu, in units of sigma."""
-    _require_positive_kappa(params.kappa)
-    sigma = circular_variance_exact(params.kappa).sigma
-    delta = (x - params.mu) / sigma
+    delta = (x - params.mu) / params.variance.sigma
     return StandardizedDeviate(delta=delta, delta_tilde=delta / SQRT2)
 
 
@@ -102,30 +100,25 @@ def in_bulk(params: VonMisesParams, spec: BulkSpec, x: float) -> bool:
     return abs(d) <= spec.delta_halfwidth(params.kappa)
 
 
-def _log_ratio_core(kappa: float, sigma2: float, t: float) -> float:
-    # Log of sqrt(2) sigma f(x) / phi(delta_tilde), assembled in log space
-    # with the large kappa terms paired off analytically:
-    #   kappa cos t - log I0 = -2 kappa sin^2(t/2) - log(e^-kappa I0).
-    s = math.sin(0.5 * t)
-    delta = t / math.sqrt(sigma2)
-    return (
-        -2.0 * kappa * (s * s)
-        - _HALF_LOG_TWO_PI
-        - bessel.log_i0e(kappa)
-        + _HALF_LOG_TWO
-        + 0.5 * math.log(sigma2)
-        + 0.25 * (delta * delta)
-    )
-
-
 def log_ratio_exact(params: VonMisesParams, x: float) -> float:
     """Exact log of the density ratio sqrt(2) sigma f(x) / phi(delta_tilde).
 
     Evaluated entirely in log space; finite well beyond kappa = 5000.
     """
-    _require_positive_kappa(params.kappa)
-    s2 = circular_variance_exact(params.kappa).value
-    return _log_ratio_core(params.kappa, s2, x - params.mu)
+    # the large kappa terms are paired off analytically:
+    #   kappa cos t - log I0 = -2 kappa sin^2(t/2) - log(e^-kappa I0)
+    cv = params.variance
+    t = x - params.mu
+    s = math.sin(0.5 * t)
+    delta = t / cv.sigma
+    return (
+        -2.0 * params.kappa * (s * s)
+        - _HALF_LOG_TWO_PI
+        - params.log_i0e
+        + _HALF_LOG_TWO
+        + 0.5 * math.log(cv.value)
+        + 0.25 * (delta * delta)
+    )
 
 
 def log_ratio_expansion(delta_tilde: float, kappa: float, order: int) -> ExpansionValue:
@@ -205,8 +198,7 @@ def _cdf_expansion_nonneg(dt: float, u: float) -> float:
 
 def reference_normal_density(params: VonMisesParams, x: float) -> float:
     """Density of the matched linear law Normal(mu, 2 sigma^2) at x."""
-    _require_positive_kappa(params.kappa)
-    sigma = circular_variance_exact(params.kappa).sigma
+    sigma = params.variance.sigma
     dt = (x - params.mu) / sigma / SQRT2
     return normal_pdf(dt) / (SQRT2 * sigma)
 

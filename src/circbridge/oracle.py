@@ -13,18 +13,12 @@ from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 from . import backend
-from . import bessel
 from .backend import QuadratureError  # re-exported: raised by the integrator
-from .distributions import (
-    SQRT2,
-    VonMisesParams,
-    _require_positive_kappa,
-    circular_variance_exact,
-)
+from .distributions import SQRT2, VonMisesParams, _require_tol
 from .expansions import (
     BulkSpec,
-    _log_ratio_core,
     cdf_expansion,
+    log_ratio_exact,
     log_ratio_expansion,
     ratio_expansion,
 )
@@ -72,8 +66,7 @@ def adaptive_quadrature(
     """
     if not (a < b):
         raise ValueError("need a < b, got a=%r b=%r" % (a, b))
-    if not (tol > 0.0):
-        raise ValueError("tol must be > 0, got %r" % (tol,))
+    _require_tol(tol)
     value, err, evals = backend.adaptive_gk15(backend.gk15_panel, f, a, b, tol, max_depth)
     return QuadratureResult(value=value, abs_error_estimate=err, evaluations=evals)
 
@@ -88,8 +81,7 @@ def bessel_i0_integral(kappa: float, tol: float = 1e-13, max_depth: int = DEFAUL
     """
     if not (0.0 <= kappa <= 700.0):
         raise ValueError("kappa must be in [0, 700], got %r" % (kappa,))
-    if not (tol > 0.0):
-        raise ValueError("tol must be > 0, got %r" % (tol,))
+    _require_tol(tol)
 
     def g(t):
         return math.exp(kappa * (math.cos(t) - 1.0))
@@ -154,11 +146,11 @@ def vm_cdf_quadrature(
     F(x) = integral of the density from mu - pi to x, for x in
     (mu - pi, mu + pi].  tol is absolute.  For very concentrated laws
     (kappa >= 1e4) the integration is restricted to |t - mu| <= 20 sigma;
-    the omitted tail is below e^(-40) of the total mass.
+    the omitted tail is below e^(-40) of the total mass.  The result is
+    within tol of the true F and is not clamped to [0, 1], so towards
+    mu + pi it may exceed 1 by up to tol.
     """
-    _require_positive_kappa(params.kappa)
-    if not (tol > 0.0):
-        raise ValueError("tol must be > 0, got %r" % (tol,))
+    _require_tol(tol)
     t_hi = x - params.mu
     if not (-math.pi < t_hi <= math.pi):
         raise ValueError(
@@ -167,14 +159,14 @@ def vm_cdf_quadrature(
     # essentially all mass lies within 20 sigma of the mode; the tail
     # envelope exp(kappa(cos t - 1)) <= exp(-kappa t^2 / 5) puts the
     # remainder below e^-40
-    reach = min(math.pi, 20.0 * circular_variance_exact(params.kappa).sigma)
+    reach = min(math.pi, 20.0 * params.variance.sigma)
     a = -math.pi
     if params.kappa >= 1e4 and t_hi > -reach:
         a = max(a, -reach)
     # anchor the subdivision at the mode and the mass boundary so the
     # first panel of a wide segment cannot step over the peak
     cuts = [a] + [v for v in (-reach, 0.0, reach) if a < v < t_hi] + [t_hi]
-    inv_norm = 1.0 / (2.0 * math.pi * bessel.i0e(params.kappa))
+    inv_norm = 1.0 / (2.0 * math.pi * params.i0e)
     seg_tol = tol / inv_norm / (len(cuts) - 1)
     mass = 0.0
     for lo, hi in zip(cuts, cuts[1:]):
@@ -207,15 +199,14 @@ def slope_fit(points: Sequence[Tuple[float, float]]) -> float:
     return sxy / sxx
 
 
-def _scan_residual(target, params, sigma2, sigma, x, quad_tol, max_depth):
-    t = x - params.mu
-    dt = (t / sigma) / SQRT2
+def _scan_residual(target, params, x, quad_tol, max_depth):
+    dt = ((x - params.mu) / params.variance.sigma) / SQRT2
     if target == "log_ratio":
-        exact = _log_ratio_core(params.kappa, sigma2, t)
+        exact = log_ratio_exact(params, x)
         approx = log_ratio_expansion(dt, params.kappa, 2).value
         return abs(exact - approx)
     if target == "ratio":
-        exact = math.exp(_log_ratio_core(params.kappa, sigma2, t))
+        exact = math.exp(log_ratio_exact(params, x))
         approx = ratio_expansion(dt, params.kappa, 2).value
         return abs(exact - approx)
     quad = vm_cdf_quadrature(params, x, quad_tol, max_depth)
@@ -256,9 +247,6 @@ def residual_scan(
     slope_points: List[Tuple[float, float]] = []
     for kappa in kappa_values:
         params = VonMisesParams(mu, kappa)
-        cv = circular_variance_exact(kappa)
-        sigma2 = cv.value
-        sigma = cv.sigma
         hw_dt = regime.delta_halfwidth(kappa) / SQRT2
         step = hw_dt / half
         kappa_cubed = kappa ** 3
@@ -266,8 +254,8 @@ def residual_scan(
         mn = 0.0
         for j in range(-half, half + 1):
             dt = j * step
-            x = params.mu + SQRT2 * sigma * dt
-            r = _scan_residual(target, params, sigma2, sigma, x, quad_tol, max_depth)
+            x = params.mu + SQRT2 * params.variance.sigma * dt
+            r = _scan_residual(target, params, x, quad_tol, max_depth)
             if r > mr:
                 mr = r
             rn = r * kappa_cubed / (1.0 + abs(dt) ** power)
@@ -275,10 +263,8 @@ def residual_scan(
                 mn = rn
         max_res.append(mr)
         max_norm.append(mn)
-        x1 = params.mu + SQRT2 * sigma
-        slope_points.append(
-            (kappa, _scan_residual(target, params, sigma2, sigma, x1, quad_tol, max_depth))
-        )
+        x1 = params.mu + SQRT2 * params.variance.sigma
+        slope_points.append((kappa, _scan_residual(target, params, x1, quad_tol, max_depth)))
     kept = [(k, r) for k, r in slope_points if r >= RESIDUAL_FLOOR]
     if len(kept) < 3:
         raise ValueError("too few residuals above the floating-point floor for a slope fit")

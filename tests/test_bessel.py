@@ -92,6 +92,14 @@ def test_log_i0_at_zero():
     assert log_i0(0.0) == 0.0
 
 
+@pytest.mark.parametrize("kappa", [1e-8, 1e-6, 1e-3, 0.1, 1.0])
+def test_log_i0_small_kappa_vs_mpmath(kappa):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = mpmath.log(mpmath.besseli(0, kappa))
+        assert abs((log_i0(kappa) - ref) / ref) <= 1e-15
+
+
 def test_log_i0_matches_series_log():
     assert log_i0(2.0) == math.log(bessel_i0_series(2.0).value)
 

@@ -114,6 +114,24 @@ def test_eval_rejects_non_finite_input(option, value, field, capsys):
     assert "%s must be finite" % field in err
 
 
+def test_eval_rejects_infinite_tol(capsys):
+    # one unrefined panel per segment would print a value 1.2e-6 off
+    argv = ["eval", "--mu", "0", "--kappa", "100", "--x", "0.1", "--quantity", "cdf-quad"]
+    assert run(argv + ["--tol", "inf"]) == 1
+    assert "tol must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "option, value", [("--kappa-min", "nan"), ("--kappa-max", "inf"), ("--kappa-max", "nan")]
+)
+def test_error_scan_rejects_non_finite_kappa_range(option, value, capsys):
+    args = {"--kappa-min": "32", "--kappa-max": "2048"}
+    args[option] = value
+    argv = ["error-scan", "--target", "log_ratio"] + ["%s=%s" % kv for kv in args.items()]
+    assert run(argv) == 1
+    assert "%s must be finite" % option in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_code():
     # one subdivision level cannot resolve a concentrated peak
     r = run_cli(
@@ -170,6 +188,13 @@ def test_table_columns_and_roundtrip(tmp_path, capsys):
     for row in rows:
         for field in row.split(","):
             assert repr(float(field)) == field
+
+
+def test_table_cdf_at_upper_edge_within_tol_of_one(capsys):
+    # just above the Bessel branch point the upper edge reads 1 + 8.7e-13
+    assert run(["table", "--mu", "0", "--kappa", "600.5", "--grid", "3"]) == 0
+    upper = capsys.readouterr().out.strip().split("\n")[-1].split(",")
+    assert float(upper[8]) <= 1.0 + 1e-12
 
 
 def test_table_precision_roundtrip(capsys):

@@ -1,8 +1,10 @@
+import dataclasses
 import math
+import sys
 
 import pytest
 
-from circbridge import backend, oracle
+from circbridge import backend, bessel, cli, distributions, oracle
 from circbridge.distributions import (
     SQRT2,
     CircularVariance,
@@ -23,6 +25,7 @@ from circbridge.distributions import (
     wn_density,
     wrap_angle,
 )
+from circbridge.expansions import BulkSpec
 
 TWO_PI = 2.0 * math.pi
 
@@ -47,6 +50,84 @@ def test_params_normalize_mu():
         VonMisesParams(0.0, -0.1)
     with pytest.raises(ValueError):
         WrappedNormalParams(0.0, 0.0)
+
+
+# ------------------------------------------------------ per-kappa values
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name wherever a circbridge module binds it; returns the
+    list of first arguments of every call made through the wrapper."""
+    original = getattr(module, name)
+    args_seen = []
+
+    def counted(*args, **kwargs):
+        args_seen.append(args[0])
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "circbridge":
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return args_seen
+
+
+@pytest.mark.parametrize("kappa", [299.5, 300.5, 599.5, 600.5])
+def test_per_kappa_values_equal_their_functions_bitwise(kappa):
+    # beside the variance (300) and Bessel (600) branch points
+    p = VonMisesParams(1.0, kappa)
+    assert p.variance == circular_variance_exact(kappa)
+    assert p.i0e == bessel.i0e(kappa)
+    assert p.log_i0e == bessel.log_i0e(kappa)
+    assert p.variance is p.variance
+
+
+def test_per_kappa_values_leave_identity_alone():
+    a = VonMisesParams(0.5, 20.0)
+    filled = (a.variance, a.i0e, a.log_i0e)
+    assert all(vars(a)[name] is v for name, v in zip(("variance", "i0e", "log_i0e"), filled))
+    b = VonMisesParams(0.5, 20.0)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert repr(a) == repr(b) == "VonMisesParams(mu=0.5, kappa=20.0)"
+    assert dataclasses.astuple(a) == (0.5, 20.0)
+
+
+def test_zero_kappa_params_valid_until_variance_is_read():
+    p = VonMisesParams(0.0, 0.0)
+    assert vm_density(p, 1.0) == 1.0 / TWO_PI
+    assert p.i0e == 1.0
+    assert p.log_i0e == 0.0
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^kappa must be > 0"):
+            p.variance
+
+
+def test_table_computes_per_kappa_values_once(monkeypatch, capsys):
+    variance = _count_calls(monkeypatch, distributions, "circular_variance_exact")
+    i0e = _count_calls(monkeypatch, bessel, "i0e")
+    assert cli.run(["table", "--mu", "0.3", "--kappa", "50", "--grid", "11"]) == 0
+    capsys.readouterr()
+    assert variance == [50.0]
+    assert i0e == [50.0]
+
+
+def test_cdf_residual_scan_computes_per_kappa_values_once(monkeypatch):
+    variance = _count_calls(monkeypatch, distributions, "circular_variance_exact")
+    i0e = _count_calls(monkeypatch, bessel, "i0e")
+    kappas = [64.0, 128.0, 256.0]
+    oracle.residual_scan(BulkSpec.fixed(0.5), kappas, 11, "cdf")
+    assert variance == kappas
+    assert i0e == kappas
+
+
+def test_matched_sup_gap_computes_per_kappa_values_once(monkeypatch):
+    variance = _count_calls(monkeypatch, distributions, "circular_variance_exact")
+    i0e = _count_calls(monkeypatch, bessel, "i0e")
+    matched_sup_gap(0.0, 10.0, grid_size=101)
+    assert variance == [10.0]
+    assert i0e == [10.0]
 
 
 NAN = float("nan")

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from circbridge import backend, bessel, oracle
-from circbridge.distributions import VonMisesParams, vm_density
+from circbridge.distributions import VonMisesParams, WrappedNormalParams, vm_density, wn_density
 from circbridge.expansions import BulkSpec
 from circbridge.oracle import (
     QuadratureError,
@@ -37,6 +37,22 @@ def test_vm_normalization():
 def test_cosine_cancels_over_half_period():
     r = adaptive_quadrature(math.cos, 0.0, math.pi, 1e-12)
     assert abs(r.value) <= 1e-12
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-12])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tol: adaptive_quadrature(math.cos, 0.0, 1.0, tol),
+        lambda tol: vm_cdf_quadrature(VonMisesParams(0.0, 100.0), 0.1, tol),
+        lambda tol: bessel_i0_integral(2.0, tol),
+        lambda tol: wn_density(WrappedNormalParams(0.0, 1.0), 0.0, tol),
+    ],
+    ids=["adaptive_quadrature", "vm_cdf_quadrature", "bessel_i0_integral", "wn_density"],
+)
+def test_tol_must_be_finite_and_positive(call, tol):
+    with pytest.raises(ValueError, match="^tol must be finite and > 0"):
+        call(tol)
 
 
 def test_quadrature_validates_input():
@@ -173,6 +189,13 @@ def test_vm_cdf_window_domain():
         vm_cdf_quadrature(p, math.pi + 0.1, 1e-10)
     with pytest.raises(ValueError):
         vm_cdf_quadrature(VonMisesParams(0.0, 0.0), 0.5, 1e-10)
+
+
+def test_vm_cdf_may_exceed_one_by_at_most_tol():
+    # the result is within tol of F and is not clamped
+    tol = 1e-12
+    got = vm_cdf_quadrature(VonMisesParams(0.0, 3000.0), math.pi, tol)
+    assert 1.0 < got <= 1.0 + tol
 
 
 def test_vm_cdf_very_large_kappa_clipped_domain():

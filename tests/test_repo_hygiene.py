@@ -1,5 +1,8 @@
-"""Repository hygiene: nothing git tracks may match an ignore rule."""
+"""Repository hygiene: nothing git tracks may match an ignore rule, and
+every function the benchmark traces exists."""
 
+import importlib
+import importlib.util
 import shutil
 import subprocess
 from pathlib import Path
@@ -20,3 +23,17 @@ def test_no_tracked_file_is_ignored():
         check=True,
     )
     assert out.stdout == ""
+
+
+def test_benchmark_traces_existing_functions():
+    # a renamed or deleted function would silently drop out of the
+    # per-layer benchmark, which wraps only what it finds
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        "%s.%s" % (module, fn)
+        for _layer, module, fn in tracing.TRACED
+        if not callable(getattr(importlib.import_module(module), fn, None))
+    ]
+    assert missing == []
