@@ -49,6 +49,10 @@ _WG = (
     0.4179591836734694,
 )
 
+# Bisection depth at which a panel that still fails its tolerance raises
+# QuadratureError instead of splitting again.
+MAX_DEPTH = 40
+
 
 class QuadratureError(ArithmeticError):
     """Raised when adaptive refinement cannot reach the requested tolerance."""
@@ -206,15 +210,16 @@ def _vm_panel(m, a, b):
     return resk * h, abs(resk - resg) * h
 
 
-def adaptive_gk15(panel, f, a, b, tol, max_depth):
+def adaptive_gk15(panel, f, a, b, tol):
     """Adaptive bisection of [a, b] on 15-point Kronrod panels, a < b.
 
     `panel(f, lo, hi)` returns (estimate, error estimate) for one panel.
     A panel is accepted when its error estimate meets the local
     tolerance, which is halved at every split.  Returns (value,
     error_estimate, evaluations); raises QuadratureError when a panel at
-    max_depth still fails.  The stack is depth-first, so it never holds
-    more than max_depth + 1 panels.
+    depth MAX_DEPTH still fails, so a tolerance the panels cannot meet
+    fails loudly.  The stack is depth-first, so it never holds more than
+    MAX_DEPTH + 1 panels.
     """
     stack = [(a, b, tol, 0)]
     total = 0.0
@@ -227,7 +232,7 @@ def adaptive_gk15(panel, f, a, b, tol, max_depth):
         if err <= tol1:
             total += val
             err_total += err
-        elif depth >= max_depth:
+        elif depth >= MAX_DEPTH:
             raise QuadratureError(
                 "no convergence on [%g, %g] at depth %d (err=%.3e, tol=%.3e)"
                 % (a1, b1, depth, err, tol1)
@@ -240,7 +245,7 @@ def adaptive_gk15(panel, f, a, b, tol, max_depth):
     return total, err_total, evals
 
 
-def vm_scaled_mass(kappa, a, b, tol, max_depth):
+def vm_scaled_mass(kappa, a, b, tol):
     """Adaptive integral of exp(-2 kappa sin(t/2)^2) over [a, b].
 
     The integrand is the circular normal density scaled to peak value one,
@@ -250,7 +255,7 @@ def vm_scaled_mass(kappa, a, b, tol, max_depth):
     """
     if b <= a:
         return 0.0, 0.0, 0
-    return adaptive_gk15(_vm_panel, -2.0 * kappa, a, b, tol, max_depth)
+    return adaptive_gk15(_vm_panel, -2.0 * kappa, a, b, tol)
 
 
 def wn_density_at(t, v, kmax):

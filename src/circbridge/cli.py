@@ -7,8 +7,9 @@ Subcommands:
   convergence  sup density gap between matched circular laws
 
 Output is CSV (default) or JSON, to stdout or --out.  Identical argument
-vectors produce byte-identical output.  The environment variable
-CIRC_BRIDGE_MAX_DEPTH overrides the quadrature subdivision depth.
+vectors produce byte-identical output.  Every setting is a command-line
+option; quadrature bisects to depth 40 at most, and a --tol it cannot
+meet there is a numerical failure.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure.
 """
@@ -16,7 +17,6 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure.
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import oracle
@@ -24,7 +24,6 @@ from .distributions import (
     SQRT2,
     VonMisesParams,
     matched_sup_gap,
-    matched_wn_scale,
     normalize_angle,
     vm_density,
     wrap_angle,
@@ -62,10 +61,6 @@ TABLE_COLUMNS = (
     "residual_log",
     "residual_cdf",
 )
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _fmt(x, precision):
@@ -107,7 +102,7 @@ def _emit(rows, header, meta, args):
 
 def _require_finite(option, value):
     if not (-math.inf < value < math.inf):
-        raise _UsageError("%s must be finite, got %r" % (option, value))
+        raise ValueError("%s must be finite, got %r" % (option, value))
 
 
 def _wrapped_mu(mu):
@@ -128,24 +123,10 @@ def _wrapped_x(x, mu):
     return xw
 
 
-def _max_depth():
-    raw = os.environ.get("CIRC_BRIDGE_MAX_DEPTH")
-    if raw is None:
-        return oracle.DEFAULT_MAX_DEPTH
-    try:
-        depth = int(raw)
-    except ValueError:
-        raise _UsageError("CIRC_BRIDGE_MAX_DEPTH must be an integer, got %r" % raw)
-    if depth < 1:
-        raise _UsageError("CIRC_BRIDGE_MAX_DEPTH must be >= 1, got %d" % depth)
-    return depth
-
-
 def _cmd_eval(args):
     mu = _wrapped_mu(args.mu)
     x = _wrapped_x(args.x, mu)
     params = VonMisesParams(mu, args.kappa)
-    depth = _max_depth()
     q = args.quantity
     if q == "density":
         value = vm_density(params, x)
@@ -161,7 +142,7 @@ def _cmd_eval(args):
         dt = standardized_deviate(params, x).delta_tilde
         value = cdf_expansion(dt, params.kappa).value
     else:  # cdf-quad
-        value = oracle.vm_cdf_quadrature(params, x, args.tol, depth)
+        value = oracle.vm_cdf_quadrature(params, x, args.tol)
     meta = {"command": "eval", "quantity": q, "mu": mu, "kappa": args.kappa, "x": x}
     _emit([(q, mu, args.kappa, x, value)], ("quantity", "mu", "kappa", "x", "value"), meta, args)
     return 0
@@ -171,9 +152,8 @@ def _cmd_table(args):
     mu = _wrapped_mu(args.mu)
     params = VonMisesParams(mu, args.kappa)
     if args.grid < 3 or args.grid % 2 == 0:
-        raise _UsageError("--grid must be odd and >= 3")
+        raise ValueError("--grid must be odd and >= 3")
     spec = BulkSpec.fixed(args.eta)
-    depth = _max_depth()
     sigma = params.variance.sigma
     hw_dt = spec.delta_halfwidth(params.kappa) / SQRT2
     half = (args.grid - 1) // 2
@@ -186,7 +166,7 @@ def _cmd_table(args):
         lre = log_ratio_exact(params, x)
         lr1 = log_ratio_expansion(sd.delta_tilde, params.kappa, 1).value
         lr2 = log_ratio_expansion(sd.delta_tilde, params.kappa, 2).value
-        cq = oracle.vm_cdf_quadrature(params, x, args.tol, depth)
+        cq = oracle.vm_cdf_quadrature(params, x, args.tol)
         ca = cdf_expansion(sd.delta_tilde, params.kappa).value
         rows.append(
             (
@@ -226,20 +206,13 @@ def _cmd_error_scan(args):
     _require_finite("--kappa-min", args.kappa_min)
     _require_finite("--kappa-max", args.kappa_max)
     if not (0 < args.kappa_min <= args.kappa_max):
-        raise _UsageError("need 0 < --kappa-min <= --kappa-max")
+        raise ValueError("need 0 < --kappa-min <= --kappa-max")
     if args.regime == "fixed":
         spec = BulkSpec.fixed(args.eta)
     else:
         spec = BulkSpec.shrunken(args.eta)
     kappas = _geometric_kappas(args.kappa_min, args.kappa_max, args.steps)
-    report = oracle.residual_scan(
-        spec,
-        kappas,
-        args.grid,
-        args.target,
-        quad_tol=args.tol,
-        max_depth=_max_depth(),
-    )
+    report = oracle.residual_scan(spec, kappas, args.grid, args.target, quad_tol=args.tol)
     header = ("record", "kappa", "max_residual", "max_normalized_residual", "fitted_slope")
     rows = [
         ("kappa", k, mr, mn, "")
@@ -265,13 +238,14 @@ def _cmd_convergence(args):
     try:
         kappas = [float(s) for s in args.kappas.split(",") if s.strip()]
     except ValueError:
-        raise _UsageError("--kappas must be a comma-separated list of numbers")
+        raise ValueError("--kappas must be a comma-separated list of numbers")
     if not kappas or any(k <= 0 for k in kappas):
-        raise _UsageError("--kappas must contain positive values")
+        raise ValueError("--kappas must contain positive values")
     rows = []
     for kappa in kappas:
-        sup = matched_sup_gap(mu, kappa, args.grid, args.tol)
-        rows.append((kappa, matched_wn_scale(kappa), sup))
+        params = VonMisesParams(mu, kappa)
+        sup = matched_sup_gap(params, args.grid, args.tol)
+        rows.append((kappa, SQRT2 * params.variance.sigma, sup))
     meta = {"command": "convergence", "mu": mu, "kappas": args.kappas, "grid": args.grid}
     _emit(rows, ("kappa", "matched_v", "sup_density_gap"), meta, args)
     return 0
@@ -343,11 +317,8 @@ def run(argv):
         return 0 if exc.code == 0 else 1
     try:
         if not (6 <= args.precision <= 17):
-            raise _UsageError("--precision must be in [6, 17]")
+            raise ValueError("--precision must be in [6, 17]")
         return args.func(args)
-    except _UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

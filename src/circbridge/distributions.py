@@ -143,9 +143,14 @@ def vm_density(params: VonMisesParams, theta: float) -> float:
 
 
 def vm_log_density(params: VonMisesParams, theta: float) -> float:
-    """Log of the circular normal density, finite for very large kappa."""
+    """Log of the circular normal density, finite for very large kappa.
+
+    Evaluated in the scaled form -2 kappa sin^2(t/2) - log(2 pi e^-kappa I0),
+    like `vm_density`.
+    """
     t = wrap_angle(theta - params.mu)
-    return params.kappa * math.cos(t) - LOG_TWO_PI - bessel.log_i0(params.kappa)
+    s = math.sin(0.5 * t)
+    return -2.0 * params.kappa * (s * s) - LOG_TWO_PI - params.log_i0e
 
 
 def circular_variance_exact(kappa: float) -> CircularVariance:
@@ -215,22 +220,21 @@ def matched_wn_scale(kappa: float) -> float:
     return SQRT2 * circular_variance_exact(kappa).sigma
 
 
-def matched_sup_gap(
-    mu: float, kappa: float, grid_size: int = 1001, tol: float = 1e-12
-) -> float:
+def matched_sup_gap(params: VonMisesParams, grid_size: int = 1001, tol: float = 1e-12) -> float:
     """Sup over a theta grid of |circular normal - matched wrapped normal|.
 
     The wrapped normal uses the matched scale v = sqrt(2) sigma(kappa);
     the gap shrinks as kappa grows, which is the limiting-law statement
-    in a computable form.
+    in a computable form.  grid_size equispaced points cover [0, 2 pi).
     """
-    vm = VonMisesParams(mu, kappa)
-    wn = WrappedNormalParams(mu, SQRT2 * vm.variance.sigma)
+    if grid_size < 1:
+        raise ValueError("grid_size must be >= 1, got %r" % (grid_size,))
+    wn = WrappedNormalParams(params.mu, SQRT2 * params.variance.sigma)
     step = TWO_PI / grid_size
     sup = 0.0
     for j in range(grid_size):
         theta = j * step
-        gap = abs(vm_density(vm, theta) - wn_density(wn, theta, tol))
+        gap = abs(vm_density(params, theta) - wn_density(wn, theta, tol))
         if gap > sup:
             sup = gap
     return sup

@@ -23,7 +23,6 @@ from .expansions import (
     ratio_expansion,
 )
 
-DEFAULT_MAX_DEPTH = 40
 # Residuals below this are floating-point noise and are excluded from
 # slope fits.
 RESIDUAL_FLOOR = 1e-14
@@ -51,27 +50,24 @@ class ScanReport:
 
 
 def adaptive_quadrature(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float,
-    max_depth: int = DEFAULT_MAX_DEPTH,
+    f: Callable[[float], float], a: float, b: float, tol: float
 ) -> QuadratureResult:
     """Integrate f over [a, b] to absolute tolerance tol.
 
     Adaptive bisection on 15-point Kronrod panels; each panel is accepted
     when its embedded Gauss/Kronrod error estimate meets the local
     tolerance, which is halved at every split.  Raises QuadratureError if
-    a panel at max_depth still fails its tolerance.
+    a panel at bisection depth `backend.MAX_DEPTH` (40) still fails its
+    tolerance.
     """
     if not (a < b):
         raise ValueError("need a < b, got a=%r b=%r" % (a, b))
     _require_tol(tol)
-    value, err, evals = backend.adaptive_gk15(backend.gk15_panel, f, a, b, tol, max_depth)
+    value, err, evals = backend.adaptive_gk15(backend.gk15_panel, f, a, b, tol)
     return QuadratureResult(value=value, abs_error_estimate=err, evaluations=evals)
 
 
-def bessel_i0_integral(kappa: float, tol: float = 1e-13, max_depth: int = DEFAULT_MAX_DEPTH) -> float:
+def bessel_i0_integral(kappa: float, tol: float = 1e-13) -> float:
     """I0(kappa) from its integral representation (1/pi) int_0^pi e^(kappa cos t) dt.
 
     Deliberately independent of the power series.  The integrand is
@@ -86,9 +82,9 @@ def bessel_i0_integral(kappa: float, tol: float = 1e-13, max_depth: int = DEFAUL
     def g(t):
         return math.exp(kappa * (math.cos(t) - 1.0))
 
-    coarse = adaptive_quadrature(g, 0.0, math.pi, 1e-4, max_depth)
+    coarse = adaptive_quadrature(g, 0.0, math.pi, 1e-4)
     abs_tol = 0.5 * tol * coarse.value
-    fine = adaptive_quadrature(g, 0.0, math.pi, abs_tol, max_depth)
+    fine = adaptive_quadrature(g, 0.0, math.pi, abs_tol)
     return math.exp(kappa) * fine.value / math.pi
 
 
@@ -135,12 +131,7 @@ def i1e_series_reference(kappa: float) -> float:
     return _kahan_series(0.5 * kappa * math.exp(-kappa), lambda k: q / (k * (k + 1)))
 
 
-def vm_cdf_quadrature(
-    params: VonMisesParams,
-    x: float,
-    tol: float = 1e-12,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> float:
+def vm_cdf_quadrature(params: VonMisesParams, x: float, tol: float = 1e-12) -> float:
     """Circular distribution function by quadrature on the principal window.
 
     F(x) = integral of the density from mu - pi to x, for x in
@@ -170,7 +161,7 @@ def vm_cdf_quadrature(
     seg_tol = tol / inv_norm / (len(cuts) - 1)
     mass = 0.0
     for lo, hi in zip(cuts, cuts[1:]):
-        part, _err, _n = backend.vm_scaled_mass(params.kappa, lo, hi, seg_tol, max_depth)
+        part, _err, _n = backend.vm_scaled_mass(params.kappa, lo, hi, seg_tol)
         mass += part
     return inv_norm * mass
 
@@ -199,7 +190,7 @@ def slope_fit(points: Sequence[Tuple[float, float]]) -> float:
     return sxy / sxx
 
 
-def _scan_residual(target, params, x, quad_tol, max_depth):
+def _scan_residual(target, params, x, quad_tol):
     dt = ((x - params.mu) / params.variance.sigma) / SQRT2
     if target == "log_ratio":
         exact = log_ratio_exact(params, x)
@@ -209,7 +200,7 @@ def _scan_residual(target, params, x, quad_tol, max_depth):
         exact = math.exp(log_ratio_exact(params, x))
         approx = ratio_expansion(dt, params.kappa, 2).value
         return abs(exact - approx)
-    quad = vm_cdf_quadrature(params, x, quad_tol, max_depth)
+    quad = vm_cdf_quadrature(params, x, quad_tol)
     approx = cdf_expansion(dt, params.kappa).value
     return abs(quad - approx)
 
@@ -219,12 +210,11 @@ def residual_scan(
     kappa_values: Sequence[float],
     grid_size: int,
     target: str,
-    mu: float = 0.0,
     quad_tol: float = 1e-13,
-    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> ScanReport:
     """Exact-versus-expansion residuals over the bulk for each concentration.
 
+    The laws are centred at mu = 0 (the residuals depend on x - mu only).
     For every kappa the residual of the chosen target is evaluated on an
     odd equispaced delta_tilde grid spanning the bulk; the report records
     the maximum residual, the maximum residual normalized by the envelope
@@ -246,7 +236,7 @@ def residual_scan(
     max_norm: List[float] = []
     slope_points: List[Tuple[float, float]] = []
     for kappa in kappa_values:
-        params = VonMisesParams(mu, kappa)
+        params = VonMisesParams(0.0, kappa)
         hw_dt = regime.delta_halfwidth(kappa) / SQRT2
         step = hw_dt / half
         kappa_cubed = kappa ** 3
@@ -255,7 +245,7 @@ def residual_scan(
         for j in range(-half, half + 1):
             dt = j * step
             x = params.mu + SQRT2 * params.variance.sigma * dt
-            r = _scan_residual(target, params, x, quad_tol, max_depth)
+            r = _scan_residual(target, params, x, quad_tol)
             if r > mr:
                 mr = r
             rn = r * kappa_cubed / (1.0 + abs(dt) ** power)
@@ -264,7 +254,7 @@ def residual_scan(
         max_res.append(mr)
         max_norm.append(mn)
         x1 = params.mu + SQRT2 * params.variance.sigma
-        slope_points.append((kappa, _scan_residual(target, params, x1, quad_tol, max_depth)))
+        slope_points.append((kappa, _scan_residual(target, params, x1, quad_tol)))
     kept = [(k, r) for k, r in slope_points if r >= RESIDUAL_FLOOR]
     if len(kept) < 3:
         raise ValueError("too few residuals above the floating-point floor for a slope fit")

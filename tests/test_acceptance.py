@@ -201,7 +201,7 @@ def test_criterion_6_normalization_constant_order():
 
 def test_criterion_7_wrapped_normal_limit():
     t0 = time.perf_counter()
-    gaps = [matched_sup_gap(0.0, k, grid_size=1001) for k in [4.0, 16.0, 64.0, 256.0]]
+    gaps = [matched_sup_gap(VonMisesParams(0.0, k), grid_size=1001) for k in [4.0, 16.0, 64.0, 256.0]]
     strict = all(b < a for a, b in zip(gaps, gaps[1:]))
     elapsed = time.perf_counter() - t0
     _report(

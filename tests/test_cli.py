@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from circbridge.cli import run
+from circbridge.distributions import matched_wn_scale
 
 SCAN_ARGS = [
     "error-scan",
@@ -132,27 +133,21 @@ def test_error_scan_rejects_non_finite_kappa_range(option, value, capsys):
     assert "%s must be finite" % option in capsys.readouterr().err
 
 
+CDF_QUAD_ARGS = ["eval", "--mu", "0", "--kappa", "100", "--x", "0.1", "--quantity", "cdf-quad"]
+
+
 def test_numerical_failure_exit_code():
-    # one subdivision level cannot resolve a concentrated peak
-    r = run_cli(
-        ["eval", "--mu", "0", "--kappa", "100", "--x", "0.1", "--quantity", "cdf-quad"],
-        env_extra={"CIRC_BRIDGE_MAX_DEPTH": "1"},
-    )
+    # no panel meets this tolerance before the fixed bisection depth
+    r = run_cli(CDF_QUAD_ARGS + ["--tol", "1e-300"])
     assert r.returncode == 2
     assert b"numerical failure" in r.stderr
 
 
-def test_max_depth_env_override_valid():
-    r = run_cli(
-        ["eval", "--mu", "0", "--kappa", "100", "--x", "0.1", "--quantity", "cdf-quad"],
-        env_extra={"CIRC_BRIDGE_MAX_DEPTH": "35"},
-    )
-    assert r.returncode == 0
-    r = run_cli(
-        ["eval", "--mu", "0", "--kappa", "100", "--x", "0.1", "--quantity", "cdf-quad"],
-        env_extra={"CIRC_BRIDGE_MAX_DEPTH": "abc"},
-    )
-    assert r.returncode == 1
+def test_environment_does_not_change_quadrature():
+    plain = run_cli(CDF_QUAD_ARGS)
+    with_env = run_cli(CDF_QUAD_ARGS, env_extra={"CIRC_BRIDGE_MAX_DEPTH": "1"})
+    assert plain.returncode == with_env.returncode == 0
+    assert with_env.stdout == plain.stdout
 
 
 def test_table_columns_and_roundtrip(tmp_path, capsys):
@@ -294,6 +289,14 @@ def test_convergence_gaps_decrease(capsys):
     assert lines[0] == "kappa,matched_v,sup_density_gap"
     gaps = [float(ln.split(",")[-1]) for ln in lines[1:]]
     assert gaps[0] > gaps[1] > gaps[2]
+    matched_v = [float(ln.split(",")[1]) for ln in lines[1:]]
+    assert matched_v == [matched_wn_scale(k) for k in (4.0, 16.0, 64.0)]
+
+
+@pytest.mark.parametrize("grid", ["0", "-5"])
+def test_convergence_rejects_empty_grid(grid, capsys):
+    assert run(["convergence", "--kappas", "4,16", "--grid=" + grid]) == 1
+    assert "grid_size must be >= 1" in capsys.readouterr().err
 
 
 def test_byte_identical_reruns():

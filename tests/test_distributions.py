@@ -125,9 +125,28 @@ def test_cdf_residual_scan_computes_per_kappa_values_once(monkeypatch):
 def test_matched_sup_gap_computes_per_kappa_values_once(monkeypatch):
     variance = _count_calls(monkeypatch, distributions, "circular_variance_exact")
     i0e = _count_calls(monkeypatch, bessel, "i0e")
-    matched_sup_gap(0.0, 10.0, grid_size=101)
+    matched_sup_gap(VonMisesParams(0.0, 10.0), grid_size=101)
     assert variance == [10.0]
     assert i0e == [10.0]
+
+
+def test_convergence_computes_per_kappa_values_once(monkeypatch, capsys):
+    variance = _count_calls(monkeypatch, distributions, "circular_variance_exact")
+    i0e = _count_calls(monkeypatch, bessel, "i0e")
+    assert cli.run(["convergence", "--kappas", "4,16", "--grid", "11"]) == 0
+    capsys.readouterr()
+    assert variance == [4.0, 16.0]
+    assert i0e == [4.0, 16.0]
+
+
+def test_vm_log_density_reads_per_kappa_log_i0e(monkeypatch):
+    log_i0 = _count_calls(monkeypatch, bessel, "log_i0")
+    log_i0e = _count_calls(monkeypatch, bessel, "log_i0e")
+    p = VonMisesParams(0.3, 50.0)
+    for j in range(100):
+        vm_log_density(p, j * TWO_PI / 100.0)
+    assert log_i0 == []
+    assert log_i0e == [50.0]
 
 
 NAN = float("nan")
@@ -324,8 +343,14 @@ def test_matched_scale_large_kappa():
 
 
 def test_matched_sup_gap_decreasing():
-    gaps = [matched_sup_gap(0.0, k, grid_size=301) for k in [4.0, 16.0, 64.0, 256.0]]
+    gaps = [matched_sup_gap(VonMisesParams(0.0, k), grid_size=301) for k in [4.0, 16.0, 64.0, 256.0]]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
+
+
+@pytest.mark.parametrize("grid_size", [0, -5])
+def test_matched_sup_gap_rejects_empty_grid(grid_size):
+    with pytest.raises(ValueError, match="grid_size must be >= 1"):
+        matched_sup_gap(VonMisesParams(0.0, 4.0), grid_size=grid_size)
 
 
 # ------------------------------------------------------------ linear normal

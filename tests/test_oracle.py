@@ -63,9 +63,12 @@ def test_quadrature_validates_input():
 
 
 def test_quadrature_nonconvergence_raises():
+    # no panel meets tol=1e-300, so bisection fails at its fixed depth
     p = VonMisesParams(0.0, 500.0)
     with pytest.raises(QuadratureError):
-        adaptive_quadrature(lambda th: vm_density(p, th), -math.pi, math.pi, 1e-13, max_depth=2)
+        adaptive_quadrature(lambda th: vm_density(p, th), -math.pi, math.pi, 1e-300)
+    with pytest.raises(QuadratureError):
+        adaptive_quadrature(lambda t: 1.0 if t > 0.3 else 0.0, 0.0, 1.0, 1e-300)
 
 
 def test_quadrature_halving_tolerance_never_hurts():
@@ -87,7 +90,7 @@ def test_backend_name_is_python():
 
 
 def test_vm_scaled_mass_empty_interval():
-    assert backend.vm_scaled_mass(5.0, 1.0, 1.0, 1e-10, 40) == (0.0, 0.0, 0)
+    assert backend.vm_scaled_mass(5.0, 1.0, 1.0, 1e-10) == (0.0, 0.0, 0)
 
 
 @pytest.mark.parametrize("kappa", [0.5, 5.0, 100.0, 2048.0, 1e5])
@@ -99,8 +102,8 @@ def test_vm_scaled_mass_matches_generic_engine_bitwise(kappa, hi):
         u = math.sin(0.5 * t)
         return math.exp(-2.0 * kappa * (u * u))
 
-    got = backend.vm_scaled_mass(kappa, -math.pi, hi, 1e-13, 40)
-    ref = backend.adaptive_gk15(backend.gk15_panel, f, -math.pi, hi, 1e-13, 40)
+    got = backend.vm_scaled_mass(kappa, -math.pi, hi, 1e-13)
+    ref = backend.adaptive_gk15(backend.gk15_panel, f, -math.pi, hi, 1e-13)
     assert got == ref
 
 
@@ -177,8 +180,9 @@ def test_vm_cdf_monotone():
 
 
 def test_vm_cdf_nonconvergence_raises():
-    with pytest.raises(QuadratureError):
-        vm_cdf_quadrature(VonMisesParams(0.0, 500.0), 0.0, 1e-14, max_depth=2)
+    for kappa in (0.5, 100.0, 500.0, 3000.0):
+        with pytest.raises(QuadratureError, match="at depth 40"):
+            vm_cdf_quadrature(VonMisesParams(0.0, kappa), 0.0, 1e-300)
 
 
 def test_vm_cdf_window_domain():

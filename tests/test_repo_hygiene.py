@@ -1,8 +1,10 @@
-"""Repository hygiene: nothing git tracks may match an ignore rule, and
-every function the benchmark traces exists."""
+"""Repository hygiene: nothing git tracks may match an ignore rule,
+every function the benchmark traces exists, and the package reads no
+environment variables."""
 
 import importlib
 import importlib.util
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -37,3 +39,15 @@ def test_benchmark_traces_existing_functions():
         if not callable(getattr(importlib.import_module(module), fn, None))
     ]
     assert missing == []
+
+
+def test_package_reads_no_environment():
+    # every setting is a command-line option, so --help lists them all
+    pattern = re.compile(r"\benviron\b|\bgetenv\b")
+    hits = [
+        "%s:%d" % (path.relative_to(ROOT), n)
+        for path in sorted((ROOT / "src" / "circbridge").rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert hits == []
