@@ -57,6 +57,7 @@ from .oracle import (
     residual_scan,
     slope_fit,
     vm_cdf_quadrature,
+    vm_cdf_sweep,
 )
 
 __version__ = "0.1.0"
@@ -100,6 +101,7 @@ __all__ = [
     "standardized_deviate",
     "upper_incomplete_moment",
     "vm_cdf_quadrature",
+    "vm_cdf_sweep",
     "vm_density",
     "vm_log_density",
     "wn_circular_variance",

@@ -3,7 +3,7 @@
 Bessel power series, the circular-variance series ratio, the asymptotic
 bracket polynomials, the 15-point Gauss-Kronrod rule with its adaptive
 bisection, quadrature of the concentrated circular density, and the
-wrapped-normal lattice sum.  Plain Python; there is nothing to compile.
+wrapped-normal lattice and Fourier sums.  Plain Python; there is nothing to compile.
 """
 
 import math
@@ -272,3 +272,16 @@ def wn_density_at(t, v, kmax):
         s += math.exp(-0.5 * (z * z))
         k += 1
     return s * (INV_SQRT_2PI * inv_v)
+
+
+def wn_fourier_at(t, v, pmax):
+    """Wrapped-normal Fourier (theta) series at wrapped offset t with scale v.
+
+    (1/2pi)(1 + 2 sum over p = 1..pmax of e^(-v^2 p^2 / 2) cos(p t)),
+    smallest terms first; the caller picks pmax from the tail bound.
+    """
+    h = -0.5 * v * v
+    s = 0.0
+    for p in range(pmax, 0, -1):
+        s += math.exp(h * (p * p)) * math.cos(p * t)
+    return (1.0 + 2.0 * s) / TWO_PI

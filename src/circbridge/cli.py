@@ -158,15 +158,14 @@ def _cmd_table(args):
     hw_dt = spec.delta_halfwidth(params.kappa) / SQRT2
     half = (args.grid - 1) // 2
     step = hw_dt / half
+    xs = [mu + SQRT2 * sigma * (j * step) for j in range(-half, half + 1)]
+    cdf_quad = oracle.vm_cdf_sweep(params, xs, args.tol)
     rows = []
-    for j in range(-half, half + 1):
-        dt_grid = j * step
-        x = mu + SQRT2 * sigma * dt_grid
+    for x, cq in zip(xs, cdf_quad):
         sd = standardized_deviate(params, x)
         lre = log_ratio_exact(params, x)
         lr1 = log_ratio_expansion(sd.delta_tilde, params.kappa, 1).value
         lr2 = log_ratio_expansion(sd.delta_tilde, params.kappa, 2).value
-        cq = oracle.vm_cdf_quadrature(params, x, args.tol)
         ca = cdf_expansion(sd.delta_tilde, params.kappa).value
         rows.append(
             (
@@ -196,8 +195,6 @@ def _cmd_table(args):
 
 
 def _geometric_kappas(lo, hi, steps):
-    if steps < 2:
-        return [lo]
     ratio = math.log(hi) - math.log(lo)
     return [math.exp(math.log(lo) + ratio * i / (steps - 1)) for i in range(steps)]
 
@@ -207,6 +204,8 @@ def _cmd_error_scan(args):
     _require_finite("--kappa-max", args.kappa_max)
     if not (0 < args.kappa_min <= args.kappa_max):
         raise ValueError("need 0 < --kappa-min <= --kappa-max")
+    if args.steps < 3:
+        raise ValueError("--steps must be >= 3 (a slope fit needs three kappas), got %d" % args.steps)
     if args.regime == "fixed":
         spec = BulkSpec.fixed(args.eta)
     else:
@@ -290,7 +289,7 @@ def build_parser():
     p.add_argument("--target", choices=oracle.SCAN_TARGETS, required=True)
     p.add_argument("--kappa-min", type=float, required=True)
     p.add_argument("--kappa-max", type=float, required=True)
-    p.add_argument("--steps", type=int, default=7)
+    p.add_argument("--steps", type=int, default=7, help="number of kappas (>= 3)")
     p.add_argument("--eta", type=float, default=0.5, help="bulk parameter for the chosen regime")
     p.add_argument("--regime", choices=("fixed", "shrunken"), default="fixed")
     p.add_argument("--grid", type=int, default=201)

@@ -15,12 +15,17 @@ from .backend import INV_SQRT_2PI, TWO_PI
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+LOG_TWO = math.log(2.0)
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
 # Above this concentration the circular variance switches from the series
 # ratio (whose term recurrences lose ~kappa*eps relative accuracy) to an
 # order-8 asymptotic polynomial whose truncation is below 1e-17 relative.
 _SIGMA2_ASYM_MIN = 300.0
+
+# From this wrapped-normal scale up, the density is summed as its Fourier
+# series instead of over integer wraps (see wn_density).
+_WN_FOURIER_MIN_V = math.sqrt(TWO_PI)
 
 
 def normalize_angle(theta: float) -> float:
@@ -189,23 +194,43 @@ def circular_variance_expansion(kappa: float) -> float:
 
 def _wn_wrap_count(t_wrapped: float, v: float, tol: float) -> int:
     # Gaussian tail bound: wraps beyond kmax contribute less than tol in total.
-    arg = 2.0 / (tol * v * math.sqrt(TWO_PI))
-    if arg <= 1.0:
+    # log(2 / (tol v sqrt(2 pi))) as a sum of logs, so that tiny v cannot
+    # overflow the quotient.
+    log_arg = LOG_TWO - math.log(tol) - math.log(v) - 0.5 * LOG_TWO_PI
+    if log_arg <= 0.0:
         return 1
-    reach = abs(t_wrapped) + v * math.sqrt(2.0 * math.log(arg))
+    reach = abs(t_wrapped) + v * math.sqrt(2.0 * log_arg)
     return int(math.ceil(reach / TWO_PI)) + 1
 
 
-def wn_density(params: WrappedNormalParams, theta: float, tol: float = 1e-12) -> float:
-    """Wrapped normal density: normal densities summed over integer wraps.
+def _wn_fourier_count(v: float, tol: float) -> int:
+    # With rho = e^(-v^2/2), the terms p > P of the Fourier series add at
+    # most rho^((P+1)^2) / (pi (1 - rho)) to the density; the smallest P
+    # that puts this below tol.
+    log_arg = -math.log(math.pi * tol) - math.log1p(-math.exp(-0.5 * v * v))
+    if log_arg <= 0.0:
+        return 0
+    return int(math.ceil(math.sqrt(2.0 * log_arg) / v)) - 1
 
-    The symmetric truncation bound kmax is chosen so the omitted tail mass
-    is below tol.
+
+def wn_density(params: WrappedNormalParams, theta: float, tol: float = 1e-12) -> float:
+    """Wrapped normal density, within tol (absolute) of the exact value.
+
+    Below v = sqrt(2 pi) it sums normal densities over integer wraps,
+    with the symmetric truncation bound kmax chosen so the omitted tail
+    is below tol; from there up it sums the Fourier (theta) series
+    (1/2pi)(1 + 2 sum rho^(p^2) cos(p t)), rho = e^(-v^2/2), truncated
+    the same way.  The lattice terms decay like e^(-2 pi^2 k^2 / v^2) and
+    the Fourier terms like e^(-v^2 p^2 / 2), so each series is used where
+    it needs the fewer terms; at the switch both decay like e^(-pi n^2)
+    (Kurz, Gilitschenski & Hanebeck 2014).
     """
     _require_tol(tol)
     t = wrap_angle(theta - params.mu)
-    kmax = _wn_wrap_count(t, params.v, tol)
-    return backend.wn_density_at(t, params.v, kmax)
+    v = params.v
+    if v >= _WN_FOURIER_MIN_V:
+        return backend.wn_fourier_at(t, v, _wn_fourier_count(v, tol))
+    return backend.wn_density_at(t, v, _wn_wrap_count(t, v, tol))
 
 
 def wn_circular_variance(v: float) -> float:

@@ -131,39 +131,80 @@ def i1e_series_reference(kappa: float) -> float:
     return _kahan_series(0.5 * kappa * math.exp(-kappa), lambda k: q / (k * (k + 1)))
 
 
-def vm_cdf_quadrature(params: VonMisesParams, x: float, tol: float = 1e-12) -> float:
-    """Circular distribution function by quadrature on the principal window.
+def vm_cdf_sweep(
+    params: VonMisesParams, xs: Sequence[float], tol: float = 1e-12
+) -> List[float]:
+    """Circular distribution function at ascending points, in one pass.
 
-    F(x) = integral of the density from mu - pi to x, for x in
-    (mu - pi, mu + pi].  tol is absolute.  For very concentrated laws
-    (kappa >= 1e4) the integration is restricted to |t - mu| <= 20 sigma;
-    the omitted tail is below e^(-40) of the total mass.  The result is
-    within tol of the true F and is not clamped to [0, 1], so towards
-    mu + pi it may exceed 1 by up to tol.
+    F(x) = integral of the density from mu - pi to x, for each x of xs,
+    which must be non-decreasing and lie in the principal window
+    (mu - pi, mu + pi].  The window is cut at every point and at the
+    anchors -20 sigma, 0 and +20 sigma (offsets from mu) below the last
+    point; each segment is integrated once and the values are running
+    sums, so the work grows with the number of points plus three rather
+    than with their product.  tol is absolute and holds for every value:
+    each of the n segments is integrated to tol / n.  For very
+    concentrated laws (kappa >= 1e4) the integration starts at -20 sigma
+    when the first point lies above it; the omitted tail is below e^(-40)
+    of the total mass.  Values are not clamped to [0, 1], so towards
+    mu + pi they may exceed 1 by up to tol.
     """
     _require_tol(tol)
-    t_hi = x - params.mu
-    if not (-math.pi < t_hi <= math.pi):
-        raise ValueError(
-            "x must lie in the principal window (mu - pi, mu + pi], got offset %r" % (t_hi,)
-        )
+    if len(xs) == 0:
+        raise ValueError("xs must not be empty")
+    mu = params.mu
+    t0 = xs[0] - mu
+    for t in (t0, xs[-1] - mu):
+        if not (-math.pi < t <= math.pi):
+            raise ValueError(
+                "x must lie in the principal window (mu - pi, mu + pi], got offset %r" % (t,)
+            )
     # essentially all mass lies within 20 sigma of the mode; the tail
     # envelope exp(kappa(cos t - 1)) <= exp(-kappa t^2 / 5) puts the
     # remainder below e^-40
     reach = min(math.pi, 20.0 * params.variance.sigma)
     a = -math.pi
-    if params.kappa >= 1e4 and t_hi > -reach:
-        a = max(a, -reach)
+    if params.kappa >= 1e4 and t0 > -reach:
+        a = -reach
     # anchor the subdivision at the mode and the mass boundary so the
-    # first panel of a wide segment cannot step over the peak
-    cuts = [a] + [v for v in (-reach, 0.0, reach) if a < v < t_hi] + [t_hi]
+    # first panel of a wide segment cannot step over the peak; merge the
+    # anchors into the points, dropping any that repeat a cut
+    anchors = (-reach, 0.0, reach)
+    cuts = [a]
+    ends = []  # index into cuts of each point
+    k = 0
+    prev = xs[0]
+    for x in xs:
+        if not (prev <= x):
+            raise ValueError("xs must be ascending, got %r after %r" % (x, prev))
+        prev = x
+        t = x - mu
+        while k < 3 and anchors[k] < t:
+            if anchors[k] > cuts[-1]:
+                cuts.append(anchors[k])
+            k += 1
+        if t > cuts[-1]:
+            cuts.append(t)
+        ends.append(len(cuts) - 1)
     inv_norm = 1.0 / (2.0 * math.pi * params.i0e)
     seg_tol = tol / inv_norm / (len(cuts) - 1)
+    kappa = params.kappa
+    masses = [0.0]
     mass = 0.0
     for lo, hi in zip(cuts, cuts[1:]):
-        part, _err, _n = backend.vm_scaled_mass(params.kappa, lo, hi, seg_tol)
+        part, _err, _n = backend.vm_scaled_mass(kappa, lo, hi, seg_tol)
         mass += part
-    return inv_norm * mass
+        masses.append(mass)
+    return [inv_norm * masses[i] for i in ends]
+
+
+def vm_cdf_quadrature(params: VonMisesParams, x: float, tol: float = 1e-12) -> float:
+    """Circular distribution function at one point: `vm_cdf_sweep` of (x,).
+
+    x must lie in the principal window (mu - pi, mu + pi]; tol is
+    absolute, and the value may exceed 1 by up to tol towards mu + pi.
+    """
+    return vm_cdf_sweep(params, (x,), tol)[0]
 
 
 def slope_fit(points: Sequence[Tuple[float, float]]) -> float:
@@ -190,7 +231,8 @@ def slope_fit(points: Sequence[Tuple[float, float]]) -> float:
     return sxy / sxx
 
 
-def _scan_residual(target, params, x, quad_tol):
+def _scan_residual(target, params, x, cdf_quad):
+    # cdf_quad is F(x) by quadrature, read only for the cdf target
     dt = ((x - params.mu) / params.variance.sigma) / SQRT2
     if target == "log_ratio":
         exact = log_ratio_exact(params, x)
@@ -200,9 +242,8 @@ def _scan_residual(target, params, x, quad_tol):
         exact = math.exp(log_ratio_exact(params, x))
         approx = ratio_expansion(dt, params.kappa, 2).value
         return abs(exact - approx)
-    quad = vm_cdf_quadrature(params, x, quad_tol)
     approx = cdf_expansion(dt, params.kappa).value
-    return abs(quad - approx)
+    return abs(cdf_quad - approx)
 
 
 def residual_scan(
@@ -240,12 +281,13 @@ def residual_scan(
         hw_dt = regime.delta_halfwidth(kappa) / SQRT2
         step = hw_dt / half
         kappa_cubed = kappa ** 3
+        dts = [j * step for j in range(-half, half + 1)]
+        xs = [params.mu + SQRT2 * params.variance.sigma * dt for dt in dts]
+        cdf_quad = vm_cdf_sweep(params, xs, quad_tol) if target == "cdf" else [None] * len(xs)
         mr = 0.0
         mn = 0.0
-        for j in range(-half, half + 1):
-            dt = j * step
-            x = params.mu + SQRT2 * params.variance.sigma * dt
-            r = _scan_residual(target, params, x, quad_tol)
+        for dt, x, cq in zip(dts, xs, cdf_quad):
+            r = _scan_residual(target, params, x, cq)
             if r > mr:
                 mr = r
             rn = r * kappa_cubed / (1.0 + abs(dt) ** power)
@@ -254,7 +296,8 @@ def residual_scan(
         max_res.append(mr)
         max_norm.append(mn)
         x1 = params.mu + SQRT2 * params.variance.sigma
-        slope_points.append((kappa, _scan_residual(target, params, x1, quad_tol)))
+        cq1 = vm_cdf_quadrature(params, x1, quad_tol) if target == "cdf" else None
+        slope_points.append((kappa, _scan_residual(target, params, x1, cq1)))
     kept = [(k, r) for k, r in slope_points if r >= RESIDUAL_FLOOR]
     if len(kept) < 3:
         raise ValueError("too few residuals above the floating-point floor for a slope fit")

@@ -6,7 +6,6 @@ single PASS/FAIL line, and enforces its runtime budget.  Run with
 """
 
 import math
-import os
 import subprocess
 import sys
 import time
@@ -237,7 +236,7 @@ def test_criterion_8_incomplete_moment_identities():
     )
 
 
-def test_criterion_9_cli_determinism():
+def test_criterion_9_cli_determinism(cli_env):
     t0 = time.perf_counter()
     argv = [
         sys.executable,
@@ -257,9 +256,8 @@ def test_criterion_9_cli_determinism():
         "--grid",
         "201",
     ]
-    env = dict(os.environ)
-    first = subprocess.run(argv, capture_output=True, env=env)
-    second = subprocess.run(argv, capture_output=True, env=env)
+    first = subprocess.run(argv, capture_output=True, env=cli_env)
+    second = subprocess.run(argv, capture_output=True, env=cli_env)
     identical = first.stdout == second.stdout and len(first.stdout) > 0
     codes_ok = first.returncode == 0 and second.returncode == 0
     slope_line = first.stdout.decode().strip().split("\n")[-1]

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -26,10 +25,7 @@ SCAN_ARGS = [
 ]
 
 
-def run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(args, env):
     return subprocess.run(
         [sys.executable, "-m", "circbridge"] + args,
         capture_output=True,
@@ -133,19 +129,28 @@ def test_error_scan_rejects_non_finite_kappa_range(option, value, capsys):
     assert "%s must be finite" % option in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("steps", ["0", "1", "2", "-4"])
+def test_error_scan_rejects_too_few_steps(steps, capsys):
+    argv = ["error-scan", "--target", "log_ratio", "--kappa-min", "32", "--kappa-max", "2048"]
+    assert run(argv + ["--steps=" + steps]) == 1
+    err = capsys.readouterr().err
+    assert "--steps must be >= 3" in err
+    assert "too few residuals" not in err
+
+
 CDF_QUAD_ARGS = ["eval", "--mu", "0", "--kappa", "100", "--x", "0.1", "--quantity", "cdf-quad"]
 
 
-def test_numerical_failure_exit_code():
+def test_numerical_failure_exit_code(cli_env):
     # no panel meets this tolerance before the fixed bisection depth
-    r = run_cli(CDF_QUAD_ARGS + ["--tol", "1e-300"])
+    r = run_cli(CDF_QUAD_ARGS + ["--tol", "1e-300"], cli_env)
     assert r.returncode == 2
     assert b"numerical failure" in r.stderr
 
 
-def test_environment_does_not_change_quadrature():
-    plain = run_cli(CDF_QUAD_ARGS)
-    with_env = run_cli(CDF_QUAD_ARGS, env_extra={"CIRC_BRIDGE_MAX_DEPTH": "1"})
+def test_environment_does_not_change_quadrature(cli_env):
+    plain = run_cli(CDF_QUAD_ARGS, cli_env)
+    with_env = run_cli(CDF_QUAD_ARGS, dict(cli_env, CIRC_BRIDGE_MAX_DEPTH="1"))
     assert plain.returncode == with_env.returncode == 0
     assert with_env.stdout == plain.stdout
 
@@ -299,9 +304,9 @@ def test_convergence_rejects_empty_grid(grid, capsys):
     assert "grid_size must be >= 1" in capsys.readouterr().err
 
 
-def test_byte_identical_reruns():
-    first = run_cli(SCAN_ARGS)
-    second = run_cli(SCAN_ARGS)
+def test_byte_identical_reruns(cli_env):
+    first = run_cli(SCAN_ARGS, cli_env)
+    second = run_cli(SCAN_ARGS, cli_env)
     assert first.returncode == 0
     assert second.returncode == 0
     assert first.stdout == second.stdout

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import sys
 
 import pytest
 
@@ -10,6 +9,7 @@ from circbridge.distributions import (
     CircularVariance,
     VonMisesParams,
     WrappedNormalParams,
+    _wn_fourier_count,
     _wn_wrap_count,
     circular_variance_exact,
     circular_variance_expansion,
@@ -55,24 +55,6 @@ def test_params_normalize_mu():
 # ------------------------------------------------------ per-kappa values
 
 
-def _count_calls(monkeypatch, module, name):
-    """Wrap module.name wherever a circbridge module binds it; returns the
-    list of first arguments of every call made through the wrapper."""
-    original = getattr(module, name)
-    args_seen = []
-
-    def counted(*args, **kwargs):
-        args_seen.append(args[0])
-        return original(*args, **kwargs)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.split(".")[0] == "circbridge":
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, counted)
-    return args_seen
-
-
 @pytest.mark.parametrize("kappa", [299.5, 300.5, 599.5, 600.5])
 def test_per_kappa_values_equal_their_functions_bitwise(kappa):
     # beside the variance (300) and Bessel (600) branch points
@@ -104,44 +86,44 @@ def test_zero_kappa_params_valid_until_variance_is_read():
             p.variance
 
 
-def test_table_computes_per_kappa_values_once(monkeypatch, capsys):
-    variance = _count_calls(monkeypatch, distributions, "circular_variance_exact")
-    i0e = _count_calls(monkeypatch, bessel, "i0e")
+def test_table_computes_per_kappa_values_once(count_calls, capsys):
+    variance = count_calls(distributions, "circular_variance_exact")
+    i0e = count_calls(bessel, "i0e")
     assert cli.run(["table", "--mu", "0.3", "--kappa", "50", "--grid", "11"]) == 0
     capsys.readouterr()
     assert variance == [50.0]
     assert i0e == [50.0]
 
 
-def test_cdf_residual_scan_computes_per_kappa_values_once(monkeypatch):
-    variance = _count_calls(monkeypatch, distributions, "circular_variance_exact")
-    i0e = _count_calls(monkeypatch, bessel, "i0e")
+def test_cdf_residual_scan_computes_per_kappa_values_once(count_calls):
+    variance = count_calls(distributions, "circular_variance_exact")
+    i0e = count_calls(bessel, "i0e")
     kappas = [64.0, 128.0, 256.0]
     oracle.residual_scan(BulkSpec.fixed(0.5), kappas, 11, "cdf")
     assert variance == kappas
     assert i0e == kappas
 
 
-def test_matched_sup_gap_computes_per_kappa_values_once(monkeypatch):
-    variance = _count_calls(monkeypatch, distributions, "circular_variance_exact")
-    i0e = _count_calls(monkeypatch, bessel, "i0e")
+def test_matched_sup_gap_computes_per_kappa_values_once(count_calls):
+    variance = count_calls(distributions, "circular_variance_exact")
+    i0e = count_calls(bessel, "i0e")
     matched_sup_gap(VonMisesParams(0.0, 10.0), grid_size=101)
     assert variance == [10.0]
     assert i0e == [10.0]
 
 
-def test_convergence_computes_per_kappa_values_once(monkeypatch, capsys):
-    variance = _count_calls(monkeypatch, distributions, "circular_variance_exact")
-    i0e = _count_calls(monkeypatch, bessel, "i0e")
+def test_convergence_computes_per_kappa_values_once(count_calls, capsys):
+    variance = count_calls(distributions, "circular_variance_exact")
+    i0e = count_calls(bessel, "i0e")
     assert cli.run(["convergence", "--kappas", "4,16", "--grid", "11"]) == 0
     capsys.readouterr()
     assert variance == [4.0, 16.0]
     assert i0e == [4.0, 16.0]
 
 
-def test_vm_log_density_reads_per_kappa_log_i0e(monkeypatch):
-    log_i0 = _count_calls(monkeypatch, bessel, "log_i0")
-    log_i0e = _count_calls(monkeypatch, bessel, "log_i0e")
+def test_vm_log_density_reads_per_kappa_log_i0e(count_calls):
+    log_i0 = count_calls(bessel, "log_i0")
+    log_i0e = count_calls(bessel, "log_i0e")
     p = VonMisesParams(0.3, 50.0)
     for j in range(100):
         vm_log_density(p, j * TWO_PI / 100.0)
@@ -304,6 +286,48 @@ def test_wn_density_truncation_bound(v):
     t = wrap_angle(1.0)
     k = _wn_wrap_count(t, v, tol)
     assert abs(backend.wn_density_at(t, v, k) - backend.wn_density_at(t, v, 2 * k)) < tol
+
+
+def _wn_reference(t, v):
+    # 40-digit reference: the lattice of normal densities for narrow laws,
+    # the Jacobi theta function (the Fourier series) otherwise
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        t = mpmath.mpf(t)
+        v = mpmath.mpf(v)
+        if v < 0.5:
+            wraps = (t + 2 * mpmath.pi * k for k in range(-3, 4))
+            lattice = mpmath.fsum(mpmath.exp(-(z * z) / (2 * v * v)) for z in wraps)
+            return float(lattice / (v * mpmath.sqrt(2 * mpmath.pi)))
+        return float(mpmath.jtheta(3, t / 2, mpmath.exp(-v * v / 2)) / (2 * mpmath.pi))
+
+
+@pytest.mark.parametrize("v", [1e-300, 1.0, 2.5, 3.0, 100.0, 1e3, 1e5, 1e12])
+@pytest.mark.parametrize("t", [0.0, 1.0, math.pi])
+def test_wn_density_matches_mpmath(v, t):
+    # within tol absolute, and relative where the density exceeds 1
+    tol = 1e-12
+    ref = _wn_reference(t, v)
+    got = wn_density(WrappedNormalParams(0.0, v), t, tol)
+    assert abs(got - ref) <= tol * max(1.0, ref)
+
+
+def test_wn_density_extreme_scales():
+    # a point mass: only the k = 0 wrap survives, and nothing overflows
+    narrow = WrappedNormalParams(0.0, 1e-300)
+    assert rel(wn_density(narrow, 0.0), 1.0 / (1e-300 * math.sqrt(TWO_PI))) <= 1e-15
+    assert wn_density(narrow, 1.0) == 0.0
+    # a flat law: the Fourier series stops at its constant term
+    assert wn_density(WrappedNormalParams(0.0, 1e12), 1.0) == 1.0 / TWO_PI
+
+
+@pytest.mark.parametrize("v", [2.6, 3.0, 10.0, 1e6])
+def test_wn_density_wide_laws_need_few_terms(v):
+    # from v = sqrt(2 pi) up the Fourier series needs at most three terms
+    # at tol = 1e-12, where the lattice would need ~1.2 v
+    assert _wn_fourier_count(v, 1e-12) <= 3
+    p = WrappedNormalParams(0.5, v)
+    assert abs(wn_density(p, 1.5, 1e-12) - wn_density(p, 1.5, 1e-15)) <= 1e-12
 
 
 def test_wn_density_rejects_bad_tol():

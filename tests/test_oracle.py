@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from circbridge import backend, bessel, oracle
+from circbridge import backend, bessel, cli, oracle
 from circbridge.distributions import VonMisesParams, WrappedNormalParams, vm_density, wn_density
 from circbridge.expansions import BulkSpec
 from circbridge.oracle import (
@@ -12,6 +12,7 @@ from circbridge.oracle import (
     residual_scan,
     slope_fit,
     vm_cdf_quadrature,
+    vm_cdf_sweep,
 )
 
 
@@ -206,6 +207,89 @@ def test_vm_cdf_very_large_kappa_clipped_domain():
     p = VonMisesParams(0.0, 1e5)
     assert abs(vm_cdf_quadrature(p, 0.0, 1e-12) - 0.5) <= 1e-11
     assert abs(vm_cdf_quadrature(p, math.pi, 1e-11) - 1.0) <= 1e-10
+
+
+def test_vm_cdf_pinned_value():
+    # one point through the sweep: the cuts, tolerances and summation
+    # order of the per-point quadrature, so the value is unchanged bitwise
+    assert vm_cdf_quadrature(VonMisesParams(0.0, 100.0), 0.1) == 0.8409395426154804
+
+
+def _sweep_grid(kappa, mu):
+    # points out to 30 sigma (so the 20-sigma anchors lie inside), clipped
+    # to the window, plus points in both tails
+    sigma = VonMisesParams(mu, kappa).variance.sigma
+    ts = [j * 1.5 * sigma for j in range(-20, 21)] + [-3.0, -1.0, 1.0, 3.0, math.pi]
+    return [mu + t for t in sorted(set(ts)) if -math.pi < t <= math.pi]
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-10])
+@pytest.mark.parametrize("kappa", [2.0, 299.5, 600.75, 4096.0, 1e5])
+def test_vm_cdf_sweep_matches_per_point_within_tol(kappa, tol):
+    p = VonMisesParams(1.0, kappa)
+    xs = _sweep_grid(kappa, 1.0)
+    swept = vm_cdf_sweep(p, xs, tol)
+    assert len(swept) == len(xs)
+    for x, f in zip(xs, swept):
+        assert abs(f - vm_cdf_quadrature(p, x, tol)) <= tol
+
+
+@pytest.mark.parametrize("lo", [-25.0, -19.0])
+def test_vm_cdf_sweep_very_large_kappa_across_20_sigma(lo):
+    # at kappa >= 1e4 the sweep starts at -20 sigma unless its first point
+    # lies below; either way each value is within tol of the per-point one
+    p = VonMisesParams(0.0, 3e5)
+    sigma = p.variance.sigma
+    xs = [(lo + 0.5 * j) * sigma for j in range(int(2 * (25.0 - lo)) + 1)]
+    tol = 1e-12
+    swept = vm_cdf_sweep(p, xs, tol)
+    for x, f in zip(xs, swept):
+        assert abs(f - vm_cdf_quadrature(p, x, tol)) <= tol
+    assert abs(swept[-1] - 1.0) <= tol
+
+
+def test_vm_cdf_sweep_is_monotone_and_repeats_equal_points():
+    # every value is a running sum of non-negative segment masses
+    p = VonMisesParams(0.0, 20.0)
+    xs = [-math.pi + (j + 1) * (2.0 * math.pi / 52.0) for j in range(51)]
+    xs[10:10] = [xs[10]]
+    vals = vm_cdf_sweep(p, xs, 1e-12)
+    assert all(b >= a for a, b in zip(vals, vals[1:]))
+    assert vals[10] == vals[11]
+
+
+@pytest.mark.parametrize(
+    "xs, message",
+    [
+        ([], "must not be empty"),
+        ([0.2, 0.1], "ascending"),
+        ([0.0, math.nan, 0.5], "ascending"),
+        ([-math.pi, 0.0], "principal window"),
+        ([0.0, math.pi + 0.1], "principal window"),
+        ([math.nan], "principal window"),
+    ],
+)
+def test_vm_cdf_sweep_rejects_bad_points(xs, message):
+    with pytest.raises(ValueError, match=message):
+        vm_cdf_sweep(VonMisesParams(0.0, 5.0), xs)
+
+
+def test_table_integrates_each_segment_once(count_calls, capsys):
+    # one sweep over the grid: a segment from -pi, one per neighbouring
+    # pair of points and at most three anchors, instead of ~3 per point
+    calls = count_calls(backend, "vm_scaled_mass")
+    assert cli.run(["table", "--mu", "0", "--kappa", "4096", "--grid", "201"]) == 0
+    capsys.readouterr()
+    assert 0 < len(calls) <= 201 + 4
+
+
+@pytest.mark.parametrize("kappa", [1024.0, 16384.0])
+def test_cdf_residual_scan_integrates_each_segment_once(count_calls, kappa):
+    # one sweep over the grid plus the slope point's own quadrature
+    calls = count_calls(backend, "vm_scaled_mass")
+    with pytest.raises(ValueError, match="too few residuals"):
+        residual_scan(BulkSpec.fixed(0.5), [kappa], 201, "cdf")
+    assert 0 < len(calls) <= 201 + 4
 
 
 # ------------------------------------------------------------- slope fit
