@@ -10,10 +10,8 @@ validate every claimed order empirically.
 from .backend import backend_name
 from .bessel import (
     SERIES_CUTOFF,
-    BesselEval,
     bessel_i0_series,
     bessel_i0e_asymptotic,
-    bessel_i1_series,
     bessel_i1e_asymptotic,
     log_i0,
 )
@@ -63,7 +61,6 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BesselEval",
     "BulkSpec",
     "CircularVariance",
     "ExpansionValue",
@@ -79,7 +76,6 @@ __all__ = [
     "bessel_i0_integral",
     "bessel_i0_series",
     "bessel_i0e_asymptotic",
-    "bessel_i1_series",
     "bessel_i1e_asymptotic",
     "cdf_expansion",
     "circular_variance_exact",

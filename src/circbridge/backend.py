@@ -1,6 +1,6 @@
 """Compute kernels: the package's hot numerical loops.
 
-Bessel power series, the circular-variance series ratio, the asymptotic
+The I0 power series, the circular-variance series ratio, the asymptotic
 bracket polynomials, the 15-point Gauss-Kronrod rule with its adaptive
 bisection, quadrature of the concentrated circular density, and the
 wrapped-normal lattice and Fourier sums.  Plain Python; there is nothing to compile.
@@ -10,6 +10,7 @@ import math
 
 TWO_PI = 2.0 * math.pi
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 # Series terms below this fraction of the running sum no longer move a double.
 _TERM_EPS = 1e-17
@@ -82,22 +83,6 @@ def i0_series_sum(x, head=1.0):
             return s
         if k >= _MAX_TERMS:
             raise ArithmeticError("I0 series did not converge")
-        k += 1
-
-
-def i1_series_sum(x):
-    """Power series for I1: sum over k of (x/2)^(2k+1) / (k! (k+1)!)."""
-    q = 0.25 * x * x
-    t = 0.5 * x
-    s = t
-    k = 1
-    while True:
-        t *= q / (k * (k + 1))
-        s += t
-        if t <= _TERM_EPS * s:
-            return s
-        if k >= _MAX_TERMS:
-            raise ArithmeticError("I1 series did not converge")
         k += 1
 
 

@@ -1,4 +1,4 @@
-"""Modified Bessel functions of the first kind, orders zero and one.
+"""Modified Bessel function I0, and the asymptotic brackets of I0 and I1.
 
 Two complementary representations: the convergent power series for
 moderate argument and the large-argument asymptotic bracket polynomials.
@@ -7,26 +7,15 @@ branches agree to about 1e-12.
 """
 
 import math
-from dataclasses import dataclass
 
 from . import backend
+from .backend import HALF_LOG_TWO_PI
 
 # The raw power series I0(x) stays below double overflow up to x ~ 712;
 # the cutoff is set where the order-3 asymptotic bracket becomes accurate
 # to ~6e-13 relative, so the two branches hand off cleanly.
 SERIES_CUTOFF = 600.0
 MAX_ASYM_ORDER = 3
-
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class BesselEval:
-    """A Bessel value together with its overflow-safe scaled form."""
-
-    value: float
-    scaled_value: float  # value * exp(-x)
-    method_used: str  # "series" or "asymptotic"
 
 
 def _check_nonneg(x, name="x"):
@@ -39,22 +28,12 @@ def _check_order(order):
         raise ValueError("asymptotic order must be in {0,1,2,3}, got %r" % (order,))
 
 
-def bessel_i0_series(x: float) -> BesselEval:
+def bessel_i0_series(x: float) -> float:
     """I0(x) by its power series.  Requires 0 <= x <= SERIES_CUTOFF."""
     _check_nonneg(x)
     if x > SERIES_CUTOFF:
         raise ValueError("x=%r exceeds the series cutoff %r" % (x, SERIES_CUTOFF))
-    s = backend.i0_series_sum(x)
-    return BesselEval(value=s, scaled_value=s * math.exp(-x), method_used="series")
-
-
-def bessel_i1_series(x: float) -> BesselEval:
-    """I1(x) by its power series.  Requires 0 <= x <= SERIES_CUTOFF."""
-    _check_nonneg(x)
-    if x > SERIES_CUTOFF:
-        raise ValueError("x=%r exceeds the series cutoff %r" % (x, SERIES_CUTOFF))
-    s = backend.i1_series_sum(x)
-    return BesselEval(value=s, scaled_value=s * math.exp(-x), method_used="series")
+    return backend.i0_series_sum(x)
 
 
 def bessel_i0e_asymptotic(kappa: float, order: int = 3) -> float:
@@ -93,7 +72,7 @@ def log_i0e(kappa: float) -> float:
     if kappa <= SERIES_CUTOFF:
         return math.log(backend.i0_series_sum(kappa)) - kappa
     b = backend.i0e_asym_bracket(kappa, MAX_ASYM_ORDER)
-    return math.log(b) - (_HALF_LOG_TWO_PI + 0.5 * math.log(kappa))
+    return math.log(b) - (HALF_LOG_TWO_PI + 0.5 * math.log(kappa))
 
 
 def log_i0(kappa: float) -> float:

@@ -29,8 +29,10 @@ from .distributions import (
     wrap_angle,
 )
 from .expansions import (
+    TABLE_MIN_GRID,
     BulkSpec,
     cdf_expansion,
+    grid_size_ok,
     log_ratio_exact,
     log_ratio_expansion,
     ratio_expansion,
@@ -151,14 +153,9 @@ def _cmd_eval(args):
 def _cmd_table(args):
     mu = _wrapped_mu(args.mu)
     params = VonMisesParams(mu, args.kappa)
-    if args.grid < 3 or args.grid % 2 == 0:
+    if not grid_size_ok(args.grid, TABLE_MIN_GRID):
         raise ValueError("--grid must be odd and >= 3")
-    spec = BulkSpec.fixed(args.eta)
-    sigma = params.variance.sigma
-    hw_dt = spec.delta_halfwidth(params.kappa) / SQRT2
-    half = (args.grid - 1) // 2
-    step = hw_dt / half
-    xs = [mu + SQRT2 * sigma * (j * step) for j in range(-half, half + 1)]
+    _dts, xs = BulkSpec.fixed(args.eta).grid(params, args.grid)
     cdf_quad = oracle.vm_cdf_sweep(params, xs, args.tol)
     rows = []
     for x, cq in zip(xs, cdf_quad):
@@ -202,8 +199,8 @@ def _geometric_kappas(lo, hi, steps):
 def _cmd_error_scan(args):
     _require_finite("--kappa-min", args.kappa_min)
     _require_finite("--kappa-max", args.kappa_max)
-    if not (0 < args.kappa_min <= args.kappa_max):
-        raise ValueError("need 0 < --kappa-min <= --kappa-max")
+    if not (0 < args.kappa_min < args.kappa_max):
+        raise ValueError("need 0 < --kappa-min < --kappa-max")
     if args.steps < 3:
         raise ValueError("--steps must be >= 3 (a slope fit needs three kappas), got %d" % args.steps)
     if args.regime == "fixed":

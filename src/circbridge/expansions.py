@@ -9,26 +9,37 @@ expansions through second order in 1/kappa, the corresponding corrected
 distribution function, and the normalization-constant expansion.
 
 All residual claims are of order (1 + |dt|^p) / kappa^3 with an envelope
-power p specific to each expansion (8 for the log form, 12 for the ratio
-form, 11 for the distribution function).
+power p specific to each expansion, listed in ENVELOPE_POWER.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Tuple
 
-from . import bessel
+from .backend import HALF_LOG_TWO_PI
 from .distributions import (
     SQRT2,
     VonMisesParams,
     _require_positive_kappa,
-    circular_variance_exact,
     normal_cdf,
     normal_pdf,
 )
 
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _HALF_LOG_TWO = 0.5 * math.log(2.0)
+
+# Envelope power p of each expansion's remainder (1 + |dt|^p) / kappa^3:
+# the log form, the ratio form and the distribution function.
+ENVELOPE_POWER = {"log_ratio": 8, "ratio": 12, "cdf": 11}
+
+# Bulk grids have an odd size, so delta_tilde = 0 is a grid point; a
+# `table` needs at least 3 points and a residual scan at least 11.
+TABLE_MIN_GRID = 3
+SCAN_MIN_GRID = 11
+
+
+def grid_size_ok(size: int, minimum: int) -> bool:
+    """Whether size is odd and at least minimum (TABLE_MIN_GRID or SCAN_MIN_GRID)."""
+    return size >= minimum and size % 2 == 1
 
 
 @dataclass(frozen=True)
@@ -78,6 +89,19 @@ class BulkSpec:
             return self.eta * math.sqrt(kappa)
         return self.eta_tilde * kappa ** 0.25
 
+    def grid(self, params: VonMisesParams, size: int) -> Tuple[List[float], List[float]]:
+        """Equispaced bulk grid of `size` points at params, size odd and >= 3.
+
+        Returns (dts, xs): the deviates delta_tilde = j * step for
+        j = -half..half, half = (size - 1) / 2, with the outermost on the
+        bulk edge, and the points x = mu + sqrt(2) sigma delta_tilde.
+        """
+        half = (size - 1) // 2
+        step = self.delta_halfwidth(params.kappa) / SQRT2 / half
+        dts = [j * step for j in range(-half, half + 1)]
+        width = SQRT2 * params.variance.sigma
+        return dts, [params.mu + width * dt for dt in dts]
+
 
 @dataclass(frozen=True)
 class ExpansionValue:
@@ -113,7 +137,7 @@ def log_ratio_exact(params: VonMisesParams, x: float) -> float:
     delta = t / cv.sigma
     return (
         -2.0 * params.kappa * (s * s)
-        - _HALF_LOG_TWO_PI
+        - HALF_LOG_TWO_PI
         - params.log_i0e
         + _HALF_LOG_TWO
         + 0.5 * math.log(cv.value)
@@ -138,7 +162,7 @@ def log_ratio_expansion(delta_tilde: float, kappa: float, order: int) -> Expansi
     if order == 2:
         d6 = d4 * d2
         v += (-d6 / 720.0 + d4 / 48.0 - d2 / 8.0 + 3.0 / 64.0) * (u * u)
-    scale = (1.0 + d4 * d4) * (u * u * u)
+    scale = (1.0 + abs(delta_tilde) ** ENVELOPE_POWER["log_ratio"]) * (u * u * u)
     return ExpansionValue(value=v, order=order, remainder_scale=scale)
 
 
@@ -161,7 +185,7 @@ def ratio_expansion(delta_tilde: float, kappa: float, order: int) -> ExpansionVa
         v += (d8 / 1152.0 - 19.0 * d6 / 2880.0 + 11.0 * d4 / 384.0 - d2 / 8.0 + 3.0 / 64.0) * (
             u * u
         )
-    scale = (1.0 + d4 * d4 * d4) * (u * u * u)
+    scale = (1.0 + abs(delta_tilde) ** ENVELOPE_POWER["ratio"]) * (u * u * u)
     return ExpansionValue(value=v, order=order, remainder_scale=scale)
 
 
@@ -176,8 +200,7 @@ def cdf_expansion(delta_tilde: float, kappa: float) -> ExpansionValue:
     """
     _require_positive_kappa(kappa)
     u = 1.0 / kappa
-    a = abs(delta_tilde)
-    scale = (1.0 + a ** 11) * (u * u * u)
+    scale = (1.0 + abs(delta_tilde) ** ENVELOPE_POWER["cdf"]) * (u * u * u)
     if delta_tilde < 0.0:
         v = 1.0 - _cdf_expansion_nonneg(-delta_tilde, u)
     else:
@@ -214,8 +237,9 @@ def normalization_log_constant(kappa: float, mode: str = "exact", centered: bool
     """
     _require_positive_kappa(kappa)
     if mode == "exact":
-        s2 = circular_variance_exact(kappa).value
-        brk = math.sqrt(2.0 * math.pi * kappa) * bessel.i0e(kappa)
+        params = VonMisesParams(0.0, kappa)
+        s2 = params.variance.value
+        brk = math.sqrt(2.0 * math.pi * kappa) * params.i0e
         c = 0.5 * math.log(2.0 * kappa * s2) - math.log(brk)
     elif mode == "expansion":
         u = 1.0 / kappa

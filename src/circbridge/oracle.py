@@ -2,10 +2,9 @@
 
 Everything the expansions are validated against lives here: adaptive
 Gauss-Kronrod quadrature of any integrand (on the kernels' GK15 engine),
-the integral representation of I0, a compensated scaled-series reference
-for the Bessel brackets, quadrature of the circular distribution
-function, residual scans over the bulk, and the log-log slope fit used
-to measure decay orders.
+the integral representation of I0, quadrature of the circular
+distribution function, residual scans over the bulk, and the log-log
+slope fit used to measure decay orders.
 """
 
 import math
@@ -16,8 +15,11 @@ from . import backend
 from .backend import QuadratureError  # re-exported: raised by the integrator
 from .distributions import SQRT2, VonMisesParams, _require_tol
 from .expansions import (
+    ENVELOPE_POWER,
+    SCAN_MIN_GRID,
     BulkSpec,
     cdf_expansion,
+    grid_size_ok,
     log_ratio_exact,
     log_ratio_expansion,
     ratio_expansion,
@@ -28,7 +30,6 @@ from .expansions import (
 RESIDUAL_FLOOR = 1e-14
 
 SCAN_TARGETS = ("log_ratio", "ratio", "cdf")
-_ENVELOPE_POWER = {"log_ratio": 8, "ratio": 12, "cdf": 11}
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -86,49 +87,6 @@ def bessel_i0_integral(kappa: float, tol: float = 1e-13) -> float:
     abs_tol = 0.5 * tol * coarse.value
     fine = adaptive_quadrature(g, 0.0, math.pi, abs_tol)
     return math.exp(kappa) * fine.value / math.pi
-
-
-def _kahan_series(t0: float, ratio_num: Callable[[int], float]) -> float:
-    # Compensated summation, run to twice the term count needed for
-    # convergence; serves as the high-trust series reference.
-    s = t0
-    c = 0.0
-    t = t0
-    k = 1
-    settled = 0
-    while True:
-        t *= ratio_num(k)
-        y = t - c
-        tt = s + y
-        c = (tt - s) - y
-        s = tt
-        if settled:
-            settled -= 1
-            if settled == 0:
-                return s
-        elif t <= 1e-17 * s:
-            settled = k  # keep going for as many terms again
-        if k >= 400000:
-            raise ArithmeticError("series reference did not converge")
-        k += 1
-
-
-def i0e_series_reference(kappa: float) -> float:
-    """Compensated scaled power series for e^(-kappa) I0(kappa), kappa <= 700."""
-    if not (0.0 <= kappa <= 700.0):
-        raise ValueError("kappa must be in [0, 700], got %r" % (kappa,))
-    q = 0.25 * kappa * kappa
-    return _kahan_series(math.exp(-kappa), lambda k: q / (k * k))
-
-
-def i1e_series_reference(kappa: float) -> float:
-    """Compensated scaled power series for e^(-kappa) I1(kappa), kappa <= 700."""
-    if not (0.0 <= kappa <= 700.0):
-        raise ValueError("kappa must be in [0, 700], got %r" % (kappa,))
-    if kappa == 0.0:
-        return 0.0
-    q = 0.25 * kappa * kappa
-    return _kahan_series(0.5 * kappa * math.exp(-kappa), lambda k: q / (k * (k + 1)))
 
 
 def vm_cdf_sweep(
@@ -265,24 +223,22 @@ def residual_scan(
     """
     if target not in SCAN_TARGETS:
         raise ValueError("target must be one of %s, got %r" % (SCAN_TARGETS, target))
-    if len(kappa_values) == 0:
-        raise ValueError("kappa_values must not be empty")
+    if len(kappa_values) < 3:
+        raise ValueError(
+            "a slope fit needs at least 3 kappa values, got %d" % len(kappa_values)
+        )
     if any(not (k > 0.0) for k in kappa_values):
         raise ValueError("all kappa values must be > 0")
-    if grid_size < 11 or grid_size % 2 == 0:
+    if not grid_size_ok(grid_size, SCAN_MIN_GRID):
         raise ValueError("grid_size must be odd and >= 11, got %r" % (grid_size,))
-    power = _ENVELOPE_POWER[target]
-    half = (grid_size - 1) // 2
+    power = ENVELOPE_POWER[target]
     max_res: List[float] = []
     max_norm: List[float] = []
     slope_points: List[Tuple[float, float]] = []
     for kappa in kappa_values:
         params = VonMisesParams(0.0, kappa)
-        hw_dt = regime.delta_halfwidth(kappa) / SQRT2
-        step = hw_dt / half
         kappa_cubed = kappa ** 3
-        dts = [j * step for j in range(-half, half + 1)]
-        xs = [params.mu + SQRT2 * params.variance.sigma * dt for dt in dts]
+        dts, xs = regime.grid(params, grid_size)
         cdf_quad = vm_cdf_sweep(params, xs, quad_tol) if target == "cdf" else [None] * len(xs)
         mr = 0.0
         mn = 0.0

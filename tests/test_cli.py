@@ -138,6 +138,15 @@ def test_error_scan_rejects_too_few_steps(steps, capsys):
     assert "too few residuals" not in err
 
 
+@pytest.mark.parametrize("lo, hi", [("32", "32"), ("64", "32")])
+def test_error_scan_needs_kappa_min_below_kappa_max(lo, hi, capsys):
+    argv = ["error-scan", "--target", "log_ratio", "--kappa-min", lo, "--kappa-max", hi]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "--kappa-min < --kappa-max" in err
+    assert "abscissae" not in err
+
+
 CDF_QUAD_ARGS = ["eval", "--mu", "0", "--kappa", "100", "--x", "0.1", "--quantity", "cdf-quad"]
 
 

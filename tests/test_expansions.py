@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from references import i0e_series_reference, i1e_series_reference
 
 from circbridge import oracle
 from circbridge.distributions import SQRT2, VonMisesParams, circular_variance_exact
@@ -19,7 +20,7 @@ from circbridge.expansions import (
 
 def sigma_reference(kappa):
     return math.sqrt(
-        1.0 - oracle.i1e_series_reference(kappa) / oracle.i0e_series_reference(kappa)
+        1.0 - i1e_series_reference(kappa) / i0e_series_reference(kappa)
     )
 
 

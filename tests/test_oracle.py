@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import pytest
@@ -117,7 +118,7 @@ def test_i0_integral_at_zero():
 
 def test_i0_integral_matches_series():
     got = bessel_i0_integral(2.0, 1e-13)
-    ref = bessel.bessel_i0_series(2.0).value
+    ref = bessel.bessel_i0_series(2.0)
     assert abs(got - ref) / ref <= 1e-12
 
 
@@ -149,7 +150,7 @@ def test_i0_integral_independent_of_series(monkeypatch):
     monkeypatch.setattr(backend, "i0_series_sum", boom)
     got = bessel_i0_integral(2.0, 1e-13)
     monkeypatch.undo()
-    ref = bessel.bessel_i0_series(2.0).value
+    ref = bessel.bessel_i0_series(2.0)
     assert abs(got - ref) / ref <= 1e-12
 
 
@@ -283,13 +284,34 @@ def test_table_integrates_each_segment_once(count_calls, capsys):
     assert 0 < len(calls) <= 201 + 4
 
 
-@pytest.mark.parametrize("kappa", [1024.0, 16384.0])
-def test_cdf_residual_scan_integrates_each_segment_once(count_calls, kappa):
-    # one sweep over the grid plus the slope point's own quadrature
+@pytest.mark.parametrize(
+    "kappas, outcome",
+    [
+        pytest.param([1024.0, 1280.0, 1536.0], contextlib.nullcontext(), id="1024.0"),
+        # from kappa = 1e4 the sweep may start at -20 sigma; the residuals
+        # sink below the floor there, so the scan fails after its work
+        pytest.param(
+            [16384.0, 32768.0, 65536.0],
+            pytest.raises(ValueError, match="too few residuals"),
+            id="16384.0",
+        ),
+    ],
+)
+def test_cdf_residual_scan_integrates_each_segment_once(count_calls, kappas, outcome):
+    # per kappa, one sweep over the grid plus the slope point's own quadrature
     calls = count_calls(backend, "vm_scaled_mass")
-    with pytest.raises(ValueError, match="too few residuals"):
-        residual_scan(BulkSpec.fixed(0.5), [kappa], 201, "cdf")
-    assert 0 < len(calls) <= 201 + 4
+    with outcome:
+        residual_scan(BulkSpec.fixed(0.5), kappas, 201, "cdf")
+    assert sorted(set(calls)) == kappas
+    assert max(calls.count(k) for k in kappas) <= 201 + 4
+
+
+@pytest.mark.parametrize("kappas", [[1024.0], [1024.0, 2048.0]])
+def test_residual_scan_rejects_too_few_kappas_before_any_work(count_calls, kappas):
+    calls = count_calls(backend, "vm_scaled_mass")
+    with pytest.raises(ValueError, match="at least 3 kappa values, got %d" % len(kappas)):
+        residual_scan(BulkSpec.fixed(0.5), kappas, 201, "cdf")
+    assert calls == []
 
 
 # ------------------------------------------------------------- slope fit

@@ -1,6 +1,6 @@
 """Repository hygiene: nothing git tracks may match an ignore rule,
-every function the benchmark traces exists, and the package reads no
-environment variables."""
+every function the benchmark traces exists, every public name resolves,
+and the package reads no environment variables."""
 
 import importlib
 import importlib.util
@@ -10,6 +10,8 @@ import subprocess
 from pathlib import Path
 
 import pytest
+
+import circbridge
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,6 +41,13 @@ def test_benchmark_traces_existing_functions():
         if not callable(getattr(importlib.import_module(module), fn, None))
     ]
     assert missing == []
+
+
+def test_public_names_resolve():
+    # a deleted function left in __all__ would fail only `import *`
+    names = circbridge.__all__
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(circbridge, n)] == []
 
 
 def test_package_reads_no_environment():
