@@ -1,21 +1,19 @@
 """Modified Bessel function I0, and the asymptotic brackets of I0 and I1.
 
-Two complementary representations: the convergent power series for
-moderate argument and the large-argument asymptotic bracket polynomials.
-`log_i0` and `log_i0e` splice the two at a crossover chosen so the
-branches agree to about 1e-12.
+`i0e` and `log_i0e` read e^-kappa I0(kappa) from the one per-concentration
+kernel, `backend.i0e_sigma2`, at every kappa.  The convergent power series
+gives I0 itself for moderate argument (`bessel_i0_series`, and `log_i0`
+below SERIES_CUTOFF); the truncated large-argument bracket polynomials
+are kept as the asymptotic forms that the error-order checks measure.
 """
 
 import math
 
 from . import backend
-from .backend import HALF_LOG_TWO_PI
 
 # The raw power series I0(x) stays below double overflow up to x ~ 712;
-# the cutoff is set where the order-3 asymptotic bracket becomes accurate
-# to ~6e-13 relative, so the two branches hand off cleanly.
+# above the cutoff `log_i0` adds kappa to `log_i0e` instead.
 SERIES_CUTOFF = 600.0
-MAX_ASYM_ORDER = 3
 
 
 def _check_nonneg(x, name="x"):
@@ -57,26 +55,17 @@ def bessel_i1e_asymptotic(kappa: float, order: int = 3) -> float:
 
 
 def i0e(kappa: float) -> float:
-    """e^(-kappa) I0(kappa) on either branch; overflow-safe for any kappa >= 0."""
-    _check_nonneg(kappa, "kappa")
-    if kappa <= SERIES_CUTOFF:
-        return backend.i0_series_sum(kappa) * math.exp(-kappa)
-    return backend.i0e_asym_bracket(kappa, MAX_ASYM_ORDER) / math.sqrt(
-        2.0 * math.pi * kappa
-    )
+    """e^(-kappa) I0(kappa), overflow-safe for 0 <= kappa <= ~9e307."""
+    return backend.i0e_sigma2(kappa)[0]
 
 
 def log_i0e(kappa: float) -> float:
     """log(e^(-kappa) I0(kappa)), the scaled logarithm used by log-space callers."""
-    _check_nonneg(kappa, "kappa")
-    if kappa <= SERIES_CUTOFF:
-        return math.log(backend.i0_series_sum(kappa)) - kappa
-    b = backend.i0e_asym_bracket(kappa, MAX_ASYM_ORDER)
-    return math.log(b) - (HALF_LOG_TWO_PI + 0.5 * math.log(kappa))
+    return math.log(backend.i0e_sigma2(kappa)[0])
 
 
 def log_i0(kappa: float) -> float:
-    """log I0(kappa) without overflow for any kappa >= 0."""
+    """log I0(kappa) without overflow, for 0 <= kappa <= ~9e307."""
     _check_nonneg(kappa, "kappa")
     if kappa <= SERIES_CUTOFF:
         s = backend.i0_series_sum(kappa)

@@ -18,11 +18,6 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 LOG_TWO = math.log(2.0)
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
-# Above this concentration the circular variance switches from the series
-# ratio (whose term recurrences lose ~kappa*eps relative accuracy) to an
-# order-8 asymptotic polynomial whose truncation is below 1e-17 relative.
-_SIGMA2_ASYM_MIN = 300.0
-
 # From this wrapped-normal scale up, the density is summed as its Fourier
 # series instead of over integer wraps (see wn_density).
 _WN_FOURIER_MIN_V = math.sqrt(TWO_PI)
@@ -159,30 +154,14 @@ def vm_log_density(params: VonMisesParams, theta: float) -> float:
 
 
 def circular_variance_exact(kappa: float) -> CircularVariance:
-    """Circular variance 1 - I1(kappa)/I0(kappa).
+    """Circular variance 1 - I1(kappa)/I0(kappa), for kappa > 0.
 
-    Moderate kappa uses the power-series ratio with a compensated
-    termwise numerator; large kappa uses the ratio of the scaled
-    asymptotic forms carried to order eight, for which every coefficient
-    is an exact dyadic rational and the truncation sits far below double
-    precision.  Worst relative error is ~1e-12 just below the branch
-    point and under 1e-15 elsewhere.
+    Read from the per-concentration kernel `backend.i0e_sigma2`, a
+    trapezoid sum of positive terms with no branch point; its relative
+    error is within a few ulp at every kappa.
     """
     _require_positive_kappa(kappa)
-    if kappa <= _SIGMA2_ASYM_MIN:
-        v = backend.sigma2_series(kappa)
-    else:
-        # 1/2, 1/8, 1/8, 25/128, 13/32, 1073/1024, 103/32, 375733/32768
-        u = 1.0 / kappa
-        v = 11.466461181640625
-        v = 3.21875 + u * v
-        v = 1.0478515625 + u * v
-        v = 0.40625 + u * v
-        v = 0.1953125 + u * v
-        v = 0.125 + u * v
-        v = 0.125 + u * v
-        v = u * (0.5 + u * v)
-    return CircularVariance(value=v)
+    return CircularVariance(value=backend.i0e_sigma2(kappa)[1])
 
 
 def circular_variance_expansion(kappa: float) -> float:

@@ -95,11 +95,20 @@ class BulkSpec:
         Returns (dts, xs): the deviates delta_tilde = j * step for
         j = -half..half, half = (size - 1) / 2, with the outermost on the
         bulk edge, and the points x = mu + sqrt(2) sigma delta_tilde.
+        Raises ValueError when the bulk edge, sigma times the half-width,
+        reaches pi, where the grid would leave the circle.
         """
         half = (size - 1) // 2
         step = self.delta_halfwidth(params.kappa) / SQRT2 / half
         dts = [j * step for j in range(-half, half + 1)]
         width = SQRT2 * params.variance.sigma
+        edge = width * dts[-1]
+        if not (edge < math.pi):
+            name, eta = ("eta", self.eta) if self.regime == "fixed" else ("eta_tilde", self.eta_tilde)
+            raise ValueError(
+                "the bulk edge, %.3g rad from mu, reaches pi at kappa=%r with %s=%r;"
+                " use a smaller eta" % (edge, params.kappa, name, eta)
+            )
         return dts, [params.mu + width * dt for dt in dts]
 
 

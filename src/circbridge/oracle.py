@@ -235,10 +235,15 @@ def residual_scan(
     max_res: List[float] = []
     max_norm: List[float] = []
     slope_points: List[Tuple[float, float]] = []
+    # every grid is built, and so checked against the circle, before any
+    # is evaluated
+    grids = []
     for kappa in kappa_values:
         params = VonMisesParams(0.0, kappa)
+        grids.append((params, regime.grid(params, grid_size)))
+    for params, (dts, xs) in grids:
+        kappa = params.kappa
         kappa_cubed = kappa ** 3
-        dts, xs = regime.grid(params, grid_size)
         cdf_quad = vm_cdf_sweep(params, xs, quad_tol) if target == "cdf" else [None] * len(xs)
         mr = 0.0
         mn = 0.0

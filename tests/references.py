@@ -2,11 +2,22 @@
 
 Compensated scaled power series for e^(-x) I0(x) and e^(-x) I1(x), run
 to twice the term count needed for convergence; they are the high-trust
-references for the Bessel code and the circular variance.
+references for the Bessel code and the circular variance.  MPMATH_KAPPAS
+are the concentrations at which the per-kappa values are checked against
+mpmath.
 """
 
 import math
 from typing import Callable
+
+# 300 log-uniform concentrations on [1e-4, 1e6], plus both sides of the
+# kappa = 300 and 600 points where earlier versions switched algorithms.
+MPMATH_KAPPAS = [10.0 ** (-4.0 + 10.0 * i / 299.0) for i in range(300)] + [
+    299.5,
+    300.5,
+    599.5,
+    600.5,
+]
 
 
 def _kahan_series(t0: float, ratio_num: Callable[[int], float]) -> float:

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from references import i0e_series_reference, i1e_series_reference
+from references import MPMATH_KAPPAS, i0e_series_reference, i1e_series_reference
 
 from circbridge import oracle
 from circbridge.bessel import (
@@ -62,10 +62,10 @@ def test_i1_small_argument_limit(x):
 
 
 def test_scaled_value_consistency():
-    # on the series branch i0e is the series value scaled by e^-x
+    # i0e (the trapezoid kernel) agrees with the series value scaled by e^-x
     for x in [0.5, 3.0, 30.0, 250.0, 599.0]:
         value = bessel_i0_series(x)
-        assert i0e(x) == value * math.exp(-x)
+        assert rel(i0e(x), value * math.exp(-x)) <= 2e-15
         assert value > 0.0
 
 
@@ -135,7 +135,8 @@ def test_series_vs_integral_representation(kappa):
 
 def test_i0e_helper_branches():
     assert rel(i0e(30.0), i0e_series_reference(30.0)) <= 1e-13
-    # beyond the series cutoff the bracket form takes over
+    # beyond the series cutoff, where log_i0 stops summing the series,
+    # i0e is still the same kernel
     got = i0e(650.0)
     ref = i0e_series_reference(650.0)
     assert rel(got, ref) <= 1e-12
@@ -163,3 +164,38 @@ def test_domain_and_range_errors():
 def test_non_finite_argument_rejected(fn, x):
     with pytest.raises(ValueError, match="finite"):
         fn(x)
+
+
+# The per-kappa kernel against an independent high-precision reference:
+# mpmath's Bessel functions, not the integral the kernel itself sums.
+
+
+def test_i0e_and_log_i0e_match_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    worst_i0e = worst_log = 0.0
+    with mpmath.workdps(50):
+        for kappa in [0.0] + MPMATH_KAPPAS:
+            ref = mpmath.besseli(0, kappa) * mpmath.exp(-kappa)
+            worst_i0e = max(worst_i0e, float(abs(i0e(kappa) - ref) / ref))
+            worst_log = max(worst_log, float(abs(log_i0e(kappa) - mpmath.log(ref))))
+    assert worst_i0e <= 2e-15
+    assert worst_log <= 2e-15
+
+
+@pytest.mark.parametrize("kappa", [5e-324, 1e300, 1e307])
+def test_extreme_kappa_values(kappa):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        ref = mpmath.besseli(0, kappa) * mpmath.exp(-kappa)
+        assert float(abs(i0e(kappa) - ref) / ref) <= 2e-15
+        # log_i0e is about -350 at the largest kappas, where one ulp is
+        # 5.7e-14, so its bound is relative here
+        log_ref = mpmath.log(ref)
+        assert float(abs(log_i0e(kappa) - log_ref)) <= 2e-15 * max(1.0, float(abs(log_ref)))
+
+
+@pytest.mark.parametrize("fn", [i0e, log_i0e, log_i0], ids=lambda fn: fn.__name__)
+def test_kappa_beyond_kernel_range_rejected(fn):
+    # -2 kappa would overflow; the kernel refuses rather than return nan
+    with pytest.raises(ValueError, match="kappa.*1.7e\\+308"):
+        fn(1.7e308)

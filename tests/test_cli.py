@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from circbridge import backend
 from circbridge.cli import run
 from circbridge.distributions import matched_wn_scale
 
@@ -320,3 +321,30 @@ def test_byte_identical_reruns(cli_env):
     assert second.returncode == 0
     assert first.stdout == second.stdout
     assert len(first.stdout) > 0
+
+
+@pytest.mark.parametrize("target", ["log_ratio", "ratio", "cdf"])
+def test_error_scan_rejects_bulk_beyond_pi(target, count_calls, capsys):
+    # the bulk at kappa = 1 would reach 7.44 rad from mu, off the circle
+    quadratures = count_calls(backend, "vm_scaled_mass")
+    argv = ["error-scan", "--target", target, "--regime", "shrunken", "--eta", "10",
+            "--kappa-min", "1", "--kappa-max", "8", "--steps", "3", "--grid", "11"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "reaches pi at kappa=1.0 with eta_tilde=10.0" in err
+    assert quadratures == []
+
+
+@pytest.mark.parametrize("kappa", ["5e-324", "1e300", "1e307"])
+def test_eval_density_at_extreme_kappa(kappa, capsys):
+    assert run(["eval", "--mu", "0", "--kappa", kappa, "--x", "0", "--quantity", "density"]) == 0
+    value = float(capsys.readouterr().out.strip().split("\n")[1].split(",")[-1])
+    # at the mode the density is 1 / (2 pi e^-kappa I0(kappa)) ~ sqrt(kappa / (2 pi))
+    expected = max(1.0, math.sqrt(2.0 * math.pi * float(kappa))) / (2.0 * math.pi)
+    assert math.isclose(value, expected, rel_tol=1e-15)
+
+
+def test_eval_rejects_kappa_beyond_kernel_range(capsys):
+    code = run(["eval", "--mu", "0", "--kappa", "1.7e308", "--x", "0", "--quantity", "density"])
+    assert code == 1
+    assert "kappa" in capsys.readouterr().err

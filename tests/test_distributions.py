@@ -2,7 +2,7 @@ import dataclasses
 import math
 
 import pytest
-from references import i0e_series_reference, i1e_series_reference
+from references import MPMATH_KAPPAS, i0e_series_reference, i1e_series_reference
 
 from circbridge import backend, bessel, cli, distributions, oracle
 from circbridge.distributions import (
@@ -58,7 +58,7 @@ def test_params_normalize_mu():
 
 @pytest.mark.parametrize("kappa", [299.5, 300.5, 599.5, 600.5])
 def test_per_kappa_values_equal_their_functions_bitwise(kappa):
-    # beside the variance (300) and Bessel (600) branch points
+    # beside the former variance (300) and Bessel (600) branch points
     p = VonMisesParams(1.0, kappa)
     assert p.variance == circular_variance_exact(kappa)
     assert p.i0e == bessel.i0e(kappa)
@@ -256,6 +256,22 @@ def test_circular_variance_domain():
             circular_variance_exact(bad)
         with pytest.raises(ValueError):
             circular_variance_expansion(bad)
+
+
+def test_circular_variance_rejects_kappa_beyond_kernel_range():
+    with pytest.raises(ValueError, match="kappa.*1.7e\\+308"):
+        circular_variance_exact(1.7e308)
+
+
+def test_circular_variance_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    for kappa in MPMATH_KAPPAS + [5e-324, 1e300, 1e307]:
+        # 1 - I1/I0 ~ 1/(2 kappa) cancels about log10(kappa) digits
+        with mpmath.workdps(50 + max(0, int(math.log10(kappa)))):
+            ref = 1 - mpmath.besseli(1, kappa) / mpmath.besseli(0, kappa)
+            worst = max(worst, float(abs(circular_variance_exact(kappa).value - ref) / ref))
+    assert worst <= 2e-15
 
 
 # -------------------------------------------------------- wrapped normal

@@ -71,6 +71,17 @@ def test_bulk_spec_validation():
     assert BulkSpec.shrunken(1.0).delta_halfwidth(16.0) == 2.0
 
 
+def test_bulk_grid_must_stay_on_the_circle():
+    # shrunken, eta_tilde = 10 at kappa = 1: sigma * 10 is about 7.44 rad
+    p = VonMisesParams(0.0, 1.0)
+    with pytest.raises(ValueError, match="kappa=1.0 with eta_tilde=10.0"):
+        BulkSpec.shrunken(10.0).grid(p, 11)
+    # the same law with a bulk just inside pi keeps its grid
+    sigma = p.variance.sigma
+    _dts, xs = BulkSpec.shrunken(0.99 * math.pi / sigma).grid(p, 11)
+    assert -math.pi < xs[0] and xs[-1] < math.pi
+
+
 def test_mu_always_in_bulk():
     p = VonMisesParams(1.0, 37.0)
     assert in_bulk(p, BulkSpec.fixed(0.1), p.mu)

@@ -213,7 +213,17 @@ def test_vm_cdf_very_large_kappa_clipped_domain():
 def test_vm_cdf_pinned_value():
     # one point through the sweep: the cuts, tolerances and summation
     # order of the per-point quadrature, so the value is unchanged bitwise
-    assert vm_cdf_quadrature(VonMisesParams(0.0, 100.0), 0.1) == 0.8409395426154804
+    got = vm_cdf_quadrature(VonMisesParams(0.0, 100.0), 0.1)
+    assert got == 0.8409395426154802
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        kappa = mpmath.mpf(100)
+        mass = mpmath.quad(
+            lambda t: mpmath.exp(-2 * kappa * mpmath.sin(t / 2) ** 2),
+            [-mpmath.pi, -1, -0.3, 0, 0.1],
+        )
+        ref = mass / (2 * mpmath.pi * mpmath.besseli(0, kappa) * mpmath.exp(-kappa))
+        assert abs(got - ref) <= 2e-16
 
 
 def _sweep_grid(kappa, mu):
