@@ -23,6 +23,7 @@ from . import oracle
 from .distributions import (
     SQRT2,
     VonMisesParams,
+    _vm_density_value,
     matched_sup_gap,
     normalize_angle,
     vm_density,
@@ -31,12 +32,18 @@ from .distributions import (
 from .expansions import (
     TABLE_MIN_GRID,
     BulkSpec,
+    _cdf_expansion_value,
+    _first_order_term,
+    _inverse_powers,
+    _log_ratio_constants,
+    _log_ratio_exact_value,
+    _log_ratio_second_term,
+    _reference_density_value,
     cdf_expansion,
     grid_size_ok,
     log_ratio_exact,
     log_ratio_expansion,
     ratio_expansion,
-    reference_normal_density,
     standardized_deviate,
 )
 
@@ -93,6 +100,14 @@ def _emit(rows, header, meta, args):
     else:
         lines = [",".join(header)]
         for row in rows:
+            if precision >= 17:
+                # _fmt is repr for a float, and a float's repr holds no quote;
+                # only a row with a label (the repr of a str always holds a
+                # "'") needs _fmt value by value
+                line = ",".join(map(repr, row))
+                if "'" not in line:
+                    lines.append(line)
+                    continue
             lines.append(",".join(_fmt(v, precision) for v in row))
         text = "\n".join(lines) + "\n"
     if args.out:
@@ -156,21 +171,33 @@ def _cmd_table(args):
     if not grid_size_ok(args.grid, TABLE_MIN_GRID):
         raise ValueError("--grid must be odd and >= 3")
     _dts, xs = BulkSpec.fixed(args.eta).grid(params, args.grid)
+    u, uu = _inverse_powers(params.kappa)
     cdf_quad = oracle.vm_cdf_sweep(params, xs, args.tol)
+    # the columns of the point functions (standardized_deviate, vm_density,
+    # reference_normal_density, log_ratio_exact, log_ratio_expansion,
+    # cdf_expansion), from their cores with the per-kappa numbers read once
+    mu = params.mu
+    sigma = params.variance.sigma
+    width = SQRT2 * sigma
+    kappa = params.kappa
+    i0e = params.i0e
+    log_i0e, half_log_var = _log_ratio_constants(params)
     rows = []
     for x, cq in zip(xs, cdf_quad):
-        sd = standardized_deviate(params, x)
-        lre = log_ratio_exact(params, x)
-        lr1 = log_ratio_expansion(sd.delta_tilde, params.kappa, 1).value
-        lr2 = log_ratio_expansion(sd.delta_tilde, params.kappa, 2).value
-        ca = cdf_expansion(sd.delta_tilde, params.kappa).value
+        t = x - mu
+        delta = t / sigma
+        dt = delta / SQRT2
+        lre = _log_ratio_exact_value(kappa, log_i0e, half_log_var, t, delta)
+        lr1 = _first_order_term(dt, u)
+        lr2 = lr1 + _log_ratio_second_term(dt, uu)
+        ca = _cdf_expansion_value(dt, u, uu)
         rows.append(
             (
                 x,
-                sd.delta,
-                sd.delta_tilde,
-                vm_density(params, x),
-                reference_normal_density(params, x),
+                delta,
+                dt,
+                _vm_density_value(kappa, i0e, wrap_angle(t)),
+                _reference_density_value(dt, width),
                 lre,
                 lr1,
                 lr2,

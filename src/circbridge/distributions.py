@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 from . import backend
-from . import bessel
 from .backend import INV_SQRT_2PI, TWO_PI
 
 SQRT2 = math.sqrt(2.0)
@@ -66,7 +65,9 @@ class VonMisesParams:
 
     Also carries the per-concentration values every evaluation at this
     kappa shares, each computed once on first access: `variance`, `i0e`
-    and `log_i0e`.  Equality, hashing and repr depend on (mu, kappa) alone.
+    and `log_i0e`.  All three derive from one call of the kernel
+    `backend.i0e_sigma2`, made on the first access to any of them.
+    Equality, hashing and repr depend on (mu, kappa) alone.
     """
 
     mu: float
@@ -79,20 +80,29 @@ class VonMisesParams:
             raise ValueError("kappa must be finite and >= 0, got %r" % (self.kappa,))
         object.__setattr__(self, "mu", normalize_angle(self.mu))
 
+    # The kernel gives e^-kappa I0 and sigma^2 together: whichever of
+    # `i0e` and `variance` is read first calls it once and leaves the other
+    # raw number in the instance dict, where the other one reads it.
+
     @_per_kappa
     def variance(self) -> "CircularVariance":
         """circular_variance_exact(kappa); raises ValueError when kappa == 0."""
-        return circular_variance_exact(self.kappa)
+        _require_positive_kappa(self.kappa)
+        sigma2 = self.__dict__.get("_sigma2")
+        if sigma2 is None:
+            self.__dict__["i0e"], sigma2 = backend.i0e_sigma2(self.kappa)
+        return CircularVariance(value=sigma2)
 
     @_per_kappa
     def i0e(self) -> float:
         """e^(-kappa) I0(kappa); the scaled density divides by 2 pi times this."""
-        return bessel.i0e(self.kappa)
+        i0e, self.__dict__["_sigma2"] = backend.i0e_sigma2(self.kappa)
+        return i0e
 
     @_per_kappa
     def log_i0e(self) -> float:
         """log(e^(-kappa) I0(kappa))."""
-        return bessel.log_i0e(self.kappa)
+        return math.log(self.i0e)
 
 
 @dataclass(frozen=True)
@@ -137,9 +147,13 @@ def vm_density(params: VonMisesParams, theta: float) -> float:
     Evaluated in scaled form exp(-2 kappa sin^2(t/2)) / (2 pi e^-kappa I0),
     which never overflows.
     """
-    t = wrap_angle(theta - params.mu)
+    return _vm_density_value(params.kappa, params.i0e, wrap_angle(theta - params.mu))
+
+
+def _vm_density_value(kappa, i0e, t):
+    # the density at wrapped offset t, given kappa and e^-kappa I0(kappa)
     s = math.sin(0.5 * t)
-    return math.exp(-2.0 * params.kappa * (s * s)) / (TWO_PI * params.i0e)
+    return math.exp(-2.0 * kappa * (s * s)) / (TWO_PI * i0e)
 
 
 def vm_log_density(params: VonMisesParams, theta: float) -> float:
@@ -171,15 +185,26 @@ def circular_variance_expansion(kappa: float) -> float:
     return 0.5 * u + 0.125 * (u * u) + 0.125 * (u * u * u)
 
 
-def _wn_wrap_count(t_wrapped: float, v: float, tol: float) -> int:
-    # Gaussian tail bound: wraps beyond kmax contribute less than tol in total.
+def _wn_tail_reach(v: float, tol: float):
+    # Gaussian tail bound: wraps k with |t + 2 pi k| beyond this reach add
+    # less than tol in total; None when one wrap each way is always enough.
     # log(2 / (tol v sqrt(2 pi))) as a sum of logs, so that tiny v cannot
     # overflow the quotient.
     log_arg = LOG_TWO - math.log(tol) - math.log(v) - 0.5 * LOG_TWO_PI
     if log_arg <= 0.0:
+        return None
+    return v * math.sqrt(2.0 * log_arg)
+
+
+def _wn_wraps(t_wrapped: float, reach) -> int:
+    # wrap count at wrapped offset t for a per-scale reach from _wn_tail_reach
+    if reach is None:
         return 1
-    reach = abs(t_wrapped) + v * math.sqrt(2.0 * log_arg)
-    return int(math.ceil(reach / TWO_PI)) + 1
+    return int(math.ceil((abs(t_wrapped) + reach) / TWO_PI)) + 1
+
+
+def _wn_wrap_count(t_wrapped: float, v: float, tol: float) -> int:
+    return _wn_wraps(t_wrapped, _wn_tail_reach(v, tol))
 
 
 def _wn_fourier_count(v: float, tol: float) -> int:
@@ -190,6 +215,22 @@ def _wn_fourier_count(v: float, tol: float) -> int:
     if log_arg <= 0.0:
         return 0
     return int(math.ceil(math.sqrt(2.0 * log_arg) / v)) - 1
+
+
+def _wn_series(v: float, tol: float):
+    # the per-scale part of wn_density: (Fourier term count, None) from
+    # v = sqrt(2 pi) up, else (None, lattice tail reach)
+    if v >= _WN_FOURIER_MIN_V:
+        return _wn_fourier_count(v, tol), None
+    return None, _wn_tail_reach(v, tol)
+
+
+def _wn_density_value(t, v, series):
+    # the density at wrapped offset t, given series = _wn_series(v, tol)
+    pmax, reach = series
+    if pmax is not None:
+        return backend.wn_fourier_at(t, v, pmax)
+    return backend.wn_density_at(t, v, _wn_wraps(t, reach))
 
 
 def wn_density(params: WrappedNormalParams, theta: float, tol: float = 1e-12) -> float:
@@ -205,11 +246,8 @@ def wn_density(params: WrappedNormalParams, theta: float, tol: float = 1e-12) ->
     (Kurz, Gilitschenski & Hanebeck 2014).
     """
     _require_tol(tol)
-    t = wrap_angle(theta - params.mu)
     v = params.v
-    if v >= _WN_FOURIER_MIN_V:
-        return backend.wn_fourier_at(t, v, _wn_fourier_count(v, tol))
-    return backend.wn_density_at(t, v, _wn_wrap_count(t, v, tol))
+    return _wn_density_value(wrap_angle(theta - params.mu), v, _wn_series(v, tol))
 
 
 def wn_circular_variance(v: float) -> float:
@@ -233,12 +271,18 @@ def matched_sup_gap(params: VonMisesParams, grid_size: int = 1001, tol: float = 
     """
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1, got %r" % (grid_size,))
+    _require_tol(tol)
     wn = WrappedNormalParams(params.mu, SQRT2 * params.variance.sigma)
+    v = wn.v
+    series = _wn_series(v, tol)
+    kappa = params.kappa
+    i0e = params.i0e
+    mu = params.mu  # wn.mu too: both are normalized already
     step = TWO_PI / grid_size
     sup = 0.0
     for j in range(grid_size):
-        theta = j * step
-        gap = abs(vm_density(params, theta) - wn_density(wn, theta, tol))
+        t = wrap_angle(j * step - mu)
+        gap = abs(_vm_density_value(kappa, i0e, t) - _wn_density_value(t, v, series))
         if gap > sup:
             sup = gap
     return sup

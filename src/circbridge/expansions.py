@@ -124,7 +124,7 @@ class ExpansionValue:
 def standardized_deviate(params: VonMisesParams, x: float) -> StandardizedDeviate:
     """Deviate of a point x on the line near mu, in units of sigma."""
     delta = (x - params.mu) / params.variance.sigma
-    return StandardizedDeviate(delta=delta, delta_tilde=delta / SQRT2)
+    return StandardizedDeviate(delta, delta / SQRT2)
 
 
 def in_bulk(params: VonMisesParams, spec: BulkSpec, x: float) -> bool:
@@ -133,25 +133,110 @@ def in_bulk(params: VonMisesParams, spec: BulkSpec, x: float) -> bool:
     return abs(d) <= spec.delta_halfwidth(params.kappa)
 
 
+# Value-only cores: each formula is written once, here (the circular
+# density's is `distributions._vm_density_value`).  The public point
+# functions wrap them; the grid loops (the `table` rows in `cli`,
+# `oracle.residual_scan`) call them directly, with the per-kappa numbers
+# read once per kappa.  No core checks its arguments.
+
+
+def _inverse_powers(kappa: float) -> Tuple[float, float]:
+    """(u, u^2) with u = 1/kappa: the per-kappa numbers of the expansion cores.
+
+    Raises ValueError unless kappa > 0 and 1/kappa^3, the scale of every
+    remainder, is finite; below about 1.8e-103 the expansions overflow.
+    """
+    _require_positive_kappa(kappa)
+    u = 1.0 / kappa
+    uu = u * u
+    if not (uu * u < math.inf):
+        raise ValueError(
+            "kappa=%r is too small for the 1/kappa expansions: 1/kappa^3 overflows" % (kappa,)
+        )
+    return u, uu
+
+
+def _log_ratio_constants(params: VonMisesParams) -> Tuple[float, float]:
+    """log(e^-kappa I0) and log(sigma^2)/2: `_log_ratio_exact_value`'s per-kappa numbers."""
+    return params.log_i0e, 0.5 * math.log(params.variance.value)
+
+
+def _log_ratio_exact_value(kappa, log_i0e, half_log_var, t, delta):
+    # exact log-ratio at offset t = x - mu with deviate delta = t / sigma;
+    # the large kappa terms are paired off analytically:
+    #   kappa cos t - log I0 = -2 kappa sin^2(t/2) - log(e^-kappa I0)
+    s = math.sin(0.5 * t)
+    return (
+        -2.0 * kappa * (s * s)
+        - HALF_LOG_TWO_PI
+        - log_i0e
+        + _HALF_LOG_TWO
+        + half_log_var
+        + 0.25 * (delta * delta)
+    )
+
+
+def _first_order_term(dt, u):
+    # the 1/kappa term of the log-ratio expansion, which is also the
+    # 1/kappa term of the ratio expansion
+    d2 = dt * dt
+    d4 = d2 * d2
+    return (d4 / 24.0 - d2 / 8.0) * u
+
+
+def _log_ratio_second_term(dt, uu):
+    d2 = dt * dt
+    d4 = d2 * d2
+    d6 = d4 * d2
+    return (-d6 / 720.0 + d4 / 48.0 - d2 / 8.0 + 3.0 / 64.0) * uu
+
+
+def _ratio_second_term(dt, uu):
+    d2 = dt * dt
+    d4 = d2 * d2
+    d6 = d4 * d2
+    d8 = d4 * d4
+    return (d8 / 1152.0 - 19.0 * d6 / 2880.0 + 11.0 * d4 / 384.0 - d2 / 8.0 + 3.0 / 64.0) * uu
+
+
+def _cdf_expansion_value(dt, u, uu):
+    # evaluated at |dt| and reflected for dt < 0, which makes
+    # F(dt) + F(-dt) = 1 hold exactly
+    a = -dt if dt < 0.0 else dt
+    d2 = a * a
+    d3 = d2 * a
+    d5 = d3 * d2
+    d7 = d5 * d2
+    correction = (d3 / 24.0) * u + (
+        d7 / 1152.0 - d5 / 1920.0 + 5.0 * d3 / 192.0 - 3.0 * a / 64.0
+    ) * uu
+    v = normal_cdf(a) - normal_pdf(a) * correction
+    return 1.0 - v if dt < 0.0 else v
+
+
+def _reference_density_value(dt, width):
+    # density of Normal(mu, width^2) at x, given dt = (x - mu) / width
+    return normal_pdf(dt) / width
+
+
+def _remainder_scale(target, dt, u, uu):
+    return (1.0 + abs(dt) ** ENVELOPE_POWER[target]) * (uu * u)
+
+
+def _check_order(order):
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2, got %r" % (order,))
+
+
 def log_ratio_exact(params: VonMisesParams, x: float) -> float:
     """Exact log of the density ratio sqrt(2) sigma f(x) / phi(delta_tilde).
 
     Evaluated entirely in log space; finite well beyond kappa = 5000.
     """
-    # the large kappa terms are paired off analytically:
-    #   kappa cos t - log I0 = -2 kappa sin^2(t/2) - log(e^-kappa I0)
-    cv = params.variance
+    log_i0e, half_log_var = _log_ratio_constants(params)
     t = x - params.mu
-    s = math.sin(0.5 * t)
-    delta = t / cv.sigma
-    return (
-        -2.0 * params.kappa * (s * s)
-        - HALF_LOG_TWO_PI
-        - params.log_i0e
-        + _HALF_LOG_TWO
-        + 0.5 * math.log(cv.value)
-        + 0.25 * (delta * delta)
-    )
+    delta = t / params.variance.sigma
+    return _log_ratio_exact_value(params.kappa, log_i0e, half_log_var, t, delta)
 
 
 def log_ratio_expansion(delta_tilde: float, kappa: float, order: int) -> ExpansionValue:
@@ -159,43 +244,32 @@ def log_ratio_expansion(delta_tilde: float, kappa: float, order: int) -> Expansi
 
     Order 1 keeps (dt^4/24 - dt^2/8)/kappa; order 2 adds
     (-dt^6/720 + dt^4/48 - dt^2/8 + 3/64)/kappa^2.  The remainder is of
-    order (1 + |dt|^8)/kappa^3.
+    order (1 + |dt|^8)/kappa^3.  Raises ValueError for kappa below about
+    1.8e-103, where 1/kappa^3 overflows.
     """
-    _require_positive_kappa(kappa)
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2, got %r" % (order,))
-    u = 1.0 / kappa
-    d2 = delta_tilde * delta_tilde
-    d4 = d2 * d2
-    v = (d4 / 24.0 - d2 / 8.0) * u
+    u, uu = _inverse_powers(kappa)
+    _check_order(order)
+    v = _first_order_term(delta_tilde, u)
     if order == 2:
-        d6 = d4 * d2
-        v += (-d6 / 720.0 + d4 / 48.0 - d2 / 8.0 + 3.0 / 64.0) * (u * u)
-    scale = (1.0 + abs(delta_tilde) ** ENVELOPE_POWER["log_ratio"]) * (u * u * u)
-    return ExpansionValue(value=v, order=order, remainder_scale=scale)
+        v += _log_ratio_second_term(delta_tilde, uu)
+    scale = _remainder_scale("log_ratio", delta_tilde, u, uu)
+    return ExpansionValue(v, order, scale)
 
 
 def ratio_expansion(delta_tilde: float, kappa: float, order: int) -> ExpansionValue:
     """Expansion of the density ratio itself (not its log).
 
     Order 2 carries the extra cross terms from exponentiating the log
-    form; the remainder envelope power rises to 12.
+    form; the remainder envelope power rises to 12.  Raises ValueError
+    for kappa below about 1.8e-103, where 1/kappa^3 overflows.
     """
-    _require_positive_kappa(kappa)
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2, got %r" % (order,))
-    u = 1.0 / kappa
-    d2 = delta_tilde * delta_tilde
-    d4 = d2 * d2
-    v = 1.0 + (d4 / 24.0 - d2 / 8.0) * u
+    u, uu = _inverse_powers(kappa)
+    _check_order(order)
+    v = 1.0 + _first_order_term(delta_tilde, u)
     if order == 2:
-        d6 = d4 * d2
-        d8 = d4 * d4
-        v += (d8 / 1152.0 - 19.0 * d6 / 2880.0 + 11.0 * d4 / 384.0 - d2 / 8.0 + 3.0 / 64.0) * (
-            u * u
-        )
-    scale = (1.0 + abs(delta_tilde) ** ENVELOPE_POWER["ratio"]) * (u * u * u)
-    return ExpansionValue(value=v, order=order, remainder_scale=scale)
+        v += _ratio_second_term(delta_tilde, uu)
+    scale = _remainder_scale("ratio", delta_tilde, u, uu)
+    return ExpansionValue(v, order, scale)
 
 
 def cdf_expansion(delta_tilde: float, kappa: float) -> ExpansionValue:
@@ -205,34 +279,18 @@ def cdf_expansion(delta_tilde: float, kappa: float) -> ExpansionValue:
     {dt^3/(24 kappa) + (dt^7/1152 - dt^5/1920 + 5 dt^3/192 - 3 dt/64)/kappa^2}.
     Negative deviates are evaluated by reflection, which makes
     value(dt) + value(-dt) = 1 hold exactly in floating point.  No
-    clamping to [0, 1] is applied.
+    clamping to [0, 1] is applied.  Raises ValueError for kappa below
+    about 1.8e-103, where 1/kappa^3 overflows.
     """
-    _require_positive_kappa(kappa)
-    u = 1.0 / kappa
-    scale = (1.0 + abs(delta_tilde) ** ENVELOPE_POWER["cdf"]) * (u * u * u)
-    if delta_tilde < 0.0:
-        v = 1.0 - _cdf_expansion_nonneg(-delta_tilde, u)
-    else:
-        v = _cdf_expansion_nonneg(delta_tilde, u)
-    return ExpansionValue(value=v, order=2, remainder_scale=scale)
-
-
-def _cdf_expansion_nonneg(dt: float, u: float) -> float:
-    d2 = dt * dt
-    d3 = d2 * dt
-    d5 = d3 * d2
-    d7 = d5 * d2
-    correction = (d3 / 24.0) * u + (d7 / 1152.0 - d5 / 1920.0 + 5.0 * d3 / 192.0 - 3.0 * dt / 64.0) * (
-        u * u
-    )
-    return normal_cdf(dt) - normal_pdf(dt) * correction
+    u, uu = _inverse_powers(kappa)
+    scale = _remainder_scale("cdf", delta_tilde, u, uu)
+    return ExpansionValue(_cdf_expansion_value(delta_tilde, u, uu), 2, scale)
 
 
 def reference_normal_density(params: VonMisesParams, x: float) -> float:
     """Density of the matched linear law Normal(mu, 2 sigma^2) at x."""
     sigma = params.variance.sigma
-    dt = (x - params.mu) / sigma / SQRT2
-    return normal_pdf(dt) / (SQRT2 * sigma)
+    return _reference_density_value((x - params.mu) / sigma / SQRT2, SQRT2 * sigma)
 
 
 def normalization_log_constant(kappa: float, mode: str = "exact", centered: bool = False) -> float:
@@ -251,8 +309,8 @@ def normalization_log_constant(kappa: float, mode: str = "exact", centered: bool
         brk = math.sqrt(2.0 * math.pi * kappa) * params.i0e
         c = 0.5 * math.log(2.0 * kappa * s2) - math.log(brk)
     elif mode == "expansion":
-        u = 1.0 / kappa
-        c = (3.0 / 64.0) * (u * u) + (13.0 / 128.0) * (u * u * u)
+        u, uu = _inverse_powers(kappa)
+        c = (3.0 / 64.0) * uu + (13.0 / 128.0) * (uu * u)
     else:
         raise ValueError("mode must be 'exact' or 'expansion', got %r" % (mode,))
     if centered:

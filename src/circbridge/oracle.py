@@ -18,11 +18,14 @@ from .expansions import (
     ENVELOPE_POWER,
     SCAN_MIN_GRID,
     BulkSpec,
-    cdf_expansion,
+    _cdf_expansion_value,
+    _first_order_term,
+    _inverse_powers,
+    _log_ratio_constants,
+    _log_ratio_exact_value,
+    _log_ratio_second_term,
+    _ratio_second_term,
     grid_size_ok,
-    log_ratio_exact,
-    log_ratio_expansion,
-    ratio_expansion,
 )
 
 # Residuals below this are floating-point noise and are excluded from
@@ -189,19 +192,37 @@ def slope_fit(points: Sequence[Tuple[float, float]]) -> float:
     return sxy / sxx
 
 
-def _scan_residual(target, params, x, cdf_quad):
-    # cdf_quad is F(x) by quadrature, read only for the cdf target
-    dt = ((x - params.mu) / params.variance.sigma) / SQRT2
-    if target == "log_ratio":
-        exact = log_ratio_exact(params, x)
-        approx = log_ratio_expansion(dt, params.kappa, 2).value
-        return abs(exact - approx)
-    if target == "ratio":
-        exact = math.exp(log_ratio_exact(params, x))
-        approx = ratio_expansion(dt, params.kappa, 2).value
-        return abs(exact - approx)
-    approx = cdf_expansion(dt, params.kappa).value
-    return abs(cdf_quad - approx)
+def _scan_residuals(target, params, powers, xs, cdf_quad):
+    """Residual |exact - expansion| of the target at each of xs.
+
+    powers is `_inverse_powers(params.kappa)`; cdf_quad holds F(x) by
+    quadrature for each x, read only for the cdf target.  The values are
+    those of log_ratio_exact(params, x) and of the order-2
+    log_ratio_expansion, ratio_expansion and cdf_expansion at the deviate
+    of x, from the same cores with the per-kappa numbers read once.
+    """
+    u, uu = powers
+    mu = params.mu
+    sigma = params.variance.sigma
+    if target == "cdf":
+        return [
+            abs(cq - _cdf_expansion_value(((x - mu) / sigma) / SQRT2, u, uu))
+            for x, cq in zip(xs, cdf_quad)
+        ]
+    kappa = params.kappa
+    log_i0e, half_log_var = _log_ratio_constants(params)
+    out = []
+    for x in xs:
+        t = x - mu
+        delta = t / sigma
+        dt = delta / SQRT2
+        exact = _log_ratio_exact_value(kappa, log_i0e, half_log_var, t, delta)
+        first = _first_order_term(dt, u)
+        if target == "log_ratio":
+            out.append(abs(exact - (first + _log_ratio_second_term(dt, uu))))
+        else:
+            out.append(abs(math.exp(exact) - (1.0 + first + _ratio_second_term(dt, uu))))
+    return out
 
 
 def residual_scan(
@@ -235,20 +256,19 @@ def residual_scan(
     max_res: List[float] = []
     max_norm: List[float] = []
     slope_points: List[Tuple[float, float]] = []
-    # every grid is built, and so checked against the circle, before any
-    # is evaluated
+    # every grid is built, and so checked against the circle, and every
+    # kappa checked against the expansions' range, before any is evaluated
     grids = []
     for kappa in kappa_values:
         params = VonMisesParams(0.0, kappa)
-        grids.append((params, regime.grid(params, grid_size)))
-    for params, (dts, xs) in grids:
+        grids.append((params, regime.grid(params, grid_size), _inverse_powers(kappa)))
+    for params, (dts, xs), powers in grids:
         kappa = params.kappa
         kappa_cubed = kappa ** 3
-        cdf_quad = vm_cdf_sweep(params, xs, quad_tol) if target == "cdf" else [None] * len(xs)
+        cdf_quad = vm_cdf_sweep(params, xs, quad_tol) if target == "cdf" else None
         mr = 0.0
         mn = 0.0
-        for dt, x, cq in zip(dts, xs, cdf_quad):
-            r = _scan_residual(target, params, x, cq)
+        for dt, r in zip(dts, _scan_residuals(target, params, powers, xs, cdf_quad)):
             if r > mr:
                 mr = r
             rn = r * kappa_cubed / (1.0 + abs(dt) ** power)
@@ -257,8 +277,8 @@ def residual_scan(
         max_res.append(mr)
         max_norm.append(mn)
         x1 = params.mu + SQRT2 * params.variance.sigma
-        cq1 = vm_cdf_quadrature(params, x1, quad_tol) if target == "cdf" else None
-        slope_points.append((kappa, _scan_residual(target, params, x1, cq1)))
+        cq1 = [vm_cdf_quadrature(params, x1, quad_tol)] if target == "cdf" else None
+        slope_points.append((kappa, _scan_residuals(target, params, powers, [x1], cq1)[0]))
     kept = [(k, r) for k, r in slope_points if r >= RESIDUAL_FLOOR]
     if len(kept) < 3:
         raise ValueError("too few residuals above the floating-point floor for a slope fit")

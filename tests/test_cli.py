@@ -348,3 +348,52 @@ def test_eval_rejects_kappa_beyond_kernel_range(capsys):
     code = run(["eval", "--mu", "0", "--kappa", "1.7e308", "--x", "0", "--quantity", "density"])
     assert code == 1
     assert "kappa" in capsys.readouterr().err
+
+
+APPROX_QUANTITIES = ["logratio-approx", "ratio-approx", "cdf-approx"]
+
+
+@pytest.mark.parametrize("kappa", ["1e-200", "1e-120"])
+@pytest.mark.parametrize("quantity", APPROX_QUANTITIES)
+def test_eval_expansions_reject_kappa_where_inverse_cube_overflows(kappa, quantity, capsys):
+    argv = ["eval", "--mu", "0", "--kappa", kappa, "--x", "0", "--quantity", quantity]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "kappa=%r is too small" % float(kappa) in captured.err
+
+
+@pytest.mark.parametrize("kappa", ["1e-200", "1e-120"])
+def test_table_rejects_kappa_where_inverse_cube_overflows(kappa, count_calls, capsys):
+    quadratures = count_calls(backend, "vm_scaled_mass")
+    assert run(["table", "--mu", "0", "--kappa", kappa, "--grid", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "kappa=%r is too small" % float(kappa) in captured.err
+    assert quadratures == []
+
+
+def test_error_scan_rejects_kappa_where_inverse_cube_overflows(count_calls, capsys):
+    quadratures = count_calls(backend, "vm_scaled_mass")
+    argv = ["error-scan", "--target", "cdf", "--kappa-min", "1e-200", "--kappa-max", "1",
+            "--steps", "3", "--grid", "11"]
+    assert run(argv) == 1
+    # the geometric kappa grid gives 9.99999999999978e-201 as its first kappa
+    assert "kappa=9.99999999999978e-201 is too small" in capsys.readouterr().err
+    assert quadratures == []
+
+
+@pytest.mark.parametrize("quantity", APPROX_QUANTITIES)
+def test_eval_expansions_finite_at_kappa_1e_minus_100(quantity, capsys):
+    for x in ("0", "0.1", "-3"):
+        argv = ["eval", "--mu", "0", "--kappa", "1e-100", "--x", x, "--quantity", quantity]
+        assert run(argv) == 0
+        value = float(capsys.readouterr().out.strip().split("\n")[1].split(",")[-1])
+        assert math.isfinite(value)
+
+
+def test_table_finite_at_kappa_1e_minus_100(capsys):
+    assert run(["table", "--mu", "0", "--kappa", "1e-100", "--grid", "11"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")[1:]
+    assert len(lines) == 11
+    assert all(math.isfinite(float(f)) for line in lines for f in line.split(","))

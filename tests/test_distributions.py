@@ -88,48 +88,40 @@ def test_zero_kappa_params_valid_until_variance_is_read():
 
 
 def test_table_computes_per_kappa_values_once(count_calls, capsys):
-    variance = count_calls(distributions, "circular_variance_exact")
-    i0e = count_calls(bessel, "i0e")
+    kernel = count_calls(backend, "i0e_sigma2")
     assert cli.run(["table", "--mu", "0.3", "--kappa", "50", "--grid", "11"]) == 0
     capsys.readouterr()
-    assert variance == [50.0]
-    assert i0e == [50.0]
+    assert kernel == [50.0]
 
 
 def test_cdf_residual_scan_computes_per_kappa_values_once(count_calls):
-    variance = count_calls(distributions, "circular_variance_exact")
-    i0e = count_calls(bessel, "i0e")
+    kernel = count_calls(backend, "i0e_sigma2")
     kappas = [64.0, 128.0, 256.0]
     oracle.residual_scan(BulkSpec.fixed(0.5), kappas, 11, "cdf")
-    assert variance == kappas
-    assert i0e == kappas
+    assert kernel == kappas
 
 
 def test_matched_sup_gap_computes_per_kappa_values_once(count_calls):
-    variance = count_calls(distributions, "circular_variance_exact")
-    i0e = count_calls(bessel, "i0e")
+    kernel = count_calls(backend, "i0e_sigma2")
     matched_sup_gap(VonMisesParams(0.0, 10.0), grid_size=101)
-    assert variance == [10.0]
-    assert i0e == [10.0]
+    assert kernel == [10.0]
 
 
 def test_convergence_computes_per_kappa_values_once(count_calls, capsys):
-    variance = count_calls(distributions, "circular_variance_exact")
-    i0e = count_calls(bessel, "i0e")
+    kernel = count_calls(backend, "i0e_sigma2")
     assert cli.run(["convergence", "--kappas", "4,16", "--grid", "11"]) == 0
     capsys.readouterr()
-    assert variance == [4.0, 16.0]
-    assert i0e == [4.0, 16.0]
+    assert kernel == [4.0, 16.0]
 
 
 def test_vm_log_density_reads_per_kappa_log_i0e(count_calls):
     log_i0 = count_calls(bessel, "log_i0")
-    log_i0e = count_calls(bessel, "log_i0e")
+    kernel = count_calls(backend, "i0e_sigma2")
     p = VonMisesParams(0.3, 50.0)
     for j in range(100):
         vm_log_density(p, j * TWO_PI / 100.0)
     assert log_i0 == []
-    assert log_i0e == [50.0]
+    assert kernel == [50.0]
 
 
 NAN = float("nan")

@@ -239,6 +239,33 @@ def test_cdf_expansion_remainder_scale():
         cdf_expansion(1.0, -3.0)
 
 
+@pytest.mark.parametrize("kappa", [1e-120, 1e-200, 5e-324])
+def test_expansions_reject_kappa_where_inverse_cube_overflows(kappa):
+    message = "kappa=%r is too small" % kappa
+    for call in (
+        lambda: log_ratio_expansion(0.5, kappa, 1),
+        lambda: log_ratio_expansion(0.5, kappa, 2),
+        lambda: ratio_expansion(0.5, kappa, 2),
+        lambda: cdf_expansion(0.5, kappa),
+        lambda: normalization_log_constant(kappa, "expansion"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_expansions_finite_at_kappa_1e_minus_100():
+    kappa = 1e-100
+    for dt in (-2.0, 0.0, 1e-3, 2.0):
+        for out in (
+            log_ratio_expansion(dt, kappa, 1),
+            log_ratio_expansion(dt, kappa, 2),
+            ratio_expansion(dt, kappa, 2),
+            cdf_expansion(dt, kappa),
+        ):
+            assert math.isfinite(out.value) and math.isfinite(out.remainder_scale)
+    assert math.isfinite(normalization_log_constant(kappa, "expansion"))
+
+
 # ------------------------------------------------- reference normal density
 
 

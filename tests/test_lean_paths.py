@@ -1,0 +1,187 @@
+"""The grid loops (`table` rows, `residual_scan`, `matched_sup_gap`) and the
+CSV writer give, bit for bit, what the public point functions and the
+per-value formatter give."""
+
+import json
+import math
+
+import pytest
+
+from circbridge import backend, cli, oracle
+from circbridge.distributions import (
+    LOG_TWO,
+    LOG_TWO_PI,
+    SQRT2,
+    VonMisesParams,
+    WrappedNormalParams,
+    _wn_fourier_count,
+    matched_sup_gap,
+    vm_density,
+    wn_density,
+    wrap_angle,
+)
+from circbridge.expansions import (
+    ENVELOPE_POWER,
+    BulkSpec,
+    cdf_expansion,
+    log_ratio_exact,
+    log_ratio_expansion,
+    ratio_expansion,
+    reference_normal_density,
+    standardized_deviate,
+)
+
+TWO_PI = 2.0 * math.pi
+
+
+def _table_rows(kappa, mu, grid, capsys):
+    argv = ["table", "--mu", repr(mu), "--kappa", repr(kappa), "--grid", str(grid)]
+    assert cli.run(argv) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == ",".join(cli.TABLE_COLUMNS)
+    return [[float(f) for f in line.split(",")] for line in lines[1:]]
+
+
+@pytest.mark.parametrize("kappa, mu", [(8.0, 0.0), (4096.0, 1.3), (600.75, 5.5)])
+def test_table_columns_equal_point_functions_bitwise(kappa, mu, capsys):
+    rows = _table_rows(kappa, mu, 201, capsys)
+    params = VonMisesParams(mu, kappa)
+    _dts, xs = BulkSpec.fixed(0.5).grid(params, 201)
+    assert [row[0] for row in rows] == xs
+    cdf_quad = oracle.vm_cdf_sweep(params, xs, 1e-12)
+    for row, x, cq in zip(rows, xs, cdf_quad):
+        sd = standardized_deviate(params, x)
+        lre = log_ratio_exact(params, x)
+        lr2 = log_ratio_expansion(sd.delta_tilde, kappa, 2).value
+        ca = cdf_expansion(sd.delta_tilde, kappa).value
+        want = [
+            x,
+            sd.delta,
+            sd.delta_tilde,
+            vm_density(params, x),
+            reference_normal_density(params, x),
+            lre,
+            log_ratio_expansion(sd.delta_tilde, kappa, 1).value,
+            lr2,
+            cq,
+            ca,
+            abs(lre - lr2),
+            abs(cq - ca),
+        ]
+        assert row == want
+
+
+def _public_residual(target, params, x, cdf_quad):
+    # the residual of one point from the public point functions
+    dt = standardized_deviate(params, x).delta_tilde
+    if target == "log_ratio":
+        return abs(log_ratio_exact(params, x) - log_ratio_expansion(dt, params.kappa, 2).value)
+    if target == "ratio":
+        exact = math.exp(log_ratio_exact(params, x))
+        return abs(exact - ratio_expansion(dt, params.kappa, 2).value)
+    return abs(cdf_quad - cdf_expansion(dt, params.kappa).value)
+
+
+@pytest.mark.parametrize("target", ["log_ratio", "ratio", "cdf"])
+@pytest.mark.parametrize("spec", [BulkSpec.fixed(0.5), BulkSpec.shrunken(1.0)], ids=str)
+def test_residual_scan_equals_point_function_loop(target, spec):
+    kappas = [64.0, 181.0, 512.0, 1448.0]
+    report = oracle.residual_scan(spec, kappas, 31, target, quad_tol=1e-13)
+    power = ENVELOPE_POWER[target]
+    for i, kappa in enumerate(kappas):
+        params = VonMisesParams(0.0, kappa)
+        dts, xs = spec.grid(params, 31)
+        if target == "cdf":
+            cdf_quad = oracle.vm_cdf_sweep(params, xs, 1e-13)
+        else:
+            cdf_quad = [None] * len(xs)
+        mr = mn = 0.0
+        for dt, x, cq in zip(dts, xs, cdf_quad):
+            r = _public_residual(target, params, x, cq)
+            mr = max(mr, r)
+            mn = max(mn, r * kappa ** 3 / (1.0 + abs(dt) ** power))
+        assert report.max_residual[i] == mr
+        assert report.max_normalized_residual[i] == mn
+
+
+@pytest.mark.parametrize("kappa", [1e-3, 0.5, 2.0, 50.0, 5000.0])
+@pytest.mark.parametrize("mu", [0.0, 4.0])
+def test_matched_sup_gap_equals_density_loop(kappa, mu):
+    params = VonMisesParams(mu, kappa)
+    wn = WrappedNormalParams(mu, SQRT2 * params.variance.sigma)
+    sup = 0.0
+    for j in range(257):
+        theta = j * (TWO_PI / 257)
+        sup = max(sup, abs(vm_density(params, theta) - wn_density(wn, theta, 1e-12)))
+    assert matched_sup_gap(params, 257, 1e-12) == sup
+
+
+def _wn_per_point(t, v, tol):
+    # wn_density with both term counts worked out anew at every point,
+    # the reference for the per-scale counts
+    if v >= math.sqrt(TWO_PI):
+        return backend.wn_fourier_at(t, v, _wn_fourier_count(v, tol))
+    log_arg = LOG_TWO - math.log(tol) - math.log(v) - 0.5 * LOG_TWO_PI
+    if log_arg <= 0.0:
+        return backend.wn_density_at(t, v, 1)
+    reach = abs(t) + v * math.sqrt(2.0 * log_arg)
+    return backend.wn_density_at(t, v, int(math.ceil(reach / TWO_PI)) + 1)
+
+
+@pytest.mark.parametrize("v", [1e-3, 0.3, 1.4, 2.5, 2.5066, 2.5067, 3.0, 10.0])
+@pytest.mark.parametrize("tol", [1e-12, 1e-3, 0.5])
+def test_wn_density_per_scale_counts_match_per_point_counts(v, tol):
+    # the matched scale sqrt(2) sigma stays below sqrt(2) < sqrt(2 pi), so
+    # matched_sup_gap only reaches the lattice; the Fourier side is
+    # checked here
+    p = WrappedNormalParams(0.7, v)
+    for j in range(64):
+        theta = j * (TWO_PI / 64)
+        assert wn_density(p, theta, tol) == _wn_per_point(wrap_angle(theta - 0.7), v, tol)
+
+
+ARGVS = [
+    ["table", "--mu", "1.3", "--kappa", "4096", "--grid", "41"],
+    ["table", "--mu", "0", "--kappa", "8", "--grid", "11"],
+    ["error-scan", "--target", "ratio", "--kappa-min", "32", "--kappa-max", "512",
+     "--steps", "4", "--grid", "21"],
+    ["convergence", "--kappas", "0.5,4,64", "--grid", "31"],
+    ["eval", "--mu", "0", "--kappa", "64", "--x", "0.1", "--quantity", "cdf-approx"],
+]
+
+
+def _run_recording_rows(argv, monkeypatch, capsys):
+    # run argv and return its stdout with the rows and header it emitted
+    seen = []
+    emit = cli._emit
+
+    def recording(rows, header, meta, args):
+        seen.append((rows, header))
+        emit(rows, header, meta, args)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    assert cli.run(argv) == 0
+    [(rows, header)] = seen
+    return capsys.readouterr().out, rows, header
+
+
+@pytest.mark.parametrize("precision", [17, 6])
+@pytest.mark.parametrize("argv", ARGVS, ids=lambda a: a[0])
+def test_csv_equals_per_value_formatting(argv, precision, monkeypatch, capsys):
+    out, rows, header = _run_recording_rows(
+        argv + ["--precision", str(precision)], monkeypatch, capsys
+    )
+    lines = [",".join(header)]
+    lines += [",".join(cli._fmt(v, precision) for v in row) for row in rows]
+    assert out == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("precision", [17, 6])
+@pytest.mark.parametrize("argv", ARGVS, ids=lambda a: a[0])
+def test_json_equals_per_value_formatting(argv, precision, monkeypatch, capsys):
+    out, rows, header = _run_recording_rows(
+        argv + ["--format", "json", "--precision", str(precision)], monkeypatch, capsys
+    )
+    got = json.loads(out)["rows"]
+    want = [{k: cli._json_value(v, precision) for k, v in zip(header, row)} for row in rows]
+    assert got == want
