@@ -15,11 +15,12 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
 
-from . import oracle
+from . import __version__, oracle
 from .distributions import (
     SQRT2,
     VonMisesParams,
@@ -91,7 +92,7 @@ def _emit(rows, header, meta, args):
     precision = args.precision
     if args.format == "json":
         payload = {
-            "meta": meta,
+            "meta": dict(meta, tol=args.tol, version=__version__),
             "rows": [
                 {k: _json_value(v, precision) for k, v in zip(header, row)} for row in rows
             ],
@@ -287,6 +288,7 @@ def _add_output_options(p):
 
 
 def build_parser():
+    """A new parser on every call; `run` builds one per process."""
     parser = argparse.ArgumentParser(
         prog="circbridge",
         description="Circular-to-linear normal bridge: densities, local approximations, error-order scans.",
@@ -330,11 +332,17 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # built on the first run, not at import; parse_args leaves a parser
+    # unchanged, so every later run in the process reuses this one
+    return build_parser()
+
+
 def run(argv):
     """Dispatch one CLI invocation; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage problems and 0 for --help
         return 0 if exc.code == 0 else 1

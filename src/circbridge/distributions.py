@@ -27,6 +27,9 @@ def normalize_angle(theta: float) -> float:
     t = math.fmod(theta, TWO_PI)
     if t < 0.0:
         t += TWO_PI
+        # t + 2*pi rounds up to 2*pi for t in (-4.4e-16, 0)
+        if t == TWO_PI:
+            return 0.0
     return t
 
 
@@ -201,10 +204,6 @@ def _wn_wraps(t_wrapped: float, reach) -> int:
     if reach is None:
         return 1
     return int(math.ceil((abs(t_wrapped) + reach) / TWO_PI)) + 1
-
-
-def _wn_wrap_count(t_wrapped: float, v: float, tol: float) -> int:
-    return _wn_wraps(t_wrapped, _wn_tail_reach(v, tol))
 
 
 def _wn_fourier_count(v: float, tol: float) -> int:

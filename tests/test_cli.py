@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from circbridge import backend
-from circbridge.cli import run
+import circbridge
+from circbridge import backend, cli
+from circbridge.cli import QUANTITIES, build_parser, run
 from circbridge.distributions import matched_wn_scale
 
 SCAN_ARGS = [
@@ -239,8 +240,26 @@ def test_json_output_structure(capsys):
     payload = json.loads(out)
     assert payload["meta"]["command"] == "eval"
     assert payload["meta"]["kappa"] == 4.0
+    assert payload["meta"]["tol"] == 1e-12
+    assert payload["meta"]["version"] == circbridge.__version__
     assert len(payload["rows"]) == 1
     assert payload["rows"][0]["quantity"] == "density"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--mu", "0", "--kappa", "16", "--grid", "3"],
+        ["error-scan", "--target", "ratio", "--kappa-min", "64", "--kappa-max", "256", "--steps", "3", "--grid", "11"],
+        ["convergence", "--kappas", "4,16", "--grid", "11"],
+    ],
+)
+def test_json_meta_records_tol_and_version(argv, capsys):
+    assert run(argv + ["--format", "json", "--tol", "1e-10"]) == 0
+    meta = json.loads(capsys.readouterr().out)["meta"]
+    assert meta["command"] == argv[0]
+    assert meta["tol"] == 1e-10
+    assert meta["version"] == circbridge.__version__
 
 
 def test_error_scan_emits_slope_record(capsys):
@@ -397,3 +416,72 @@ def test_table_finite_at_kappa_1e_minus_100(capsys):
     lines = capsys.readouterr().out.strip().split("\n")[1:]
     assert len(lines) == 11
     assert all(math.isfinite(float(f)) for line in lines for f in line.split(","))
+
+
+@pytest.mark.parametrize("quantity", QUANTITIES)
+def test_eval_tiny_negative_mu_reads_as_zero(quantity, capsys):
+    # -1e-20 + 2*pi rounds to 2*pi; mu must wrap to 0, not to 2*pi
+    argv = ["eval", "--kappa", "100", "--x", "0.05", "--quantity", quantity]
+    assert run(argv + ["--mu=0"]) == 0
+    at_zero = capsys.readouterr().out
+    assert run(argv + ["--mu=-1e-20"]) == 0
+    assert capsys.readouterr().out == at_zero
+
+
+# ------------------------------------------------------- one parser per process
+
+
+@pytest.fixture
+def fresh_parser():
+    """Drop the process's parser before and after the test."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_runs_build_the_parser_once(fresh_parser, monkeypatch, capsys):
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for kappa in ("4", "16", "64"):
+        assert run(["eval", "--mu", "0", "--kappa", kappa, "--x", "0.1", "--quantity", "density"]) == 0
+    assert run(["convergence", "--kappas", "4", "--grid", "11"]) == 0
+    capsys.readouterr()
+    assert len(builds) == 1
+
+
+def test_build_parser_returns_a_new_parser():
+    assert build_parser() is not build_parser()
+    assert cli._parser() is cli._parser()
+
+
+MIXED_RUNS = [
+    ["table", "--mu", "0.3", "--kappa", "64", "--grid", "5"],
+    ["eval", "--mu", "0", "--kappa", "1"],  # usage error: exit 1
+    ["error-scan", "--target", "cdf", "--kappa-min", "64", "--kappa-max", "256", "--steps", "3", "--grid", "11"],
+    ["table", "--help"],  # exit 0
+    CDF_QUAD_ARGS + ["--tol", "1e-300"],  # numerical failure: exit 2
+    ["convergence", "--kappas", "4,16", "--grid", "21", "--format", "json"],
+    ["eval", "--mu", "1", "--kappa", "8", "--x", "1.2", "--quantity", "logratio-exact"],
+    ["--help"],
+    ["table", "--mu", "0.3", "--kappa", "64", "--grid", "5", "--precision", "9"],
+]
+
+
+def test_shared_parser_matches_a_fresh_parser(fresh_parser, capsys):
+    def outcome(argv):
+        code = run(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    shared = [outcome(argv) for argv in MIXED_RUNS]
+    fresh = []
+    for argv in MIXED_RUNS:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert [code for code, _out, _err in shared] == [0, 1, 0, 0, 2, 0, 0, 0, 0]
+    assert shared == fresh

@@ -11,7 +11,8 @@ from circbridge.distributions import (
     VonMisesParams,
     WrappedNormalParams,
     _wn_fourier_count,
-    _wn_wrap_count,
+    _wn_tail_reach,
+    _wn_wraps,
     circular_variance_exact,
     circular_variance_expansion,
     matched_sup_gap,
@@ -47,6 +48,8 @@ def test_params_normalize_mu():
     p = VonMisesParams(7.0, 1.0)
     assert p.mu == normalize_angle(7.0)
     assert 0.0 <= p.mu < TWO_PI
+    assert VonMisesParams(-1e-20, 5.0).mu == 0.0
+    assert WrappedNormalParams(-1e-20, 0.5).mu == 0.0
     with pytest.raises(ValueError):
         VonMisesParams(0.0, -0.1)
     with pytest.raises(ValueError):
@@ -151,6 +154,13 @@ def test_wrap_angle_range():
         w = wrap_angle(t)
         assert -math.pi < w <= math.pi
         assert abs(math.sin(w) - math.sin(t)) < 1e-12
+
+
+@pytest.mark.parametrize("a", [-5e-324, -1e-20, -1e-16, -4.4e-16, -4.5e-16, -1e-15])
+def test_normalize_angle_tiny_negative_stays_below_two_pi(a):
+    # a + 2*pi rounds to 2*pi itself for a in (-4.4e-16, 0)
+    w = normalize_angle(a)
+    assert 0.0 <= w < TWO_PI
 
 
 # ------------------------------------------------------------- vm density
@@ -293,7 +303,7 @@ def test_wn_density_truncation_bound(v):
     # doubling the wrap count beyond the chosen bound moves nothing
     tol = 1e-12
     t = wrap_angle(1.0)
-    k = _wn_wrap_count(t, v, tol)
+    k = _wn_wraps(t, _wn_tail_reach(v, tol))
     assert abs(backend.wn_density_at(t, v, k) - backend.wn_density_at(t, v, 2 * k)) < tol
 
 

@@ -1,12 +1,14 @@
 """Repository hygiene: nothing git tracks may match an ignore rule,
 every function the benchmark traces exists, every public name resolves,
-and the package reads no environment variables."""
+the package reads no environment variables, and importing the CLI builds
+no parser."""
 
 import importlib
 import importlib.util
 import re
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +62,33 @@ def test_package_reads_no_environment():
         if pattern.search(line)
     ]
     assert hits == []
+
+
+# counts ArgumentParser constructions across `import circbridge.cli`, then
+# across one build_parser() to show that the count sees a build at all
+IMPORT_BUILDS_PROBE = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+import circbridge.cli
+at_import = len(built)
+circbridge.cli.build_parser()
+print(at_import, len(built) > at_import)
+"""
+
+
+def test_importing_cli_builds_no_parser(cli_env):
+    # the benchmark's setup_s times the import plus one build_parser(); a
+    # parser built at import would be paid twice there
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_BUILDS_PROBE],
+        env=cli_env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.split() == ["0", "True"]
