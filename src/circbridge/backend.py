@@ -2,10 +2,9 @@
 
 The I0 power series, the one per-concentration kernel (a trapezoid sum
 that gives e^-kappa I0(kappa) and the circular variance together), the
-asymptotic bracket polynomials, the 15-point Gauss-Kronrod rule with its
-adaptive bisection, quadrature of the concentrated circular density, and
-the wrapped-normal lattice and Fourier sums.  Plain Python; there is
-nothing to compile.
+15-point Gauss-Kronrod rule with its adaptive bisection, quadrature of
+the concentrated circular density, and the wrapped-normal lattice and
+Fourier sums.  Plain Python; there is nothing to compile.
 """
 
 import math
@@ -132,32 +131,6 @@ def i0e_sigma2(kappa):
 # perfbench/tracing.py traces the per-kappa kernel under its former name;
 # the next change to the benchmark drops this alias.
 sigma2_series = i0e_sigma2
-
-
-def i0e_asym_bracket(x, order):
-    """Large-argument bracket of sqrt(2 pi x) e^(-x) I0(x), truncated."""
-    u = 1.0 / x
-    b = 1.0
-    if order >= 1:
-        b += 0.125 * u
-    if order >= 2:
-        b += 0.0703125 * (u * u)
-    if order >= 3:
-        b += 0.0732421875 * (u * u * u)
-    return b
-
-
-def i1e_asym_bracket(x, order):
-    """Large-argument bracket of sqrt(2 pi x) e^(-x) I1(x), truncated."""
-    u = 1.0 / x
-    b = 1.0
-    if order >= 1:
-        b -= 0.375 * u
-    if order >= 2:
-        b -= 0.1171875 * (u * u)
-    if order >= 3:
-        b -= 0.1025390625 * (u * u * u)
-    return b
 
 
 def gk15_panel(f, a, b):

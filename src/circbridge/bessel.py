@@ -43,7 +43,15 @@ def bessel_i0e_asymptotic(kappa: float, order: int = 3) -> float:
     if not (kappa > 0.0):
         raise ValueError("kappa must be > 0, got %r" % (kappa,))
     _check_order(order)
-    return backend.i0e_asym_bracket(kappa, order)
+    u = 1.0 / kappa
+    b = 1.0
+    if order >= 1:
+        b += 0.125 * u
+    if order >= 2:
+        b += 0.0703125 * (u * u)
+    if order >= 3:
+        b += 0.0732421875 * (u * u * u)
+    return b
 
 
 def bessel_i1e_asymptotic(kappa: float, order: int = 3) -> float:
@@ -51,7 +59,15 @@ def bessel_i1e_asymptotic(kappa: float, order: int = 3) -> float:
     if not (kappa > 0.0):
         raise ValueError("kappa must be > 0, got %r" % (kappa,))
     _check_order(order)
-    return backend.i1e_asym_bracket(kappa, order)
+    u = 1.0 / kappa
+    b = 1.0
+    if order >= 1:
+        b -= 0.375 * u
+    if order >= 2:
+        b -= 0.1171875 * (u * u)
+    if order >= 3:
+        b -= 0.1025390625 * (u * u * u)
+    return b
 
 
 def i0e(kappa: float) -> float:

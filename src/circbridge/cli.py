@@ -231,10 +231,7 @@ def _cmd_error_scan(args):
         raise ValueError("need 0 < --kappa-min < --kappa-max")
     if args.steps < 3:
         raise ValueError("--steps must be >= 3 (a slope fit needs three kappas), got %d" % args.steps)
-    if args.regime == "fixed":
-        spec = BulkSpec.fixed(args.eta)
-    else:
-        spec = BulkSpec.shrunken(args.eta)
+    spec = BulkSpec(args.regime, args.eta)
     kappas = _geometric_kappas(args.kappa_min, args.kappa_max, args.steps)
     report = oracle.residual_scan(spec, kappas, args.grid, args.target, quad_tol=args.tol)
     header = ("record", "kappa", "max_residual", "max_normalized_residual", "fitted_slope")

@@ -24,7 +24,7 @@ _WN_FOURIER_MIN_V = math.sqrt(TWO_PI)
 
 def normalize_angle(theta: float) -> float:
     """Map an angle to [0, 2*pi)."""
-    t = math.fmod(theta, TWO_PI)
+    t = math.fmod(theta, TWO_PI) + 0.0  # + 0.0 turns -0.0 into 0.0
     if t < 0.0:
         t += TWO_PI
         # t + 2*pi rounds up to 2*pi for t in (-4.4e-16, 0)
@@ -43,23 +43,14 @@ def wrap_angle(t: float) -> float:
     return t
 
 
-class _per_kappa:
-    """Computes a value from the instance on first access and stores it in
-    the instance dict, where later reads find it without calling back here
-    (a non-data descriptor; unlike functools.cached_property it takes no
-    lock, which costs single-point callers measurably on Python 3.11)."""
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.name = compute.__name__
-        self.__doc__ = compute.__doc__
+class _variance_needs_kappa:
+    """The class-level `variance`, read only when kappa == 0: there
+    __post_init__ stores no variance, and every read raises."""
 
     def __get__(self, obj, owner=None):
         if obj is None:
             return self
-        value = self.compute(obj)
-        obj.__dict__[self.name] = value
-        return value
+        raise ValueError("kappa must be > 0, got %r" % (obj.kappa,))
 
 
 @dataclass(frozen=True)
@@ -67,14 +58,16 @@ class VonMisesParams:
     """Mean direction mu (normalized to [0, 2*pi)) and concentration kappa >= 0.
 
     Also carries the per-concentration values every evaluation at this
-    kappa shares, each computed once on first access: `variance`, `i0e`
-    and `log_i0e`.  All three derive from one call of the kernel
-    `backend.i0e_sigma2`, made on the first access to any of them.
-    Equality, hashing and repr depend on (mu, kappa) alone.
+    kappa shares, set at construction from one call of the kernel
+    `backend.i0e_sigma2`: `i0e`, `log_i0e` and, for kappa > 0, `variance`
+    (reading `variance` at kappa == 0 raises ValueError).  Equality,
+    hashing and repr depend on (mu, kappa) alone.
     """
 
     mu: float
     kappa: float
+
+    variance = _variance_needs_kappa()
 
     def __post_init__(self):
         if not (-math.inf < self.mu < math.inf):
@@ -82,30 +75,13 @@ class VonMisesParams:
         if not (0.0 <= self.kappa < math.inf):
             raise ValueError("kappa must be finite and >= 0, got %r" % (self.kappa,))
         object.__setattr__(self, "mu", normalize_angle(self.mu))
-
-    # The kernel gives e^-kappa I0 and sigma^2 together: whichever of
-    # `i0e` and `variance` is read first calls it once and leaves the other
-    # raw number in the instance dict, where the other one reads it.
-
-    @_per_kappa
-    def variance(self) -> "CircularVariance":
-        """circular_variance_exact(kappa); raises ValueError when kappa == 0."""
-        _require_positive_kappa(self.kappa)
-        sigma2 = self.__dict__.get("_sigma2")
-        if sigma2 is None:
-            self.__dict__["i0e"], sigma2 = backend.i0e_sigma2(self.kappa)
-        return CircularVariance(value=sigma2)
-
-    @_per_kappa
-    def i0e(self) -> float:
-        """e^(-kappa) I0(kappa); the scaled density divides by 2 pi times this."""
-        i0e, self.__dict__["_sigma2"] = backend.i0e_sigma2(self.kappa)
-        return i0e
-
-    @_per_kappa
-    def log_i0e(self) -> float:
-        """log(e^(-kappa) I0(kappa))."""
-        return math.log(self.i0e)
+        # object.__setattr__ keeps the values in the instance's inline
+        # slots, where reads specialize; writing self.__dict__ would not
+        i0e, sigma2 = backend.i0e_sigma2(self.kappa)
+        object.__setattr__(self, "i0e", i0e)
+        object.__setattr__(self, "log_i0e", math.log(i0e))
+        if self.kappa > 0.0:
+            object.__setattr__(self, "variance", CircularVariance(value=sigma2))
 
 
 @dataclass(frozen=True)

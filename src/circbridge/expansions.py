@@ -14,7 +14,7 @@ power p specific to each expansion, listed in ENVELOPE_POWER.
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .backend import HALF_LOG_TWO_PI
 from .distributions import (
@@ -57,21 +57,19 @@ class BulkSpec:
     Fixed regime: |delta| <= eta * sqrt(kappa) with 0 < eta < 1.
     Shrunken regime: |delta| <= eta_tilde * kappa^(1/4), any eta_tilde > 0;
     this is the fixed regime with eta replaced by eta_tilde * kappa^(-1/4).
+    `eta` holds the regime's parameter: eta, or eta_tilde when shrunken.
     """
 
     regime: str
-    eta: Optional[float] = None
-    eta_tilde: Optional[float] = None
+    eta: float
 
     def __post_init__(self):
         if self.regime == "fixed":
-            if self.eta is None or not (0.0 < self.eta < 1.0):
+            if not (0.0 < self.eta < 1.0):
                 raise ValueError("fixed regime needs 0 < eta < 1, got %r" % (self.eta,))
         elif self.regime == "shrunken":
-            if self.eta_tilde is None or not (self.eta_tilde > 0.0):
-                raise ValueError(
-                    "shrunken regime needs eta_tilde > 0, got %r" % (self.eta_tilde,)
-                )
+            if not (self.eta > 0.0):
+                raise ValueError("shrunken regime needs eta_tilde > 0, got %r" % (self.eta,))
         else:
             raise ValueError("regime must be 'fixed' or 'shrunken', got %r" % (self.regime,))
 
@@ -81,13 +79,13 @@ class BulkSpec:
 
     @classmethod
     def shrunken(cls, eta_tilde: float) -> "BulkSpec":
-        return cls(regime="shrunken", eta_tilde=eta_tilde)
+        return cls(regime="shrunken", eta=eta_tilde)
 
     def delta_halfwidth(self, kappa: float) -> float:
         """Half-width of the bulk in delta units at the given concentration."""
         if self.regime == "fixed":
             return self.eta * math.sqrt(kappa)
-        return self.eta_tilde * kappa ** 0.25
+        return self.eta * kappa ** 0.25
 
     def grid(self, params: VonMisesParams, size: int) -> Tuple[List[float], List[float]]:
         """Equispaced bulk grid of `size` points at params, size odd and >= 3.
@@ -104,10 +102,10 @@ class BulkSpec:
         width = SQRT2 * params.variance.sigma
         edge = width * dts[-1]
         if not (edge < math.pi):
-            name, eta = ("eta", self.eta) if self.regime == "fixed" else ("eta_tilde", self.eta_tilde)
+            name = "eta" if self.regime == "fixed" else "eta_tilde"
             raise ValueError(
                 "the bulk edge, %.3g rad from mu, reaches pi at kappa=%r with %s=%r;"
-                " use a smaller eta" % (edge, params.kappa, name, eta)
+                " use a smaller eta" % (edge, params.kappa, name, self.eta)
             )
         return dts, [params.mu + width * dt for dt in dts]
 

@@ -420,12 +420,14 @@ def test_table_finite_at_kappa_1e_minus_100(capsys):
 
 @pytest.mark.parametrize("quantity", QUANTITIES)
 def test_eval_tiny_negative_mu_reads_as_zero(quantity, capsys):
-    # -1e-20 + 2*pi rounds to 2*pi; mu must wrap to 0, not to 2*pi
+    # -1e-20 + 2*pi rounds to 2*pi; mu must wrap to 0, not to 2*pi, and
+    # -0 to +0, not to -0
     argv = ["eval", "--kappa", "100", "--x", "0.05", "--quantity", quantity]
     assert run(argv + ["--mu=0"]) == 0
     at_zero = capsys.readouterr().out
-    assert run(argv + ["--mu=-1e-20"]) == 0
-    assert capsys.readouterr().out == at_zero
+    for mu in ("-1e-20", "-0"):
+        assert run(argv + ["--mu=" + mu]) == 0
+        assert capsys.readouterr().out == at_zero
 
 
 # ------------------------------------------------------- one parser per process

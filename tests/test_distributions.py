@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import pytest
 from references import MPMATH_KAPPAS, i0e_series_reference, i1e_series_reference
@@ -50,6 +52,9 @@ def test_params_normalize_mu():
     assert 0.0 <= p.mu < TWO_PI
     assert VonMisesParams(-1e-20, 5.0).mu == 0.0
     assert WrappedNormalParams(-1e-20, 0.5).mu == 0.0
+    assert math.copysign(1.0, normalize_angle(-0.0)) == 1.0
+    assert math.copysign(1.0, VonMisesParams(-0.0, 5.0).mu) == 1.0
+    assert math.copysign(1.0, WrappedNormalParams(-0.0, 1.0).mu) == 1.0
     with pytest.raises(ValueError):
         VonMisesParams(0.0, -0.1)
     with pytest.raises(ValueError):
@@ -88,6 +93,42 @@ def test_zero_kappa_params_valid_until_variance_is_read():
     for _ in range(2):
         with pytest.raises(ValueError, match="^kappa must be > 0"):
             p.variance
+
+
+def test_params_are_complete_after_one_kernel_call(count_calls):
+    kernel = count_calls(backend, "i0e_sigma2")
+    p = VonMisesParams(0.3, 50.0)
+    assert kernel == [50.0]
+    p.variance, p.i0e, p.log_i0e
+    assert kernel == [50.0]
+
+
+def test_kappa_beyond_kernel_range_fails_at_construction():
+    with pytest.raises(ValueError, match="kappa"):
+        VonMisesParams(0.0, 1e308)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda p: dataclasses.replace(p, kappa=80.0),
+        copy.copy,
+        lambda p: pickle.loads(pickle.dumps(p)),
+    ],
+    ids=["replace", "copy", "pickle"],
+)
+def test_copied_params_carry_their_own_kappa_values(make):
+    q = make(VonMisesParams(0.4, 20.0))
+    assert q.i0e == bessel.i0e(q.kappa)
+    assert q.log_i0e == bessel.log_i0e(q.kappa)
+    assert q.variance == circular_variance_exact(q.kappa)
+
+
+def test_per_kappa_values_are_instance_attributes():
+    # reads of a class-level descriptor do not specialize; the values
+    # must live in the instance
+    assert not hasattr(VonMisesParams, "i0e")
+    assert not hasattr(VonMisesParams, "log_i0e")
 
 
 def test_table_computes_per_kappa_values_once(count_calls, capsys):

@@ -69,6 +69,10 @@ def test_bulk_spec_validation():
         BulkSpec(regime="other", eta=0.5)
     assert BulkSpec.fixed(0.5).delta_halfwidth(100.0) == 5.0
     assert BulkSpec.shrunken(1.0).delta_halfwidth(16.0) == 2.0
+    # one parameter field: eta holds eta_tilde in the shrunken regime
+    assert BulkSpec.shrunken(1.0).eta == 1.0
+    with pytest.raises(TypeError):
+        BulkSpec(regime="shrunken", eta_tilde=1.0)
 
 
 def test_bulk_grid_must_stay_on_the_circle():

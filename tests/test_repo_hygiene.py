@@ -1,7 +1,7 @@
 """Repository hygiene: nothing git tracks may match an ignore rule,
 every function the benchmark traces exists, every public name resolves,
-the package reads no environment variables, and importing the CLI builds
-no parser."""
+the package reads no environment variables, importing the CLI builds
+no parser, and the README's library example runs."""
 
 import importlib
 import importlib.util
@@ -50,6 +50,13 @@ def test_public_names_resolve():
     names = circbridge.__all__
     assert len(set(names)) == len(names)
     assert [n for n in names if not hasattr(circbridge, n)] == []
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
 
 
 def test_package_reads_no_environment():
