@@ -347,7 +347,7 @@ def run(argv):
         if not (6 <= args.precision <= 17):
             raise ValueError("--precision must be in [6, 17]")
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except ArithmeticError as exc:

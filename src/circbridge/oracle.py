@@ -7,6 +7,7 @@ distribution function, residual scans over the bulk, and the log-log
 slope fit used to measure decay orders.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
@@ -99,71 +100,70 @@ def vm_cdf_sweep(
 
     F(x) = integral of the density from mu - pi to x, for each x of xs,
     which must be non-decreasing and lie in the principal window
-    (mu - pi, mu + pi].  The window is cut at every point and at the
-    anchors -20 sigma, 0 and +20 sigma (offsets from mu) below the last
-    point; each segment is integrated once and the values are running
-    sums, so the work grows with the number of points plus three rather
-    than with their product.  tol is absolute and holds for every value:
-    each of the n segments is integrated to tol / n.  For very
-    concentrated laws (kappa >= 1e4) the integration starts at -20 sigma
-    when the first point lies above it; the omitted tail is below e^(-40)
-    of the total mass.  Values are not clamped to [0, 1], so towards
-    mu + pi they may exceed 1 by up to tol.
+    (mu - pi, mu + pi].  The density is even about mu, so F(mu + t) =
+    1/2 + sgn(t) M(|t|), with M the mass on [mu, mu + |t|].  One sweep
+    outwards from the mode cuts [0, max |t|] at every distinct |t|, and
+    at 20 sigma when a point lies beyond it; each of the n segments is
+    integrated once, to tol / n, and M is their running sum.  So F(mu) is
+    exactly 1/2, and tol is absolute and holds for every value.  Values
+    are not clamped: at either end of the window they may leave [0, 1]
+    by up to tol.
     """
     _require_tol(tol)
     if len(xs) == 0:
         raise ValueError("xs must not be empty")
     mu = params.mu
-    t0 = xs[0] - mu
-    for t in (t0, xs[-1] - mu):
+    for t in (xs[0] - mu, xs[-1] - mu):
         if not (-math.pi < t <= math.pi):
             raise ValueError(
                 "x must lie in the principal window (mu - pi, mu + pi], got offset %r" % (t,)
             )
-    # essentially all mass lies within 20 sigma of the mode; the tail
-    # envelope exp(kappa(cos t - 1)) <= exp(-kappa t^2 / 5) puts the
-    # remainder below e^-40
-    reach = min(math.pi, 20.0 * params.variance.sigma)
-    a = -math.pi
-    if params.kappa >= 1e4 and t0 > -reach:
-        a = -reach
-    # anchor the subdivision at the mode and the mass boundary so the
-    # first panel of a wide segment cannot step over the peak; merge the
-    # anchors into the points, dropping any that repeat a cut
-    anchors = (-reach, 0.0, reach)
-    cuts = [a]
-    ends = []  # index into cuts of each point
-    k = 0
     prev = xs[0]
     for x in xs:
         if not (prev <= x):
             raise ValueError("xs must be ascending, got %r after %r" % (x, prev))
         prev = x
-        t = x - mu
-        while k < 3 and anchors[k] < t:
-            if anchors[k] > cuts[-1]:
-                cuts.append(anchors[k])
-            k += 1
-        if t > cuts[-1]:
-            cuts.append(t)
-        ends.append(len(cuts) - 1)
+    # essentially all mass lies within 20 sigma of the mode (the envelope
+    # exp(kappa(cos t - 1)) <= exp(-kappa t^2 / 5) leaves e^-40 beyond); a
+    # cut there keeps the first panel of a wide segment from stepping over
+    # the peak at its start
+    reach = min(math.pi, 20.0 * params.variance.sigma)
+    # merge the points below the mode, walked downwards, with those above
+    # it into ascending offsets |x - mu|, dropping any that repeat a cut
+    n = len(xs)
+    j = bisect.bisect_left(xs, mu)
+    i = j - 1
+    cuts = [0.0]
+    ends = [0] * n  # index into cuts of each point
+    while i >= 0 or j < n:
+        if j == n or (i >= 0 and mu - xs[i] <= xs[j] - mu):
+            k, a, i = i, mu - xs[i], i - 1
+        else:
+            k, a, j = j, xs[j] - mu, j + 1
+        if cuts[-1] < reach < a:
+            cuts.append(reach)
+        if a > cuts[-1]:
+            cuts.append(a)
+        ends[k] = len(cuts) - 1
     inv_norm = 1.0 / (2.0 * math.pi * params.i0e)
-    seg_tol = tol / inv_norm / (len(cuts) - 1)
+    seg_tol = tol / inv_norm / max(len(cuts) - 1, 1)
     kappa = params.kappa
-    masses = [0.0]
+    halves = [0.0]  # inv_norm times the mass on [0, cut]
     mass = 0.0
     for lo, hi in zip(cuts, cuts[1:]):
         part, _err, _n = backend.vm_scaled_mass(kappa, lo, hi, seg_tol)
         mass += part
-        masses.append(mass)
-    return [inv_norm * masses[i] for i in ends]
+        halves.append(inv_norm * mass)
+    return [0.5 - halves[e] if x < mu else 0.5 + halves[e] for x, e in zip(xs, ends)]
 
 
 def vm_cdf_quadrature(params: VonMisesParams, x: float, tol: float = 1e-12) -> float:
     """Circular distribution function at one point: `vm_cdf_sweep` of (x,).
 
     x must lie in the principal window (mu - pi, mu + pi]; tol is
-    absolute, and the value may exceed 1 by up to tol towards mu + pi.
+    absolute.  The mass is integrated outwards from mu, so x = mu gives
+    exactly 1/2, and the value may leave [0, 1] by up to tol at either
+    end of the window.
     """
     return vm_cdf_sweep(params, (x,), tol)[0]
 

@@ -150,13 +150,25 @@ def test_error_scan_needs_kappa_min_below_kappa_max(lo, hi, capsys):
 
 
 CDF_QUAD_ARGS = ["eval", "--mu", "0", "--kappa", "100", "--x", "0.1", "--quantity", "cdf-quad"]
+# no panel of the mass on [mu, x] meets this tolerance before the fixed
+# bisection depth (x = mu would need no quadrature at all)
+FAILING_CDF_QUAD_ARGS = ["eval", "--mu", "0", "--kappa", "100", "--x", "-2.0",
+                         "--quantity", "cdf-quad", "--tol", "1e-300"]
 
 
 def test_numerical_failure_exit_code(cli_env):
-    # no panel meets this tolerance before the fixed bisection depth
-    r = run_cli(CDF_QUAD_ARGS + ["--tol", "1e-300"], cli_env)
+    r = run_cli(FAILING_CDF_QUAD_ARGS, cli_env)
     assert r.returncode == 2
     assert b"numerical failure" in r.stderr
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "table.csv"
+    assert run(["table", "--mu", "0", "--kappa", "100", "--out", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert str(out_path) in captured.err
 
 
 def test_environment_does_not_change_quadrature(cli_env):
@@ -466,7 +478,7 @@ MIXED_RUNS = [
     ["eval", "--mu", "0", "--kappa", "1"],  # usage error: exit 1
     ["error-scan", "--target", "cdf", "--kappa-min", "64", "--kappa-max", "256", "--steps", "3", "--grid", "11"],
     ["table", "--help"],  # exit 0
-    CDF_QUAD_ARGS + ["--tol", "1e-300"],  # numerical failure: exit 2
+    FAILING_CDF_QUAD_ARGS,  # numerical failure: exit 2
     ["convergence", "--kappas", "4,16", "--grid", "21", "--format", "json"],
     ["eval", "--mu", "1", "--kappa", "8", "--x", "1.2", "--quantity", "logratio-exact"],
     ["--help"],

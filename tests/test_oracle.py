@@ -182,9 +182,12 @@ def test_vm_cdf_monotone():
 
 
 def test_vm_cdf_nonconvergence_raises():
-    for kappa in (0.5, 100.0, 500.0, 3000.0):
+    # x = mu needs no quadrature, so the failing points lie off the mode;
+    # at kappa = 0.5 shorter segments (x = 1.0, -2.0, 3.0) still converge
+    cases = [(0.5, math.pi)] + [(k, x) for k in (100.0, 500.0, 3000.0) for x in (1.0, -2.0)]
+    for kappa, x in cases:
         with pytest.raises(QuadratureError, match="at depth 40"):
-            vm_cdf_quadrature(VonMisesParams(0.0, kappa), 0.0, 1e-300)
+            vm_cdf_quadrature(VonMisesParams(0.0, kappa), x, 1e-300)
 
 
 def test_vm_cdf_window_domain():
@@ -198,10 +201,14 @@ def test_vm_cdf_window_domain():
 
 
 def test_vm_cdf_may_exceed_one_by_at_most_tol():
-    # the result is within tol of F and is not clamped
+    # the result is within tol of F and is not clamped, so at either end of
+    # the window it may leave [0, 1] by up to tol
     tol = 1e-12
-    got = vm_cdf_quadrature(VonMisesParams(0.0, 3000.0), math.pi, tol)
-    assert 1.0 < got <= 1.0 + tol
+    p = VonMisesParams(0.0, 3000.0)
+    top = vm_cdf_quadrature(p, math.pi, tol)
+    bottom = vm_cdf_quadrature(p, -math.pi + 1e-15, tol)
+    assert -tol <= bottom <= tol
+    assert 1.0 - tol <= top <= 1.0 + tol
 
 
 def test_vm_cdf_very_large_kappa_clipped_domain():
@@ -211,10 +218,10 @@ def test_vm_cdf_very_large_kappa_clipped_domain():
 
 
 def test_vm_cdf_pinned_value():
-    # one point through the sweep: the cuts, tolerances and summation
-    # order of the per-point quadrature, so the value is unchanged bitwise
+    # one point through the sweep: 1/2 plus the mass on [mu, x], one
+    # segment at tol / inv_norm, so reruns give these bits
     got = vm_cdf_quadrature(VonMisesParams(0.0, 100.0), 0.1)
-    assert got == 0.8409395426154802
+    assert got == 0.8409395426154801
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         kappa = mpmath.mpf(100)
@@ -227,7 +234,7 @@ def test_vm_cdf_pinned_value():
 
 
 def _sweep_grid(kappa, mu):
-    # points out to 30 sigma (so the 20-sigma anchors lie inside), clipped
+    # points out to 30 sigma (so the 20-sigma anchor lies inside), clipped
     # to the window, plus points in both tails
     sigma = VonMisesParams(mu, kappa).variance.sigma
     ts = [j * 1.5 * sigma for j in range(-20, 21)] + [-3.0, -1.0, 1.0, 3.0, math.pi]
@@ -235,7 +242,7 @@ def _sweep_grid(kappa, mu):
 
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-10])
-@pytest.mark.parametrize("kappa", [2.0, 299.5, 600.75, 4096.0, 1e5])
+@pytest.mark.parametrize("kappa", [1e-3, 2.0, 299.5, 600.75, 4096.0, 1e5])
 def test_vm_cdf_sweep_matches_per_point_within_tol(kappa, tol):
     p = VonMisesParams(1.0, kappa)
     xs = _sweep_grid(kappa, 1.0)
@@ -247,8 +254,9 @@ def test_vm_cdf_sweep_matches_per_point_within_tol(kappa, tol):
 
 @pytest.mark.parametrize("lo", [-25.0, -19.0])
 def test_vm_cdf_sweep_very_large_kappa_across_20_sigma(lo):
-    # at kappa >= 1e4 the sweep starts at -20 sigma unless its first point
-    # lies below; either way each value is within tol of the per-point one
+    # the farthest point lies 25 sigma out, below the mode or only above
+    # it; either way the +20 sigma cut is made once and each value is
+    # within tol of the per-point one
     p = VonMisesParams(0.0, 3e5)
     sigma = p.variance.sigma
     xs = [(lo + 0.5 * j) * sigma for j in range(int(2 * (25.0 - lo)) + 1)]
@@ -269,6 +277,66 @@ def test_vm_cdf_sweep_is_monotone_and_repeats_equal_points():
     assert vals[10] == vals[11]
 
 
+@pytest.mark.parametrize("mu", [0.0, 1.0, -2.5])
+def test_vm_cdf_point_integrates_only_from_mu(count_calls, mu):
+    # F(mu) is exactly 1/2 with no quadrature; a point within 20 sigma is
+    # one segment, and one beyond it two (the cut at 20 sigma)
+    calls = count_calls(backend, "vm_scaled_mass")
+    for kappa in (1e-3, 2.0, 1e6):
+        p = VonMisesParams(mu, kappa)
+        assert vm_cdf_quadrature(p, p.mu) == 0.5
+        assert vm_cdf_sweep(p, [p.mu, p.mu]) == [0.5, 0.5]
+    assert calls == []
+    p = VonMisesParams(mu, 1e6)
+    for t, segments in ((-3.0, 1), (19.0, 1), (-25.0, 2), (1000.0, 2)):
+        del calls[:]
+        vm_cdf_quadrature(p, p.mu + t * p.variance.sigma)
+        assert len(calls) == segments
+
+
+@pytest.mark.parametrize("kappa", [1e-3, 2.0, 100.0, 1e4, 1e6])
+def test_vm_cdf_is_symmetric_about_mu(kappa):
+    # F(mu - t) and F(mu + t) are 1/2 minus and plus the same mass
+    p = VonMisesParams(0.0, kappa)
+    sigma = p.variance.sigma
+    ts = sorted(t for t in (0.3 * sigma, 2.0 * sigma, 30.0 * sigma, 1.0, 3.14) if t < math.pi)
+    swept = vm_cdf_sweep(p, [-t for t in reversed(ts)] + ts)
+    below = swept[len(ts) - 1 :: -1]
+    above = swept[len(ts) :]
+    for t, lo, hi in zip(ts, below, above):
+        assert abs(lo + hi - 1.0) <= 4 * math.ulp(1.0)
+        assert abs(vm_cdf_quadrature(p, -t) + vm_cdf_quadrature(p, t) - 1.0) <= 4 * math.ulp(1.0)
+
+
+def _mpmath_cdf(mpmath, kappa, t):
+    # mass from -pi to t, integrated forwards (not from the mode), split at
+    # a few widths 1/sqrt(kappa) so the quadrature resolves the peak
+    k = mpmath.mpf(kappa)
+    width = min(mpmath.pi, 1 / mpmath.sqrt(k))
+    cuts = [c * width for c in (-40, -8, -2, 0, 2, 8, 40)]
+    pts = [-mpmath.pi] + [c for c in cuts if -mpmath.pi < c < t] + [t]
+    mass = mpmath.quad(lambda u: mpmath.exp(-2 * k * mpmath.sin(u / 2) ** 2), pts)
+    return mass / (2 * mpmath.pi * mpmath.besseli(0, k) * mpmath.exp(-k))
+
+
+@pytest.mark.parametrize("kappa", [1e-3, 0.5, 2.0, 100.0, 1e4, 1e6])
+def test_vm_cdf_matches_mpmath_on_both_sides(kappa):
+    mpmath = pytest.importorskip("mpmath")
+    tol = 1e-12
+    mu = 0.75
+    p = VonMisesParams(mu, kappa)
+    sigma = p.variance.sigma
+    ts = [0.3 * sigma, 2.0 * sigma, 7.0 * sigma, 1.0, math.pi - 1e-6]
+    ts = sorted(s * t for t in ts for s in (-1.0, 1.0) if t < math.pi) + [math.pi]
+    xs = [mu + t for t in ts]
+    swept = vm_cdf_sweep(p, xs, tol)
+    with mpmath.workdps(30):
+        for x, f in zip(xs, swept):
+            ref = _mpmath_cdf(mpmath, kappa, mpmath.mpf(x) - mpmath.mpf(mu))
+            assert abs(f - ref) <= tol
+            assert abs(vm_cdf_quadrature(p, x, tol) - ref) <= tol
+
+
 @pytest.mark.parametrize(
     "xs, message",
     [
@@ -286,20 +354,21 @@ def test_vm_cdf_sweep_rejects_bad_points(xs, message):
 
 
 def test_table_integrates_each_segment_once(count_calls, capsys):
-    # one sweep over the grid: a segment from -pi, one per neighbouring
-    # pair of points and at most three anchors, instead of ~3 per point
+    # one sweep outwards from the mode: at mu = 0 the grid's offsets pair
+    # up, so one segment per distinct |x - mu| > 0 (100 of them) plus the
+    # +20 sigma cut (the grid reaches 32 sigma)
     calls = count_calls(backend, "vm_scaled_mass")
     assert cli.run(["table", "--mu", "0", "--kappa", "4096", "--grid", "201"]) == 0
     capsys.readouterr()
-    assert 0 < len(calls) <= 201 + 4
+    assert 0 < len(calls) <= (201 + 1) // 2 + 1
 
 
 @pytest.mark.parametrize(
     "kappas, outcome",
     [
         pytest.param([1024.0, 1280.0, 1536.0], contextlib.nullcontext(), id="1024.0"),
-        # from kappa = 1e4 the sweep may start at -20 sigma; the residuals
-        # sink below the floor there, so the scan fails after its work
+        # the residuals sink below the floating-point floor at these
+        # kappas, so the scan fails after its work
         pytest.param(
             [16384.0, 32768.0, 65536.0],
             pytest.raises(ValueError, match="too few residuals"),
@@ -308,12 +377,13 @@ def test_table_integrates_each_segment_once(count_calls, capsys):
     ],
 )
 def test_cdf_residual_scan_integrates_each_segment_once(count_calls, kappas, outcome):
-    # per kappa, one sweep over the grid plus the slope point's own quadrature
+    # per kappa, one sweep over the paired offsets of the grid (plus the
+    # +20 sigma cut) and the slope point's own quadrature
     calls = count_calls(backend, "vm_scaled_mass")
     with outcome:
         residual_scan(BulkSpec.fixed(0.5), kappas, 201, "cdf")
     assert sorted(set(calls)) == kappas
-    assert max(calls.count(k) for k in kappas) <= 201 + 4
+    assert max(calls.count(k) for k in kappas) <= (201 + 1) // 2 + 2
 
 
 @pytest.mark.parametrize("kappas", [[1024.0], [1024.0, 2048.0]])
