@@ -1,20 +1,14 @@
 """circbridge: numerics connecting the circular and linear normal laws.
 
 Exact circular normal and wrapped normal densities, the matched-scale
-relation between their dispersions, high-accuracy modified Bessel
-functions, local density/CDF approximations for large concentration with
-controlled error order, and brute-force oracles plus scan machinery to
-validate every claimed order empirically.
+relation between their dispersions, the asymptotic brackets of the
+modified Bessel functions I0 and I1, local density/CDF approximations
+for large concentration with controlled error order, and brute-force
+oracles plus scan machinery to validate every claimed order empirically.
 """
 
 from .backend import backend_name
-from .bessel import (
-    SERIES_CUTOFF,
-    bessel_i0_series,
-    bessel_i0e_asymptotic,
-    bessel_i1e_asymptotic,
-    log_i0,
-)
+from .bessel import bessel_i0e_asymptotic, bessel_i1e_asymptotic
 from .distributions import (
     CircularVariance,
     VonMisesParams,
@@ -51,7 +45,6 @@ from .oracle import (
     QuadratureResult,
     ScanReport,
     adaptive_quadrature,
-    bessel_i0_integral,
     residual_scan,
     slope_fit,
     vm_cdf_quadrature,
@@ -67,21 +60,17 @@ __all__ = [
     "QuadratureError",
     "QuadratureResult",
     "ScanReport",
-    "SERIES_CUTOFF",
     "StandardizedDeviate",
     "VonMisesParams",
     "WrappedNormalParams",
     "adaptive_quadrature",
     "backend_name",
-    "bessel_i0_integral",
-    "bessel_i0_series",
     "bessel_i0e_asymptotic",
     "bessel_i1e_asymptotic",
     "cdf_expansion",
     "circular_variance_exact",
     "circular_variance_expansion",
     "in_bulk",
-    "log_i0",
     "log_ratio_exact",
     "log_ratio_expansion",
     "matched_sup_gap",

@@ -1,10 +1,12 @@
 """Compute kernels: the package's hot numerical loops.
 
-The I0 power series, the one per-concentration kernel (a trapezoid sum
-that gives e^-kappa I0(kappa) and the circular variance together), the
-15-point Gauss-Kronrod rule with its adaptive bisection, quadrature of
-the concentrated circular density, and the wrapped-normal lattice and
-Fourier sums.  Plain Python; there is nothing to compile.
+The one per-concentration kernel (a trapezoid sum that gives
+e^-kappa I0(kappa) and the circular variance together), the 15-point
+Gauss-Kronrod rule with its adaptive bisection, quadrature of the
+concentrated circular density, and the wrapped-normal lattice and
+Fourier sums.  Plain Python; there is nothing to compile.  The I0 power
+series `i0_series_sum`, the `sigma2_series` alias and `backend_name`
+remain only because the benchmark reads them.
 """
 
 import math
@@ -14,6 +16,9 @@ TWO_PI = 2.0 * math.pi
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
+# `i0_series_sum` and its two constants have no caller in the package:
+# perfbench/tracing.py wraps the function, and the next change to the
+# benchmark deletes all three.
 # Series terms below this fraction of the running sum no longer move a double.
 _TERM_EPS = 1e-17
 _MAX_TERMS = 200000
@@ -64,6 +69,8 @@ class QuadratureError(ArithmeticError):
     """Raised when adaptive refinement cannot reach the requested tolerance."""
 
 
+# perfbench/worker.py records this name; the next change to the benchmark
+# drops the call and the function.
 def backend_name():
     """Name of the kernel implementation; always 'python'."""
     return "python"

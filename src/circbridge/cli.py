@@ -24,6 +24,7 @@ from . import __version__, oracle
 from .distributions import (
     SQRT2,
     VonMisesParams,
+    _require_tol,
     _vm_density_value,
     matched_sup_gap,
     normalize_angle,
@@ -346,6 +347,7 @@ def run(argv):
     try:
         if not (6 <= args.precision <= 17):
             raise ValueError("--precision must be in [6, 17]")
+        _require_tol(args.tol)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -43,31 +43,19 @@ def wrap_angle(t: float) -> float:
     return t
 
 
-class _variance_needs_kappa:
-    """The class-level `variance`, read only when kappa == 0: there
-    __post_init__ stores no variance, and every read raises."""
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        raise ValueError("kappa must be > 0, got %r" % (obj.kappa,))
-
-
 @dataclass(frozen=True)
 class VonMisesParams:
     """Mean direction mu (normalized to [0, 2*pi)) and concentration kappa >= 0.
 
     Also carries the per-concentration values every evaluation at this
     kappa shares, set at construction from one call of the kernel
-    `backend.i0e_sigma2`: `i0e`, `log_i0e` and, for kappa > 0, `variance`
-    (reading `variance` at kappa == 0 raises ValueError).  Equality,
-    hashing and repr depend on (mu, kappa) alone.
+    `backend.i0e_sigma2`: `i0e`, `log_i0e` and `variance`.  At kappa == 0
+    the law is uniform: i0e is 1 and the circular variance is 1.
+    Equality, hashing and repr depend on (mu, kappa) alone.
     """
 
     mu: float
     kappa: float
-
-    variance = _variance_needs_kappa()
 
     def __post_init__(self):
         if not (-math.inf < self.mu < math.inf):
@@ -80,8 +68,7 @@ class VonMisesParams:
         i0e, sigma2 = backend.i0e_sigma2(self.kappa)
         object.__setattr__(self, "i0e", i0e)
         object.__setattr__(self, "log_i0e", math.log(i0e))
-        if self.kappa > 0.0:
-            object.__setattr__(self, "variance", CircularVariance(value=sigma2))
+        object.__setattr__(self, "variance", CircularVariance(value=sigma2))
 
 
 @dataclass(frozen=True)
@@ -232,6 +219,8 @@ def wn_circular_variance(v: float) -> float:
     return -math.expm1(-0.5 * v * v)
 
 
+# No package code calls this; perfbench/worker.py does, until the next
+# change to the benchmark reads SQRT2 * params.variance.sigma instead.
 def matched_wn_scale(kappa: float) -> float:
     """Wrapped-normal scale matching the circular variance: v = sqrt(2) sigma."""
     return SQRT2 * circular_variance_exact(kappa).sigma

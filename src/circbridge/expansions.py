@@ -294,8 +294,9 @@ def reference_normal_density(params: VonMisesParams, x: float) -> float:
 def normalization_log_constant(kappa: float, mode: str = "exact", centered: bool = False) -> float:
     """Log normalization constant -log(2 pi)/2 - log I0 + log(2)/2 + log(sigma^2)/2.
 
-    Exact mode computes the left side from the Bessel series; expansion
-    mode returns -kappa + 3/(64 kappa^2) + 13/(128 kappa^3).  With
+    Exact mode computes the left side from the per-kappa values of a
+    `VonMisesParams`, one call of the kernel `backend.i0e_sigma2`;
+    expansion mode returns -kappa + 3/(64 kappa^2) + 13/(128 kappa^3).  With
     centered=True the leading -kappa is dropped, which keeps the two
     modes comparable to full precision at large kappa (the full values
     round to ulp(kappa) once stored).

@@ -2,9 +2,8 @@
 
 Everything the expansions are validated against lives here: adaptive
 Gauss-Kronrod quadrature of any integrand (on the kernels' GK15 engine),
-the integral representation of I0, quadrature of the circular
-distribution function, residual scans over the bulk, and the log-log
-slope fit used to measure decay orders.
+quadrature of the circular distribution function, residual scans over
+the bulk, and the log-log slope fit used to measure decay orders.
 """
 
 import bisect
@@ -70,27 +69,6 @@ def adaptive_quadrature(
     _require_tol(tol)
     value, err, evals = backend.adaptive_gk15(backend.gk15_panel, f, a, b, tol)
     return QuadratureResult(value=value, abs_error_estimate=err, evaluations=evals)
-
-
-def bessel_i0_integral(kappa: float, tol: float = 1e-13) -> float:
-    """I0(kappa) from its integral representation (1/pi) int_0^pi e^(kappa cos t) dt.
-
-    Deliberately independent of the power series.  The integrand is
-    evaluated in the scaled form e^(kappa(cos t - 1)) and rescaled at the
-    end, which restricts kappa to at most 700 before e^kappa overflows.
-    tol is relative.
-    """
-    if not (0.0 <= kappa <= 700.0):
-        raise ValueError("kappa must be in [0, 700], got %r" % (kappa,))
-    _require_tol(tol)
-
-    def g(t):
-        return math.exp(kappa * (math.cos(t) - 1.0))
-
-    coarse = adaptive_quadrature(g, 0.0, math.pi, 1e-4)
-    abs_tol = 0.5 * tol * coarse.value
-    fine = adaptive_quadrature(g, 0.0, math.pi, abs_tol)
-    return math.exp(kappa) * fine.value / math.pi
 
 
 def vm_cdf_sweep(

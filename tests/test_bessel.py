@@ -1,39 +1,41 @@
 import math
 
 import pytest
-from references import MPMATH_KAPPAS, i0e_series_reference, i1e_series_reference
+from references import (
+    MPMATH_KAPPAS,
+    bessel_i0_integral,
+    i0e_series_reference,
+    i1e_series_reference,
+)
 
 from circbridge import oracle
-from circbridge.bessel import (
-    SERIES_CUTOFF,
-    bessel_i0_series,
-    bessel_i0e_asymptotic,
-    bessel_i1e_asymptotic,
-    i0e,
-    log_i0,
-    log_i0e,
-)
+from circbridge.bessel import bessel_i0e_asymptotic, bessel_i1e_asymptotic, i0e, log_i0e
 
 
 def rel(a, b):
     return abs(a - b) / abs(b)
 
 
+def i0(x):
+    # the package's I0: the per-kappa kernel's scaled value, rescaled
+    return i0e(x) * math.exp(x)
+
+
 def test_i0_series_at_zero():
-    assert bessel_i0_series(0.0) == 1.0
+    assert i0(0.0) == 1.0
 
 
 def test_i0_series_matches_integral_representation():
-    got = bessel_i0_series(2.0)
-    ref = oracle.bessel_i0_integral(2.0, 1e-13)
+    got = i0(2.0)
+    ref = bessel_i0_integral(2.0, 1e-13)
     assert rel(got, ref) <= 1e-12
     # independent high-precision value
     assert rel(got, 2.2795853023360673) <= 1e-14
 
 
 def test_i0_series_matches_compensated_reference():
-    # same series, twice the term count, compensated summation
-    got = bessel_i0_series(1.0) * math.exp(-1.0)
+    # the power series summed with compensation, to twice the term count
+    got = i0e(1.0)
     ref = i0e_series_reference(1.0)
     assert rel(got, ref) <= 1e-15
 
@@ -62,9 +64,9 @@ def test_i1_small_argument_limit(x):
 
 
 def test_scaled_value_consistency():
-    # i0e (the trapezoid kernel) agrees with the series value scaled by e^-x
+    # i0e (the trapezoid kernel) agrees with I0 rescaled by e^-x
     for x in [0.5, 3.0, 30.0, 250.0, 599.0]:
-        value = bessel_i0_series(x)
+        value = i0(x)
         assert rel(i0e(x), value * math.exp(-x)) <= 2e-15
         assert value > 0.0
 
@@ -89,54 +91,35 @@ def test_asym_brackets_match_scaled_series_at_500():
 
 
 def test_log_i0_at_zero():
-    assert log_i0(0.0) == 0.0
-
-
-@pytest.mark.parametrize("kappa", [1e-8, 1e-6, 1e-3, 0.1, 1.0])
-def test_log_i0_small_kappa_vs_mpmath(kappa):
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        ref = mpmath.log(mpmath.besseli(0, kappa))
-        assert abs((log_i0(kappa) - ref) / ref) <= 1e-15
-
-
-def test_log_i0_matches_series_log():
-    assert log_i0(2.0) == math.log(bessel_i0_series(2.0))
-
-
-def test_log_i0_branch_handoff():
-    # both branches evaluated at the crossover itself
-    k = SERIES_CUTOFF
-    series_branch = math.log(bessel_i0_series(k))
-    asym_branch = (
-        k - 0.5 * math.log(2.0 * math.pi * k) + math.log(bessel_i0e_asymptotic(k, 3))
-    )
-    assert abs(series_branch - asym_branch) <= 1e-12
+    assert log_i0e(0.0) == 0.0
 
 
 def test_log_i0e_consistency():
+    # log(e^-k I0(k)) against the log of the compensated series, and
+    # beyond its range against the order-3 asymptotic bracket
     for k in [0.5, 10.0, 300.0, 599.0]:
-        assert abs(log_i0e(k) - (log_i0(k) - k)) <= 1e-10
-    assert abs(log_i0e(5000.0) - (log_i0(5000.0) - 5000.0)) <= 1e-9
+        assert abs(log_i0e(k) - math.log(i0e_series_reference(k))) <= 1e-10
+    asym = -0.5 * math.log(2.0 * math.pi * 5000.0) + math.log(bessel_i0e_asymptotic(5000.0, 3))
+    assert abs(log_i0e(5000.0) - asym) <= 1e-9
 
 
 def test_i0_strictly_increasing():
     grid = [0.5 * i for i in range(61)]  # 0 .. 30
-    vals = [bessel_i0_series(x) for x in grid]
+    vals = [i0(x) for x in grid]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0])
 def test_series_vs_integral_representation(kappa):
-    got = bessel_i0_series(kappa)
-    ref = oracle.bessel_i0_integral(kappa, 1e-13)
+    got = i0(kappa)
+    ref = bessel_i0_integral(kappa, 1e-13)
     assert rel(got, ref) <= 1e-12
 
 
 def test_i0e_helper_branches():
     assert rel(i0e(30.0), i0e_series_reference(30.0)) <= 1e-13
-    # beyond the series cutoff, where log_i0 stops summing the series,
-    # i0e is still the same kernel
+    # past kappa = 600, where I0 itself nears double overflow, i0e is
+    # still the same kernel
     got = i0e(650.0)
     ref = i0e_series_reference(650.0)
     assert rel(got, ref) <= 1e-12
@@ -144,9 +127,7 @@ def test_i0e_helper_branches():
 
 def test_domain_and_range_errors():
     with pytest.raises(ValueError):
-        bessel_i0_series(-1.0)
-    with pytest.raises(ValueError):
-        bessel_i0_series(SERIES_CUTOFF + 1.0)
+        i0e(-1.0)
     with pytest.raises(ValueError):
         bessel_i0e_asymptotic(0.0, 3)
     with pytest.raises(ValueError):
@@ -154,12 +135,10 @@ def test_domain_and_range_errors():
     with pytest.raises(ValueError):
         bessel_i1e_asymptotic(10.0, -1)
     with pytest.raises(ValueError):
-        log_i0(-2.0)
+        log_i0e(-2.0)
 
 
-@pytest.mark.parametrize(
-    "fn", [bessel_i0_series, i0e, log_i0e, log_i0], ids=lambda fn: fn.__name__
-)
+@pytest.mark.parametrize("fn", [i0e, log_i0e], ids=lambda fn: fn.__name__)
 @pytest.mark.parametrize("x", [float("inf"), float("nan")])
 def test_non_finite_argument_rejected(fn, x):
     with pytest.raises(ValueError, match="finite"):
@@ -194,7 +173,7 @@ def test_extreme_kappa_values(kappa):
         assert float(abs(log_i0e(kappa) - log_ref)) <= 2e-15 * max(1.0, float(abs(log_ref)))
 
 
-@pytest.mark.parametrize("fn", [i0e, log_i0e, log_i0], ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("fn", [i0e, log_i0e], ids=lambda fn: fn.__name__)
 def test_kappa_beyond_kernel_range_rejected(fn):
     # -2 kappa would overflow; the kernel refuses rather than return nan
     with pytest.raises(ValueError, match="kappa.*1.7e\\+308"):

@@ -120,6 +120,38 @@ def test_eval_rejects_infinite_tol(capsys):
     assert "tol must be finite" in capsys.readouterr().err
 
 
+# one run per subcommand; the eval and error-scan runs take paths that
+# never read --tol, so only a check in cli.run can reject it there
+SUBCOMMAND_RUNS = [
+    ["eval", "--mu", "0", "--kappa", "5", "--x", "0.1", "--quantity", "density"],
+    ["table", "--mu", "0", "--kappa", "100", "--grid", "11"],
+    ["error-scan", "--target", "log_ratio", "--kappa-min", "32", "--kappa-max", "128",
+     "--steps", "3", "--grid", "11"],
+    ["convergence", "--kappas", "4,16", "--grid", "11"],
+]
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("argv", SUBCOMMAND_RUNS, ids=lambda argv: argv[0])
+def test_every_subcommand_rejects_invalid_tol(argv, tol, capsys):
+    assert run(argv + ["--tol=" + tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tol must be finite and > 0" in captured.err
+
+
+def test_eval_cdf_quad_at_zero_kappa_is_uniform(capsys):
+    # kappa = 0 gives the uniform answer 1/2 + 1/(2 pi), as kappa = 1e-300 does
+    lines = {}
+    for kappa in ("0", "1e-300"):
+        argv = ["eval", "--mu", "0", "--kappa", kappa, "--x", "1", "--quantity", "cdf-quad"]
+        assert run(argv) == 0
+        lines[kappa] = capsys.readouterr().out.strip().split("\n")[1].split(",")
+    assert lines["0"][2] == "0.0"
+    del lines["0"][2], lines["1e-300"][2]
+    assert lines["0"] == lines["1e-300"] == ["cdf-quad", "0.0", "1.0", "0.6591549430918954"]
+
+
 @pytest.mark.parametrize(
     "option, value", [("--kappa-min", "nan"), ("--kappa-max", "inf"), ("--kappa-max", "nan")]
 )

@@ -50,9 +50,13 @@ def test_deviate_scaling_against_reference():
     assert sd.delta_tilde == sd.delta / SQRT2
 
 
-def test_deviate_requires_positive_kappa():
-    with pytest.raises(ValueError):
-        standardized_deviate(VonMisesParams(0.0, 0.0), 0.1)
+def test_deviate_at_zero_kappa_is_the_offset():
+    # sigma = 1 for the uniform law, so delta = x - mu; the expansions
+    # in 1/kappa still need kappa > 0
+    p = VonMisesParams(0.5, 0.0)
+    assert standardized_deviate(p, 1.25).delta == 1.25 - 0.5
+    with pytest.raises(ValueError, match="^kappa must be > 0, got 0.0$"):
+        log_ratio_expansion(0.1, 0.0, 2)
 
 
 # ------------------------------------------------------------- bulk region

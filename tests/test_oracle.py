@@ -2,6 +2,7 @@ import contextlib
 import math
 
 import pytest
+from references import bessel_i0_integral
 
 from circbridge import backend, bessel, cli, oracle
 from circbridge.distributions import VonMisesParams, WrappedNormalParams, vm_density, wn_density
@@ -9,7 +10,6 @@ from circbridge.expansions import BulkSpec
 from circbridge.oracle import (
     QuadratureError,
     adaptive_quadrature,
-    bessel_i0_integral,
     residual_scan,
     slope_fit,
     vm_cdf_quadrature,
@@ -118,7 +118,7 @@ def test_i0_integral_at_zero():
 
 def test_i0_integral_matches_series():
     got = bessel_i0_integral(2.0, 1e-13)
-    ref = bessel.bessel_i0_series(2.0)
+    ref = bessel.i0e(2.0) * math.exp(2.0)
     assert abs(got - ref) / ref <= 1e-12
 
 
@@ -141,16 +141,15 @@ def test_i0_integral_guards():
 
 
 def test_i0_integral_independent_of_series(monkeypatch):
-    # structural independence: the integral route must not touch the
-    # series code paths
+    # structural independence: the integral reference must not touch the
+    # per-kappa kernel it checks
     def boom(*a, **k):
-        raise AssertionError("series code path used by the integral oracle")
+        raise AssertionError("per-kappa kernel used by the integral reference")
 
-    monkeypatch.setattr(bessel, "bessel_i0_series", boom)
-    monkeypatch.setattr(backend, "i0_series_sum", boom)
+    monkeypatch.setattr(backend, "i0e_sigma2", boom)
     got = bessel_i0_integral(2.0, 1e-13)
     monkeypatch.undo()
-    ref = bessel.bessel_i0_series(2.0)
+    ref = bessel.i0e(2.0) * math.exp(2.0)
     assert abs(got - ref) / ref <= 1e-12
 
 
@@ -170,6 +169,15 @@ def test_vm_cdf_one_at_window_end():
 def test_vm_cdf_tiny_near_window_start():
     p = VonMisesParams(0.0, 20.0)
     assert vm_cdf_quadrature(p, -math.pi + 1e-9, 1e-13) <= 1e-12
+
+
+def test_vm_cdf_at_zero_kappa_is_uniform():
+    # kappa = 0 is the uniform law: F(x) = 1/2 + (x - mu) / (2 pi)
+    p = VonMisesParams(1.0, 0.0)
+    tol = 1e-12
+    xs = [p.mu - math.pi + 2.0 * math.pi * j / 200.0 for j in range(1, 201)]
+    got = vm_cdf_sweep(p, xs, tol)
+    assert max(abs(g - (0.5 + (x - p.mu) / (2.0 * math.pi))) for g, x in zip(got, xs)) <= tol
 
 
 def test_vm_cdf_monotone():
@@ -196,8 +204,9 @@ def test_vm_cdf_window_domain():
         vm_cdf_quadrature(p, -math.pi, 1e-10)
     with pytest.raises(ValueError):
         vm_cdf_quadrature(p, math.pi + 0.1, 1e-10)
-    with pytest.raises(ValueError):
-        vm_cdf_quadrature(VonMisesParams(0.0, 0.0), 0.5, 1e-10)
+    # kappa = 0, the uniform law, is in the domain
+    uniform = vm_cdf_quadrature(VonMisesParams(0.0, 0.0), 0.5, 1e-10)
+    assert abs(uniform - (0.5 + 0.5 / (2.0 * math.pi))) <= 1e-10
 
 
 def test_vm_cdf_may_exceed_one_by_at_most_tol():
