@@ -11,9 +11,21 @@ import math
 from . import backend
 
 
-def _check_order(order):
+# the 1/kappa, 1/kappa^2 and 1/kappa^3 coefficients of each bracket
+_I0_TERMS = (0.125, 0.0703125, 0.0732421875)
+_I1_TERMS = (-0.375, -0.1171875, -0.1025390625)
+
+
+def _bracket(terms, kappa, order):
+    if not (kappa > 0.0):
+        raise ValueError("kappa must be > 0, got %r" % (kappa,))
     if order not in (0, 1, 2, 3):
         raise ValueError("asymptotic order must be in {0,1,2,3}, got %r" % (order,))
+    u = 1.0 / kappa
+    b = 1.0
+    for c, p in zip(terms[:order], (u, u * u, u * u * u)):
+        b += c * p
+    return b
 
 
 def bessel_i0e_asymptotic(kappa: float, order: int = 3) -> float:
@@ -22,34 +34,12 @@ def bessel_i0e_asymptotic(kappa: float, order: int = 3) -> float:
     Order counts the 1/kappa correction terms kept beyond the leading one:
     1 + 1/(8k) + 9/(128k^2) + 75/(1024k^3).
     """
-    if not (kappa > 0.0):
-        raise ValueError("kappa must be > 0, got %r" % (kappa,))
-    _check_order(order)
-    u = 1.0 / kappa
-    b = 1.0
-    if order >= 1:
-        b += 0.125 * u
-    if order >= 2:
-        b += 0.0703125 * (u * u)
-    if order >= 3:
-        b += 0.0732421875 * (u * u * u)
-    return b
+    return _bracket(_I0_TERMS, kappa, order)
 
 
 def bessel_i1e_asymptotic(kappa: float, order: int = 3) -> float:
     """Truncated asymptotic bracket for I1: 1 - 3/(8k) - 15/(128k^2) - 105/(1024k^3)."""
-    if not (kappa > 0.0):
-        raise ValueError("kappa must be > 0, got %r" % (kappa,))
-    _check_order(order)
-    u = 1.0 / kappa
-    b = 1.0
-    if order >= 1:
-        b -= 0.375 * u
-    if order >= 2:
-        b -= 0.1171875 * (u * u)
-    if order >= 3:
-        b -= 0.1025390625 * (u * u * u)
-    return b
+    return _bracket(_I1_TERMS, kappa, order)
 
 
 def i0e(kappa: float) -> float:

@@ -93,9 +93,13 @@ class BulkSpec:
         Returns (dts, xs): the deviates delta_tilde = j * step for
         j = -half..half, half = (size - 1) / 2, with the outermost on the
         bulk edge, and the points x = mu + sqrt(2) sigma delta_tilde.
-        Raises ValueError when the bulk edge, sigma times the half-width,
+        Raises ValueError unless size is odd and >= TABLE_MIN_GRID and
+        kappa > 0, and when the bulk edge, sigma times the half-width,
         reaches pi, where the grid would leave the circle.
         """
+        if not grid_size_ok(size, TABLE_MIN_GRID):
+            raise ValueError("grid size must be odd and >= %d, got %r" % (TABLE_MIN_GRID, size))
+        _require_positive_kappa(params.kappa)
         half = (size - 1) // 2
         step = self.delta_halfwidth(params.kappa) / SQRT2 / half
         dts = [j * step for j in range(-half, half + 1)]

@@ -6,7 +6,6 @@ quadrature of the circular distribution function, residual scans over
 the bulk, and the log-log slope fit used to measure decay orders.
 """
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
@@ -79,10 +78,10 @@ def vm_cdf_sweep(
     F(x) = integral of the density from mu - pi to x, for each x of xs,
     which must be non-decreasing and lie in the principal window
     (mu - pi, mu + pi].  The density is even about mu, so F(mu + t) =
-    1/2 + sgn(t) M(|t|), with M the mass on [mu, mu + |t|].  One sweep
-    outwards from the mode cuts [0, max |t|] at every distinct |t|, and
-    at 20 sigma when a point lies beyond it; each of the n segments is
-    integrated once, to tol / n, and M is their running sum.  So F(mu) is
+    1/2 + sgn(t) M(|t|), with M the mass on [mu, mu + |t|].  The cuts are
+    the sorted set of 0 and every |t|, plus 20 sigma when a point lies
+    beyond it; one sweep outwards from the mode integrates each of the n
+    segments once, to tol / n, and M is their running sum.  So F(mu) is
     exactly 1/2, and tol is absolute and holds for every value.  Values
     are not clamped: at either end of the window they may leave [0, 1]
     by up to tol.
@@ -106,33 +105,21 @@ def vm_cdf_sweep(
     # cut there keeps the first panel of a wide segment from stepping over
     # the peak at its start
     reach = min(math.pi, 20.0 * params.variance.sigma)
-    # merge the points below the mode, walked downwards, with those above
-    # it into ascending offsets |x - mu|, dropping any that repeat a cut
-    n = len(xs)
-    j = bisect.bisect_left(xs, mu)
-    i = j - 1
-    cuts = [0.0]
-    ends = [0] * n  # index into cuts of each point
-    while i >= 0 or j < n:
-        if j == n or (i >= 0 and mu - xs[i] <= xs[j] - mu):
-            k, a, i = i, mu - xs[i], i - 1
-        else:
-            k, a, j = j, xs[j] - mu, j + 1
-        if cuts[-1] < reach < a:
-            cuts.append(reach)
-        if a > cuts[-1]:
-            cuts.append(a)
-        ends[k] = len(cuts) - 1
+    ts = [x - mu for x in xs]
+    offsets = {0.0, *map(abs, ts)}
+    if max(offsets) > reach:
+        offsets.add(reach)
+    cuts = sorted(offsets)
     inv_norm = 1.0 / (2.0 * math.pi * params.i0e)
     seg_tol = tol / inv_norm / max(len(cuts) - 1, 1)
     kappa = params.kappa
-    halves = [0.0]  # inv_norm times the mass on [0, cut]
+    half = {0.0: 0.0}  # inv_norm times the mass on [0, cut], by cut
     mass = 0.0
     for lo, hi in zip(cuts, cuts[1:]):
         part, _err, _n = backend.vm_scaled_mass(kappa, lo, hi, seg_tol)
         mass += part
-        halves.append(inv_norm * mass)
-    return [0.5 - halves[e] if x < mu else 0.5 + halves[e] for x, e in zip(xs, ends)]
+        half[hi] = inv_norm * mass
+    return [0.5 - half[-t] if t < 0.0 else 0.5 + half[t] for t in ts]
 
 
 def vm_cdf_quadrature(params: VonMisesParams, x: float, tol: float = 1e-12) -> float:
@@ -149,8 +136,8 @@ def vm_cdf_quadrature(params: VonMisesParams, x: float, tol: float = 1e-12) -> f
 def slope_fit(points: Sequence[Tuple[float, float]]) -> float:
     """Least-squares slope of log(y) against log(x).
 
-    Needs at least three points with distinct positive abscissae and
-    positive ordinates.
+    Needs at least three points with distinct finite positive abscissae
+    and finite positive ordinates.
     """
     if len(points) < 3:
         raise ValueError("need at least 3 points, got %d" % len(points))
@@ -158,8 +145,8 @@ def slope_fit(points: Sequence[Tuple[float, float]]) -> float:
     ys = [p[1] for p in points]
     if len(set(xs)) != len(xs):
         raise ValueError("abscissae must be distinct")
-    if any(x <= 0.0 for x in xs) or any(y <= 0.0 for y in ys):
-        raise ValueError("slope fit needs positive coordinates")
+    if not all(0.0 < v < math.inf for v in xs + ys):
+        raise ValueError("slope fit needs finite positive coordinates")
     lx = [math.log(x) for x in xs]
     ly = [math.log(y) for y in ys]
     n = len(points)
@@ -244,16 +231,11 @@ def residual_scan(
         kappa = params.kappa
         kappa_cubed = kappa ** 3
         cdf_quad = vm_cdf_sweep(params, xs, quad_tol) if target == "cdf" else None
-        mr = 0.0
-        mn = 0.0
-        for dt, r in zip(dts, _scan_residuals(target, params, powers, xs, cdf_quad)):
-            if r > mr:
-                mr = r
-            rn = r * kappa_cubed / (1.0 + abs(dt) ** power)
-            if rn > mn:
-                mn = rn
-        max_res.append(mr)
-        max_norm.append(mn)
+        res = _scan_residuals(target, params, powers, xs, cdf_quad)
+        max_res.append(max(res))
+        max_norm.append(
+            max(r * kappa_cubed / (1.0 + abs(dt) ** power) for dt, r in zip(dts, res))
+        )
         x1 = params.mu + SQRT2 * params.variance.sigma
         cq1 = [vm_cdf_quadrature(params, x1, quad_tol)] if target == "cdf" else None
         slope_points.append((kappa, _scan_residuals(target, params, powers, [x1], cq1)[0]))

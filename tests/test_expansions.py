@@ -90,6 +90,19 @@ def test_bulk_grid_must_stay_on_the_circle():
     assert -math.pi < xs[0] and xs[-1] < math.pi
 
 
+@pytest.mark.parametrize("size", [1, 2, 4])
+def test_bulk_grid_rejects_sizes_that_are_not_odd_and_at_least_3(size):
+    # 4 used to give a 3-point grid, and 1 or 2 a ZeroDivisionError
+    with pytest.raises(ValueError, match="odd and >= 3, got %d" % size):
+        BulkSpec.fixed(0.5).grid(VonMisesParams(0.0, 100.0), size)
+
+
+def test_bulk_grid_rejects_kappa_zero():
+    # the bulk |delta| <= eta sqrt(kappa) collapses to mu at kappa = 0
+    with pytest.raises(ValueError, match="kappa must be > 0"):
+        BulkSpec.fixed(0.5).grid(VonMisesParams(0.2, 0.0), 5)
+
+
 def test_mu_always_in_bulk():
     p = VonMisesParams(1.0, 37.0)
     assert in_bulk(p, BulkSpec.fixed(0.1), p.mu)

@@ -372,6 +372,29 @@ def test_table_integrates_each_segment_once(count_calls, capsys):
     assert 0 < len(calls) <= (201 + 1) // 2 + 1
 
 
+def test_sweep_cuts_at_each_distinct_offset_once(count_calls):
+    # the cuts are 0, 0.5r, r, 2r and 3r: the 20 sigma reach r is also a
+    # point's offset, so it adds no zero-length segment
+    p = VonMisesParams(0.0, 1e4)
+    r = 20.0 * p.variance.sigma
+    calls = count_calls(backend, "vm_scaled_mass")
+    vm_cdf_sweep(p, [-2.0 * r, -r, 0.5 * r, r, 3.0 * r])
+    assert len(calls) == 4
+
+
+def test_table_sweep_cuts_at_each_distinct_offset(count_calls, capsys):
+    # off mu = 0 rounding splits some of the grid's paired offsets; one
+    # segment ends at each distinct |x - mu| > 0 and one at the 20 sigma
+    # reach (the grid reaches 32 sigma)
+    calls = count_calls(backend, "vm_scaled_mass")
+    assert cli.run(["table", "--mu", "1.3", "--kappa", "4096", "--grid", "201"]) == 0
+    capsys.readouterr()
+    p = VonMisesParams(1.3, 4096.0)
+    _dts, xs = BulkSpec.fixed(0.5).grid(p, 201)
+    offsets = {abs(x - p.mu) for x in xs} - {0.0}
+    assert len(calls) == len(offsets) + 1 == 105
+
+
 @pytest.mark.parametrize(
     "kappas, outcome",
     [
@@ -427,6 +450,9 @@ def test_slope_fit_usage_errors():
         slope_fit([(1.0, 1.0), (2.0, 0.0), (3.0, 0.5)])
     with pytest.raises(ValueError):
         slope_fit([(1.0, 1.0), (-2.0, 0.5), (3.0, 0.5)])
+    for bad in ((math.inf, 3.0), (math.nan, 3.0), (3.0, math.inf), (3.0, math.nan)):
+        with pytest.raises(ValueError, match="finite positive coordinates"):
+            slope_fit([(1.0, 1.0), (2.0, 2.0), bad])
 
 
 # ------------------------------------------------------------ residual scan

@@ -1,7 +1,8 @@
 """Repository hygiene: nothing git tracks may match an ignore rule,
 every function the benchmark traces exists, every public name resolves,
 the package reads no environment variables, importing the CLI builds
-no parser, and the README's library example runs."""
+no parser, the README's library example runs, and the package version
+is the one pyproject.toml declares."""
 
 import importlib
 import importlib.util
@@ -99,3 +100,11 @@ def test_importing_cli_builds_no_parser(cli_env):
         check=True,
     )
     assert out.stdout.split() == ["0", "True"]
+
+
+def test_version_matches_pyproject():
+    # the version is written twice, in the package and in its metadata
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        project = tomllib.load(f)["project"]
+    assert circbridge.__version__ == project["version"]
