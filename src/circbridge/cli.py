@@ -32,7 +32,6 @@ from .distributions import (
     wrap_angle,
 )
 from .expansions import (
-    TABLE_MIN_GRID,
     BulkSpec,
     _cdf_expansion_value,
     _first_order_term,
@@ -42,7 +41,6 @@ from .expansions import (
     _log_ratio_second_term,
     _reference_density_value,
     cdf_expansion,
-    grid_size_ok,
     log_ratio_exact,
     log_ratio_expansion,
     ratio_expansion,
@@ -137,6 +135,9 @@ def _wrapped_x(x, mu):
     # wrapped mean direction.
     _require_finite("--x", x)
     xw = mu + wrap_angle(x - mu)
+    # mu + w rounds, so xw - mu can land an ulp outside the window
+    while not (-math.pi < xw - mu <= math.pi):
+        xw = math.nextafter(xw, mu)
     if xw != x:
         print("warning: x=%r wrapped to %r (principal window around mu)" % (x, xw), file=sys.stderr)
     return xw
@@ -170,8 +171,6 @@ def _cmd_eval(args):
 def _cmd_table(args):
     mu = _wrapped_mu(args.mu)
     params = VonMisesParams(mu, args.kappa)
-    if not grid_size_ok(args.grid, TABLE_MIN_GRID):
-        raise ValueError("--grid must be odd and >= 3")
     _dts, xs = BulkSpec.fixed(args.eta).grid(params, args.grid)
     u, uu = _inverse_powers(params.kappa)
     cdf_quad = oracle.vm_cdf_sweep(params, xs, args.tol)
@@ -184,6 +183,8 @@ def _cmd_table(args):
     kappa = params.kappa
     i0e = params.i0e
     log_i0e, half_log_var = _log_ratio_constants(params)
+    # the sweep has rejected every offset t outside (-pi, pi]; on that
+    # window wrap_angle(t) is t itself, -0.0 included
     rows = []
     for x, cq in zip(xs, cdf_quad):
         t = x - mu
@@ -198,7 +199,7 @@ def _cmd_table(args):
                 x,
                 delta,
                 dt,
-                _vm_density_value(kappa, i0e, wrap_angle(t)),
+                _vm_density_value(kappa, i0e, t),
                 _reference_density_value(dt, width),
                 lre,
                 lr1,

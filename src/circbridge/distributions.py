@@ -236,12 +236,11 @@ def matched_sup_gap(params: VonMisesParams, grid_size: int = 1001, tol: float = 
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1, got %r" % (grid_size,))
     _require_tol(tol)
-    wn = WrappedNormalParams(params.mu, SQRT2 * params.variance.sigma)
-    v = wn.v
+    v = SQRT2 * params.variance.sigma
     series = _wn_series(v, tol)
     kappa = params.kappa
     i0e = params.i0e
-    mu = params.mu  # wn.mu too: both are normalized already
+    mu = params.mu
     step = TWO_PI / grid_size
     sup = 0.0
     for j in range(grid_size):

@@ -73,39 +73,33 @@ def adaptive_quadrature(
 def vm_cdf_sweep(
     params: VonMisesParams, xs: Sequence[float], tol: float = 1e-12
 ) -> List[float]:
-    """Circular distribution function at ascending points, in one pass.
+    """Circular distribution function at points in any order, in one pass.
 
     F(x) = integral of the density from mu - pi to x, for each x of xs,
-    which must be non-decreasing and lie in the principal window
-    (mu - pi, mu + pi].  The density is even about mu, so F(mu + t) =
-    1/2 + sgn(t) M(|t|), with M the mass on [mu, mu + |t|].  The cuts are
-    the sorted set of 0 and every |t|, plus 20 sigma when a point lies
-    beyond it; one sweep outwards from the mode integrates each of the n
-    segments once, to tol / n, and M is their running sum.  So F(mu) is
-    exactly 1/2, and tol is absolute and holds for every value.  Values
-    are not clamped: at either end of the window they may leave [0, 1]
-    by up to tol.
+    which must lie in the principal window (mu - pi, mu + pi].  The
+    density is even about mu, so F(mu + t) = 1/2 + sgn(t) M(|t|), with M
+    the mass on [mu, mu + |t|].  The cuts are the sorted set of 0 and
+    every |t|, plus 20 sigma when a point lies beyond it; one sweep
+    outwards from the mode integrates each of the n segments once, to
+    tol / n, and M is their running sum.  So F(mu) is exactly 1/2, and
+    tol is absolute and holds for every value.  Values are not clamped:
+    at either end of the window they may leave [0, 1] by up to tol.
     """
     _require_tol(tol)
     if len(xs) == 0:
         raise ValueError("xs must not be empty")
     mu = params.mu
-    for t in (xs[0] - mu, xs[-1] - mu):
+    ts = [x - mu for x in xs]
+    for t in ts:
         if not (-math.pi < t <= math.pi):
             raise ValueError(
                 "x must lie in the principal window (mu - pi, mu + pi], got offset %r" % (t,)
             )
-    prev = xs[0]
-    for x in xs:
-        if not (prev <= x):
-            raise ValueError("xs must be ascending, got %r after %r" % (x, prev))
-        prev = x
     # essentially all mass lies within 20 sigma of the mode (the envelope
     # exp(kappa(cos t - 1)) <= exp(-kappa t^2 / 5) leaves e^-40 beyond); a
     # cut there keeps the first panel of a wide segment from stepping over
     # the peak at its start
     reach = min(math.pi, 20.0 * params.variance.sigma)
-    ts = [x - mu for x in xs]
     offsets = {0.0, *map(abs, ts)}
     if max(offsets) > reach:
         offsets.add(reach)
@@ -213,8 +207,6 @@ def residual_scan(
         raise ValueError(
             "a slope fit needs at least 3 kappa values, got %d" % len(kappa_values)
         )
-    if any(not (k > 0.0) for k in kappa_values):
-        raise ValueError("all kappa values must be > 0")
     if not grid_size_ok(grid_size, SCAN_MIN_GRID):
         raise ValueError("grid_size must be odd and >= 11, got %r" % (grid_size,))
     power = ENVELOPE_POWER[target]
@@ -222,14 +214,20 @@ def residual_scan(
     max_norm: List[float] = []
     slope_points: List[Tuple[float, float]] = []
     # every grid is built, and so checked against the circle, and every
-    # kappa checked against the expansions' range, before any is evaluated
+    # kappa checked against the expansions' range and the residuals'
+    # kappa^3 scale, before any is evaluated
     grids = []
     for kappa in kappa_values:
         params = VonMisesParams(0.0, kappa)
-        grids.append((params, regime.grid(params, grid_size), _inverse_powers(kappa)))
-    for params, (dts, xs), powers in grids:
-        kappa = params.kappa
-        kappa_cubed = kappa ** 3
+        grid = regime.grid(params, grid_size)
+        try:
+            kappa_cubed = kappa ** 3
+        except OverflowError:
+            raise ValueError(
+                "kappa=%r is too large for the normalized residuals: kappa^3 overflows" % (kappa,)
+            ) from None
+        grids.append((params, grid, _inverse_powers(kappa), kappa_cubed))
+    for params, (dts, xs), powers, kappa_cubed in grids:
         cdf_quad = vm_cdf_sweep(params, xs, quad_tol) if target == "cdf" else None
         res = _scan_residuals(target, params, powers, xs, cdf_quad)
         max_res.append(max(res))
@@ -238,7 +236,7 @@ def residual_scan(
         )
         x1 = params.mu + SQRT2 * params.variance.sigma
         cq1 = [vm_cdf_quadrature(params, x1, quad_tol)] if target == "cdf" else None
-        slope_points.append((kappa, _scan_residuals(target, params, powers, [x1], cq1)[0]))
+        slope_points.append((params.kappa, _scan_residuals(target, params, powers, [x1], cq1)[0]))
     kept = [(k, r) for k, r in slope_points if r >= RESIDUAL_FLOOR]
     if len(kept) < 3:
         raise ValueError("too few residuals above the floating-point floor for a slope fit")

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import subprocess
 import sys
 
@@ -77,6 +78,31 @@ def test_eval_wraps_x_into_window(capsys):
     assert "wrapped" in captured.err
     value = float(captured.out.strip().split("\n")[1].split(",")[-1])
     assert 0.0 < value < 0.5  # 6.0 wraps to -0.283
+
+
+def _eval_x_offset(argv, capsys):
+    # the printed x's offset from the printed mu, after a run that exits 0
+    assert run(argv) == 0, argv
+    row = capsys.readouterr().out.strip().split("\n")[-1].split(",")
+    return float(row[3]) - float(row[1])
+
+
+def test_eval_cdf_quad_at_window_end_after_wrap(capsys):
+    # mu + wrap_angle(x - mu) rounds to an offset of pi + 1 ulp here
+    argv = ["eval", "--mu", "1.495175848572241", "--kappa", "5", "--x", "10.91995380934162",
+            "--quantity", "cdf-quad"]
+    assert -math.pi < _eval_x_offset(argv, capsys) <= math.pi
+
+
+def test_eval_keeps_wrapped_x_on_the_window(capsys):
+    # x = mu + k pi sits on the window's closed end; about one in nine of
+    # these rounded off it before the wrapped x was stepped back on
+    rng = random.Random(7)
+    for _ in range(300):
+        mu = rng.uniform(0.0, 2.0 * math.pi)
+        x = mu + rng.choice((-1, 1, 3)) * math.pi
+        argv = ["eval", "--mu", repr(mu), "--kappa", "5", "--x", repr(x), "--quantity", "cdf-quad"]
+        assert -math.pi < _eval_x_offset(argv, capsys) <= math.pi
 
 
 def test_usage_error_exit_code(capsys):
@@ -444,6 +470,16 @@ def test_error_scan_rejects_kappa_where_inverse_cube_overflows(count_calls, caps
     # the geometric kappa grid gives 9.99999999999978e-201 as its first kappa
     assert "kappa=9.99999999999978e-201 is too small" in capsys.readouterr().err
     assert quadratures == []
+
+
+def test_error_scan_rejects_kappa_where_cube_overflows(capsys):
+    argv = ["error-scan", "--target", "log_ratio", "--kappa-min", "1e100", "--kappa-max", "1e104",
+            "--steps", "3", "--grid", "11"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "kappa=1.0000000000000013e+104 is too large" in captured.err
+    assert "kappa^3 overflows" in captured.err
 
 
 @pytest.mark.parametrize("quantity", APPROX_QUANTITIES)

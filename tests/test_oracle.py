@@ -1,5 +1,6 @@
 import contextlib
 import math
+import random
 
 import pytest
 from references import bessel_i0_integral
@@ -350,8 +351,8 @@ def test_vm_cdf_matches_mpmath_on_both_sides(kappa):
     "xs, message",
     [
         ([], "must not be empty"),
-        ([0.2, 0.1], "ascending"),
-        ([0.0, math.nan, 0.5], "ascending"),
+        ([0.0, 4.0, 0.5], "principal window"),
+        ([0.0, math.nan, 0.5], "principal window"),
         ([-math.pi, 0.0], "principal window"),
         ([0.0, math.pi + 0.1], "principal window"),
         ([math.nan], "principal window"),
@@ -360,6 +361,29 @@ def test_vm_cdf_matches_mpmath_on_both_sides(kappa):
 def test_vm_cdf_sweep_rejects_bad_points(xs, message):
     with pytest.raises(ValueError, match=message):
         vm_cdf_sweep(VonMisesParams(0.0, 5.0), xs)
+
+
+@pytest.mark.parametrize("kappa", [1e-3, 2.0, 4096.0, 1e5])
+def test_sweep_takes_points_in_any_order(kappa, count_calls):
+    # the cuts are a sorted set, so shuffled points get the sorted
+    # points' values, permuted, from as many segments
+    p = VonMisesParams(0.7, kappa)
+    rng = random.Random(14)
+    grid = BulkSpec.fixed(0.5).grid(p, 201)[1]
+    scattered = [p.mu + rng.uniform(-math.pi, math.pi) for _ in range(60)]
+    scattered = [x for x in scattered if -math.pi < x - p.mu <= math.pi]
+    scattered += scattered[:5] + [p.mu]  # repeats and the mode
+    calls = count_calls(backend, "vm_scaled_mass")
+    for xs in (grid, scattered):
+        ordered = sorted(xs)
+        shuffled = list(xs)
+        rng.shuffle(shuffled)
+        assert shuffled != ordered
+        start = len(calls)
+        by_x = dict(zip(ordered, vm_cdf_sweep(p, ordered)))
+        middle = len(calls)
+        assert vm_cdf_sweep(p, shuffled) == [by_x[x] for x in shuffled]
+        assert len(calls) - middle == middle - start > 0
 
 
 def test_table_integrates_each_segment_once(count_calls, capsys):
@@ -423,6 +447,22 @@ def test_residual_scan_rejects_too_few_kappas_before_any_work(count_calls, kappa
     calls = count_calls(backend, "vm_scaled_mass")
     with pytest.raises(ValueError, match="at least 3 kappa values, got %d" % len(kappas)):
         residual_scan(BulkSpec.fixed(0.5), kappas, 201, "cdf")
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "kappas, message",
+    [
+        ([32.0, -1.0, 128.0], r"kappa must be finite and >= 0, got -1\.0"),
+        ([32.0, 0.0, 128.0], r"kappa must be > 0, got 0\.0"),
+        # the residuals are normalized by kappa^3, which overflows above ~5.6e102
+        ([1e100, 1e102, 1e104], r"kappa=1e\+104 is too large .*kappa\^3 overflows"),
+    ],
+)
+def test_residual_scan_rejects_bad_kappa_before_any_work(count_calls, kappas, message):
+    calls = count_calls(backend, "vm_scaled_mass")
+    with pytest.raises(ValueError, match=message):
+        residual_scan(BulkSpec.fixed(0.5), kappas, 11, "cdf")
     assert calls == []
 
 

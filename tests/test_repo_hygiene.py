@@ -1,9 +1,11 @@
 """Repository hygiene: nothing git tracks may match an ignore rule,
 every function the benchmark traces exists, every public name resolves,
-the package reads no environment variables, importing the CLI builds
-no parser, the README's library example runs, and the package version
-is the one pyproject.toml declares."""
+every private module-level name is used, the package reads no
+environment variables, importing the CLI builds no parser, the README's
+library example runs, and the package version is the one pyproject.toml
+declares."""
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -51,6 +53,44 @@ def test_public_names_resolve():
     names = circbridge.__all__
     assert len(set(names)) == len(names)
     assert [n for n in names if not hasattr(circbridge, n)] == []
+
+
+def _private_names_defined(stmt):
+    # the _single-underscore names a module-level statement binds
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _names_read(stmt):
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(stmt)
+        if (isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)) or isinstance(n, ast.Attribute)
+    }
+
+
+def test_every_private_name_is_used():
+    # a helper that a simplification leaves behind is dead code; a use
+    # inside the name's own definition (recursion) does not count
+    defined, reads = [], []
+    for path in sorted((ROOT / "src" / "circbridge").rglob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            where = "%s:%d" % (path.relative_to(ROOT), stmt.lineno)
+            defined += [(name, where) for name in _private_names_defined(stmt)]
+            reads.append((where, _names_read(stmt)))
+    assert defined
+    dead = [
+        "%s %s" % (where, name)
+        for name, where in defined
+        if not any(name in names for other, names in reads if other != where)
+    ]
+    assert dead == []
 
 
 def test_readme_library_example_runs():
