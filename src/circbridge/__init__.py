@@ -10,7 +10,6 @@ oracles plus scan machinery to validate every claimed order empirically.
 from .backend import backend_name
 from .bessel import bessel_i0e_asymptotic, bessel_i1e_asymptotic
 from .distributions import (
-    CircularVariance,
     VonMisesParams,
     WrappedNormalParams,
     circular_variance_exact,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BulkSpec",
-    "CircularVariance",
     "ExpansionValue",
     "QuadratureError",
     "QuadratureResult",

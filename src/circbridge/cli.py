@@ -178,7 +178,7 @@ def _cmd_table(args):
     # reference_normal_density, log_ratio_exact, log_ratio_expansion,
     # cdf_expansion), from their cores with the per-kappa numbers read once
     mu = params.mu
-    sigma = params.variance.sigma
+    sigma = params.sigma
     width = SQRT2 * sigma
     kappa = params.kappa
     i0e = params.i0e
@@ -268,7 +268,7 @@ def _cmd_convergence(args):
     for kappa in kappas:
         params = VonMisesParams(mu, kappa)
         sup = matched_sup_gap(params, args.grid, args.tol)
-        rows.append((kappa, SQRT2 * params.variance.sigma, sup))
+        rows.append((kappa, SQRT2 * params.sigma, sup))
     meta = {"command": "convergence", "mu": mu, "kappas": args.kappas, "grid": args.grid}
     _emit(rows, ("kappa", "matched_v", "sup_density_gap"), meta, args)
     return 0

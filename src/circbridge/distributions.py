@@ -7,7 +7,7 @@ linear-normal helpers phi, Phi and the upper incomplete moments.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import backend
 from .backend import INV_SQRT_2PI, TWO_PI
@@ -49,8 +49,8 @@ class VonMisesParams:
 
     Also carries the per-concentration values every evaluation at this
     kappa shares, set at construction from one call of the kernel
-    `backend.i0e_sigma2`: `i0e`, `log_i0e` and `variance`.  At kappa == 0
-    the law is uniform: i0e is 1 and the circular variance is 1.
+    `backend.i0e_sigma2`: `i0e`, `log_i0e`, `variance` (sigma^2) and `sigma`.
+    At kappa == 0 the law is uniform: i0e, variance and sigma are all 1.
     Equality, hashing and repr depend on (mu, kappa) alone.
     """
 
@@ -68,7 +68,8 @@ class VonMisesParams:
         i0e, sigma2 = backend.i0e_sigma2(self.kappa)
         object.__setattr__(self, "i0e", i0e)
         object.__setattr__(self, "log_i0e", math.log(i0e))
-        object.__setattr__(self, "variance", CircularVariance(value=sigma2))
+        object.__setattr__(self, "variance", sigma2)
+        object.__setattr__(self, "sigma", math.sqrt(sigma2))
 
 
 @dataclass(frozen=True)
@@ -84,17 +85,6 @@ class WrappedNormalParams:
         if not (0.0 < self.v < math.inf):
             raise ValueError("v must be finite and > 0, got %r" % (self.v,))
         object.__setattr__(self, "mu", normalize_angle(self.mu))
-
-
-@dataclass(frozen=True)
-class CircularVariance:
-    """Circular variance and its square root sigma."""
-
-    value: float
-    sigma: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", math.sqrt(self.value))
 
 
 def _require_positive_kappa(kappa):
@@ -133,7 +123,7 @@ def vm_log_density(params: VonMisesParams, theta: float) -> float:
     return -2.0 * params.kappa * (s * s) - LOG_TWO_PI - params.log_i0e
 
 
-def circular_variance_exact(kappa: float) -> CircularVariance:
+def circular_variance_exact(kappa: float) -> float:
     """Circular variance 1 - I1(kappa)/I0(kappa), for kappa > 0.
 
     Read from the per-concentration kernel `backend.i0e_sigma2`, a
@@ -141,7 +131,7 @@ def circular_variance_exact(kappa: float) -> CircularVariance:
     error is within a few ulp at every kappa.
     """
     _require_positive_kappa(kappa)
-    return CircularVariance(value=backend.i0e_sigma2(kappa)[1])
+    return backend.i0e_sigma2(kappa)[1]
 
 
 def circular_variance_expansion(kappa: float) -> float:
@@ -220,10 +210,10 @@ def wn_circular_variance(v: float) -> float:
 
 
 # No package code calls this; perfbench/worker.py does, until the next
-# change to the benchmark reads SQRT2 * params.variance.sigma instead.
+# change to the benchmark reads SQRT2 * params.sigma instead.
 def matched_wn_scale(kappa: float) -> float:
     """Wrapped-normal scale matching the circular variance: v = sqrt(2) sigma."""
-    return SQRT2 * circular_variance_exact(kappa).sigma
+    return SQRT2 * math.sqrt(circular_variance_exact(kappa))
 
 
 def matched_sup_gap(params: VonMisesParams, grid_size: int = 1001, tol: float = 1e-12) -> float:
@@ -231,20 +221,20 @@ def matched_sup_gap(params: VonMisesParams, grid_size: int = 1001, tol: float = 
 
     The wrapped normal uses the matched scale v = sqrt(2) sigma(kappa);
     the gap shrinks as kappa grows, which is the limiting-law statement
-    in a computable form.  grid_size equispaced points cover [0, 2 pi).
+    in a computable form.  grid_size equispaced offsets from mu cover
+    [0, 2 pi), so the gap does not depend on mu.
     """
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1, got %r" % (grid_size,))
     _require_tol(tol)
-    v = SQRT2 * params.variance.sigma
+    v = SQRT2 * params.sigma
     series = _wn_series(v, tol)
     kappa = params.kappa
     i0e = params.i0e
-    mu = params.mu
     step = TWO_PI / grid_size
     sup = 0.0
     for j in range(grid_size):
-        t = wrap_angle(j * step - mu)
+        t = wrap_angle(j * step)
         gap = abs(_vm_density_value(kappa, i0e, t) - _wn_density_value(t, v, series))
         if gap > sup:
             sup = gap

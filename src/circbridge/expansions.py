@@ -103,7 +103,7 @@ class BulkSpec:
         half = (size - 1) // 2
         step = self.delta_halfwidth(params.kappa) / SQRT2 / half
         dts = [j * step for j in range(-half, half + 1)]
-        width = SQRT2 * params.variance.sigma
+        width = SQRT2 * params.sigma
         edge = width * dts[-1]
         if not (edge < math.pi):
             name = "eta" if self.regime == "fixed" else "eta_tilde"
@@ -125,7 +125,7 @@ class ExpansionValue:
 
 def standardized_deviate(params: VonMisesParams, x: float) -> StandardizedDeviate:
     """Deviate of a point x on the line near mu, in units of sigma."""
-    delta = (x - params.mu) / params.variance.sigma
+    delta = (x - params.mu) / params.sigma
     return StandardizedDeviate(delta, delta / SQRT2)
 
 
@@ -160,7 +160,7 @@ def _inverse_powers(kappa: float) -> Tuple[float, float]:
 
 def _log_ratio_constants(params: VonMisesParams) -> Tuple[float, float]:
     """log(e^-kappa I0) and log(sigma^2)/2: `_log_ratio_exact_value`'s per-kappa numbers."""
-    return params.log_i0e, 0.5 * math.log(params.variance.value)
+    return params.log_i0e, 0.5 * math.log(params.variance)
 
 
 def _log_ratio_exact_value(kappa, log_i0e, half_log_var, t, delta):
@@ -222,7 +222,18 @@ def _reference_density_value(dt, width):
 
 
 def _remainder_scale(target, dt, u, uu):
-    return (1.0 + abs(dt) ** ENVELOPE_POWER[target]) * (uu * u)
+    # (1 + |dt|^p) / kappa^3, which must be finite
+    p = ENVELOPE_POWER[target]
+    try:
+        scale = (1.0 + abs(dt) ** p) * (uu * u)
+    except OverflowError:  # float ** raises where * would give inf
+        scale = math.inf
+    if not (scale < math.inf):
+        raise ValueError(
+            "delta_tilde=%r is outside the %s expansion's range at this kappa: its remainder"
+            " scale (1 + |delta_tilde|^%d) / kappa^3 is not finite" % (dt, target, p)
+        )
+    return scale
 
 
 def _check_order(order):
@@ -237,7 +248,7 @@ def log_ratio_exact(params: VonMisesParams, x: float) -> float:
     """
     log_i0e, half_log_var = _log_ratio_constants(params)
     t = x - params.mu
-    delta = t / params.variance.sigma
+    delta = t / params.sigma
     return _log_ratio_exact_value(params.kappa, log_i0e, half_log_var, t, delta)
 
 
@@ -246,8 +257,8 @@ def log_ratio_expansion(delta_tilde: float, kappa: float, order: int) -> Expansi
 
     Order 1 keeps (dt^4/24 - dt^2/8)/kappa; order 2 adds
     (-dt^6/720 + dt^4/48 - dt^2/8 + 3/64)/kappa^2.  The remainder is of
-    order (1 + |dt|^8)/kappa^3.  Raises ValueError for kappa below about
-    1.8e-103, where 1/kappa^3 overflows.
+    order (1 + |dt|^8)/kappa^3.  Raises ValueError where that scale is not
+    finite: for kappa below about 1.8e-103, or dt huge or not finite.
     """
     u, uu = _inverse_powers(kappa)
     _check_order(order)
@@ -263,7 +274,7 @@ def ratio_expansion(delta_tilde: float, kappa: float, order: int) -> ExpansionVa
 
     Order 2 carries the extra cross terms from exponentiating the log
     form; the remainder envelope power rises to 12.  Raises ValueError
-    for kappa below about 1.8e-103, where 1/kappa^3 overflows.
+    where the remainder scale is not finite, as `log_ratio_expansion` does.
     """
     u, uu = _inverse_powers(kappa)
     _check_order(order)
@@ -281,8 +292,8 @@ def cdf_expansion(delta_tilde: float, kappa: float) -> ExpansionValue:
     {dt^3/(24 kappa) + (dt^7/1152 - dt^5/1920 + 5 dt^3/192 - 3 dt/64)/kappa^2}.
     Negative deviates are evaluated by reflection, which makes
     value(dt) + value(-dt) = 1 hold exactly in floating point.  No
-    clamping to [0, 1] is applied.  Raises ValueError for kappa below
-    about 1.8e-103, where 1/kappa^3 overflows.
+    clamping to [0, 1] is applied.  Raises ValueError where the remainder
+    scale is not finite, as `log_ratio_expansion` does.
     """
     u, uu = _inverse_powers(kappa)
     scale = _remainder_scale("cdf", delta_tilde, u, uu)
@@ -291,7 +302,7 @@ def cdf_expansion(delta_tilde: float, kappa: float) -> ExpansionValue:
 
 def reference_normal_density(params: VonMisesParams, x: float) -> float:
     """Density of the matched linear law Normal(mu, 2 sigma^2) at x."""
-    sigma = params.variance.sigma
+    sigma = params.sigma
     return _reference_density_value((x - params.mu) / sigma / SQRT2, SQRT2 * sigma)
 
 
@@ -308,9 +319,8 @@ def normalization_log_constant(kappa: float, mode: str = "exact", centered: bool
     _require_positive_kappa(kappa)
     if mode == "exact":
         params = VonMisesParams(0.0, kappa)
-        s2 = params.variance.value
         brk = math.sqrt(2.0 * math.pi * kappa) * params.i0e
-        c = 0.5 * math.log(2.0 * kappa * s2) - math.log(brk)
+        c = 0.5 * math.log(2.0 * kappa * params.variance) - math.log(brk)
     elif mode == "expansion":
         u, uu = _inverse_powers(kappa)
         c = (3.0 / 64.0) * uu + (13.0 / 128.0) * (uu * u)

@@ -99,7 +99,7 @@ def vm_cdf_sweep(
     # exp(kappa(cos t - 1)) <= exp(-kappa t^2 / 5) leaves e^-40 beyond); a
     # cut there keeps the first panel of a wide segment from stepping over
     # the peak at its start
-    reach = min(math.pi, 20.0 * params.variance.sigma)
+    reach = min(math.pi, 20.0 * params.sigma)
     offsets = {0.0, *map(abs, ts)}
     if max(offsets) > reach:
         offsets.add(reach)
@@ -162,7 +162,7 @@ def _scan_residuals(target, params, powers, xs, cdf_quad):
     """
     u, uu = powers
     mu = params.mu
-    sigma = params.variance.sigma
+    sigma = params.sigma
     if target == "cdf":
         return [
             abs(cq - _cdf_expansion_value(((x - mu) / sigma) / SQRT2, u, uu))
@@ -234,7 +234,7 @@ def residual_scan(
         max_norm.append(
             max(r * kappa_cubed / (1.0 + abs(dt) ** power) for dt, r in zip(dts, res))
         )
-        x1 = params.mu + SQRT2 * params.variance.sigma
+        x1 = params.mu + SQRT2 * params.sigma
         cq1 = [vm_cdf_quadrature(params, x1, quad_tol)] if target == "cdf" else None
         slope_points.append((params.kappa, _scan_residuals(target, params, powers, [x1], cq1)[0]))
     kept = [(k, r) for k, r in slope_points if r >= RESIDUAL_FLOOR]

@@ -397,6 +397,15 @@ def test_convergence_gaps_decrease(capsys):
     assert matched_v == [matched_wn_scale(k) for k in (4.0, 16.0, 64.0)]
 
 
+def test_convergence_does_not_depend_on_mu(capsys):
+    # both laws are centred at mu, so their gap is sampled at offsets from it
+    outs = []
+    for mu in ("0", "1", "5.5"):
+        assert run(["convergence", "--mu", mu, "--kappas", "4,16384", "--grid", "1001"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs == [outs[0]] * 3
+
+
 @pytest.mark.parametrize("grid", ["0", "-5"])
 def test_convergence_rejects_empty_grid(grid, capsys):
     assert run(["convergence", "--kappas", "4,16", "--grid=" + grid]) == 1
@@ -450,6 +459,16 @@ def test_eval_expansions_reject_kappa_where_inverse_cube_overflows(kappa, quanti
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "kappa=%r is too small" % float(kappa) in captured.err
+
+
+@pytest.mark.parametrize("quantity", APPROX_QUANTITIES)
+def test_eval_expansions_reject_deviate_where_remainder_scale_is_not_finite(quantity, capsys):
+    # at kappa = 1e300, x = 0.1 lies about 1e149 sigma from mu
+    argv = ["eval", "--mu", "0", "--kappa", "1e300", "--x", "0.1", "--quantity", quantity]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: delta_tilde=")
 
 
 @pytest.mark.parametrize("kappa", ["1e-200", "1e-120"])

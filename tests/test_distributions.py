@@ -9,7 +9,6 @@ from references import MPMATH_KAPPAS, i0e_series_reference, i1e_series_reference
 from circbridge import backend, bessel, cli, distributions, oracle
 from circbridge.distributions import (
     SQRT2,
-    CircularVariance,
     VonMisesParams,
     WrappedNormalParams,
     _wn_fourier_count,
@@ -74,10 +73,19 @@ def test_per_kappa_values_equal_their_functions_bitwise(kappa):
     assert p.variance is p.variance
 
 
+@pytest.mark.parametrize("kappa", [0.0, 1e-3, 2.0, 300.5, 1e5])
+def test_sigma_is_the_square_root_of_the_variance(kappa):
+    p = VonMisesParams(1.0, kappa)
+    assert type(p.variance) is float
+    assert type(p.sigma) is float
+    assert p.sigma == math.sqrt(p.variance)
+
+
 def test_per_kappa_values_leave_identity_alone():
     a = VonMisesParams(0.5, 20.0)
-    filled = (a.variance, a.i0e, a.log_i0e)
-    assert all(vars(a)[name] is v for name, v in zip(("variance", "i0e", "log_i0e"), filled))
+    names = ("variance", "sigma", "i0e", "log_i0e")
+    filled = tuple(getattr(a, name) for name in names)
+    assert all(vars(a)[name] is v for name, v in zip(names, filled))
     b = VonMisesParams(0.5, 20.0)
     assert a == b
     assert hash(a) == hash(b)
@@ -91,15 +99,15 @@ def test_zero_kappa_params_valid_until_variance_is_read():
     assert p.i0e == 1.0
     assert p.log_i0e == 0.0
     # the uniform law's circular variance
-    assert p.variance.value == 1.0
-    assert p.variance.sigma == 1.0
+    assert p.variance == 1.0
+    assert p.sigma == 1.0
 
 
 def test_params_are_complete_after_one_kernel_call(count_calls):
     kernel = count_calls(backend, "i0e_sigma2")
     p = VonMisesParams(0.3, 50.0)
     assert kernel == [50.0]
-    p.variance, p.i0e, p.log_i0e
+    p.variance, p.sigma, p.i0e, p.log_i0e
     assert kernel == [50.0]
 
 
@@ -122,6 +130,8 @@ def test_copied_params_carry_their_own_kappa_values(make):
     assert q.i0e == bessel.i0e(q.kappa)
     assert q.log_i0e == bessel.log_i0e(q.kappa)
     assert q.variance == circular_variance_exact(q.kappa)
+    assert q.sigma == math.sqrt(q.variance)
+    assert vars(q)["sigma"] is q.sigma
 
 
 def test_per_kappa_values_are_instance_attributes():
@@ -130,6 +140,7 @@ def test_per_kappa_values_are_instance_attributes():
     assert not hasattr(VonMisesParams, "i0e")
     assert not hasattr(VonMisesParams, "log_i0e")
     assert not hasattr(VonMisesParams, "variance")
+    assert not hasattr(VonMisesParams, "sigma")
 
 
 def test_table_computes_per_kappa_values_once(count_calls, capsys):
@@ -267,21 +278,21 @@ def test_vm_log_density_consistent_with_density():
 
 def test_circular_variance_exact_kappa_ten():
     cv = circular_variance_exact(10.0)
-    assert isinstance(cv, CircularVariance)
-    assert 0.0 < cv.value < 1.0
-    assert cv.sigma == math.sqrt(cv.value)
-    assert rel(cv.value, sigma2_reference(10.0)) <= 1e-12
-    assert rel(cv.value, 0.05140017404515404) <= 1e-12
+    assert type(cv) is float
+    assert 0.0 < cv < 1.0
+    assert VonMisesParams(0.0, 10.0).sigma == math.sqrt(cv)
+    assert rel(cv, sigma2_reference(10.0)) <= 1e-12
+    assert rel(cv, 0.05140017404515404) <= 1e-12
 
 
 def test_circular_variance_decreasing_in_kappa():
     grid = [float(2 ** i) for i in range(11)]  # 1 .. 1024
-    vals = [circular_variance_exact(k).value for k in grid]
+    vals = [circular_variance_exact(k) for k in grid]
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
 def test_circular_variance_vs_expansion_gap():
-    exact = circular_variance_exact(10.0).value
+    exact = circular_variance_exact(10.0)
     assert abs(exact - (1.0 / 20.0 + 1.0 / 800.0 + 1.0 / 8000.0)) <= 5e-4
 
 
@@ -312,7 +323,7 @@ def test_circular_variance_matches_mpmath():
         # 1 - I1/I0 ~ 1/(2 kappa) cancels about log10(kappa) digits
         with mpmath.workdps(50 + max(0, int(math.log10(kappa)))):
             ref = 1 - mpmath.besseli(1, kappa) / mpmath.besseli(0, kappa)
-            worst = max(worst, float(abs(circular_variance_exact(kappa).value - ref) / ref))
+            worst = max(worst, float(abs(circular_variance_exact(kappa) - ref) / ref))
     assert worst <= 2e-15
 
 
@@ -411,8 +422,7 @@ def test_wn_circular_variance_values():
 
 def test_matched_scale_identity():
     for kappa in [1.0, 10.0, 100.0]:
-        sigma = circular_variance_exact(kappa).sigma
-        assert matched_wn_scale(kappa) == SQRT2 * sigma
+        assert matched_wn_scale(kappa) == SQRT2 * VonMisesParams(0.0, kappa).sigma
 
 
 def test_matched_scale_vs_reference():

@@ -4,7 +4,7 @@ import pytest
 from references import i0e_series_reference, i1e_series_reference
 
 from circbridge import oracle
-from circbridge.distributions import SQRT2, VonMisesParams, circular_variance_exact
+from circbridge.distributions import SQRT2, VonMisesParams
 from circbridge.expansions import (
     BulkSpec,
     cdf_expansion,
@@ -85,7 +85,7 @@ def test_bulk_grid_must_stay_on_the_circle():
     with pytest.raises(ValueError, match="kappa=1.0 with eta_tilde=10.0"):
         BulkSpec.shrunken(10.0).grid(p, 11)
     # the same law with a bulk just inside pi keeps its grid
-    sigma = p.variance.sigma
+    sigma = p.sigma
     _dts, xs = BulkSpec.shrunken(0.99 * math.pi / sigma).grid(p, 11)
     assert -math.pi < xs[0] and xs[-1] < math.pi
 
@@ -141,7 +141,7 @@ def test_log_ratio_exact_even_in_offset(t):
 def test_log_ratio_exact_agrees_with_expansion():
     kappa = 100.0
     p = VonMisesParams(0.0, kappa)
-    sigma = circular_variance_exact(kappa).sigma
+    sigma = p.sigma
     x = SQRT2 * sigma  # delta_tilde = 1
     exact = log_ratio_exact(p, x)
     approx = log_ratio_expansion(1.0, kappa, 2)
@@ -210,10 +210,9 @@ def test_order_two_beats_order_one():
     # |dt| ~ 0.63, where both orders share the same kappa^-3 remainder
     for kappa in [64.0, 256.0, 1024.0]:
         p = VonMisesParams(0.0, kappa)
-        cv = circular_variance_exact(kappa)
         for j in range(-4, 5):
             dt = 0.5 * j
-            x = SQRT2 * cv.sigma * dt
+            x = SQRT2 * p.sigma * dt
             exact = log_ratio_exact(p, x)
             r1 = abs(exact - log_ratio_expansion(dt, kappa, 1).value)
             r2 = abs(exact - log_ratio_expansion(dt, kappa, 2).value)
@@ -238,7 +237,7 @@ def test_cdf_expansion_antisymmetric_exactly():
 def test_cdf_expansion_matches_quadrature():
     kappa = 100.0
     p = VonMisesParams(0.0, kappa)
-    sigma = circular_variance_exact(kappa).sigma
+    sigma = p.sigma
     x = SQRT2 * sigma
     ref = oracle.vm_cdf_quadrature(p, x, 1e-13)
     got = cdf_expansion(1.0, kappa).value
@@ -274,6 +273,17 @@ def test_expansions_reject_kappa_where_inverse_cube_overflows(kappa):
             call()
 
 
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -math.inf, 1e40])
+def test_expansions_reject_deviate_where_remainder_scale_is_not_finite(dt):
+    for target, call in (
+        ("log_ratio", lambda: log_ratio_expansion(dt, 100.0, 2)),
+        ("ratio", lambda: ratio_expansion(dt, 100.0, 2)),
+        ("cdf", lambda: cdf_expansion(dt, 100.0)),
+    ):
+        with pytest.raises(ValueError, match="delta_tilde=.* the %s expansion's range" % target):
+            call()
+
+
 def test_expansions_finite_at_kappa_1e_minus_100():
     kappa = 1e-100
     for dt in (-2.0, 0.0, 1e-3, 2.0):
@@ -293,7 +303,7 @@ def test_expansions_finite_at_kappa_1e_minus_100():
 def test_reference_density_at_mu():
     kappa = 25.0
     p = VonMisesParams(0.0, kappa)
-    sigma = circular_variance_exact(kappa).sigma
+    sigma = p.sigma
     got = reference_normal_density(p, 0.0)
     assert math.isclose(got, 1.0 / (2.0 * sigma * math.sqrt(math.pi)), rel_tol=1e-14)
 
@@ -301,7 +311,7 @@ def test_reference_density_at_mu():
 def test_reference_density_normalizes():
     kappa = 25.0
     p = VonMisesParams(0.0, kappa)
-    sigma = circular_variance_exact(kappa).sigma
+    sigma = p.sigma
     halfwidth = 12.0 * SQRT2 * sigma
     r = oracle.adaptive_quadrature(
         lambda x: reference_normal_density(p, x), -halfwidth, halfwidth, 1e-11

@@ -246,7 +246,7 @@ def test_vm_cdf_pinned_value():
 def _sweep_grid(kappa, mu):
     # points out to 30 sigma (so the 20-sigma anchor lies inside), clipped
     # to the window, plus points in both tails
-    sigma = VonMisesParams(mu, kappa).variance.sigma
+    sigma = VonMisesParams(mu, kappa).sigma
     ts = [j * 1.5 * sigma for j in range(-20, 21)] + [-3.0, -1.0, 1.0, 3.0, math.pi]
     return [mu + t for t in sorted(set(ts)) if -math.pi < t <= math.pi]
 
@@ -268,7 +268,7 @@ def test_vm_cdf_sweep_very_large_kappa_across_20_sigma(lo):
     # it; either way the +20 sigma cut is made once and each value is
     # within tol of the per-point one
     p = VonMisesParams(0.0, 3e5)
-    sigma = p.variance.sigma
+    sigma = p.sigma
     xs = [(lo + 0.5 * j) * sigma for j in range(int(2 * (25.0 - lo)) + 1)]
     tol = 1e-12
     swept = vm_cdf_sweep(p, xs, tol)
@@ -300,7 +300,7 @@ def test_vm_cdf_point_integrates_only_from_mu(count_calls, mu):
     p = VonMisesParams(mu, 1e6)
     for t, segments in ((-3.0, 1), (19.0, 1), (-25.0, 2), (1000.0, 2)):
         del calls[:]
-        vm_cdf_quadrature(p, p.mu + t * p.variance.sigma)
+        vm_cdf_quadrature(p, p.mu + t * p.sigma)
         assert len(calls) == segments
 
 
@@ -308,7 +308,7 @@ def test_vm_cdf_point_integrates_only_from_mu(count_calls, mu):
 def test_vm_cdf_is_symmetric_about_mu(kappa):
     # F(mu - t) and F(mu + t) are 1/2 minus and plus the same mass
     p = VonMisesParams(0.0, kappa)
-    sigma = p.variance.sigma
+    sigma = p.sigma
     ts = sorted(t for t in (0.3 * sigma, 2.0 * sigma, 30.0 * sigma, 1.0, 3.14) if t < math.pi)
     swept = vm_cdf_sweep(p, [-t for t in reversed(ts)] + ts)
     below = swept[len(ts) - 1 :: -1]
@@ -335,7 +335,7 @@ def test_vm_cdf_matches_mpmath_on_both_sides(kappa):
     tol = 1e-12
     mu = 0.75
     p = VonMisesParams(mu, kappa)
-    sigma = p.variance.sigma
+    sigma = p.sigma
     ts = [0.3 * sigma, 2.0 * sigma, 7.0 * sigma, 1.0, math.pi - 1e-6]
     ts = sorted(s * t for t in ts for s in (-1.0, 1.0) if t < math.pi) + [math.pi]
     xs = [mu + t for t in ts]
@@ -400,7 +400,7 @@ def test_sweep_cuts_at_each_distinct_offset_once(count_calls):
     # the cuts are 0, 0.5r, r, 2r and 3r: the 20 sigma reach r is also a
     # point's offset, so it adds no zero-length segment
     p = VonMisesParams(0.0, 1e4)
-    r = 20.0 * p.variance.sigma
+    r = 20.0 * p.sigma
     calls = count_calls(backend, "vm_scaled_mass")
     vm_cdf_sweep(p, [-2.0 * r, -r, 0.5 * r, r, 3.0 * r])
     assert len(calls) == 4

@@ -49,10 +49,20 @@ def test_benchmark_traces_existing_functions():
 
 
 def test_public_names_resolve():
-    # a deleted function left in __all__ would fail only `import *`
+    # a deleted function left in __all__ would fail only `import *`, and
+    # one left among the imports would stay reachable but unlisted
     names = circbridge.__all__
     assert len(set(names)) == len(names)
     assert [n for n in names if not hasattr(circbridge, n)] == []
+    tree = ast.parse((ROOT / "src" / "circbridge" / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for stmt in tree.body
+        if isinstance(stmt, ast.ImportFrom)
+        for alias in stmt.names
+    ]
+    assert imported
+    assert [n for n in imported if not n.startswith("_") and n not in names] == []
 
 
 def _private_names_defined(stmt):
