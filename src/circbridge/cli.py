@@ -21,6 +21,7 @@ import math
 import sys
 
 from . import __version__, oracle
+from .backend import _KAPPA_MAX
 from .distributions import (
     SQRT2,
     VonMisesParams,
@@ -262,8 +263,11 @@ def _cmd_convergence(args):
         kappas = [float(s) for s in args.kappas.split(",") if s.strip()]
     except ValueError:
         raise ValueError("--kappas must be a comma-separated list of numbers")
-    if not kappas or any(k <= 0 for k in kappas):
+    if not kappas:
         raise ValueError("--kappas must contain positive values")
+    for kappa in kappas:
+        if not (0.0 < kappa <= _KAPPA_MAX):
+            raise ValueError("--kappas entries must be finite, > 0 and <= %r, got %r" % (_KAPPA_MAX, kappa))
     rows = []
     for kappa in kappas:
         params = VonMisesParams(mu, kappa)

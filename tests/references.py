@@ -4,14 +4,24 @@ Compensated scaled power series for e^(-x) I0(x) and e^(-x) I1(x), run
 to twice the term count needed for convergence; they are the high-trust
 references for the Bessel code and the circular variance.
 `bessel_i0_integral` gives I0 from its integral representation by
-adaptive quadrature.  MPMATH_KAPPAS are the concentrations at which the
+adaptive quadrature.  `matched_sup_gap_full_grid` evaluates the density
+gap at every grid offset, the reference for `matched_sup_gap`'s outward
+walk.  MPMATH_KAPPAS are the concentrations at which the
 per-kappa values are checked against mpmath.
 """
 
 import math
 from typing import Callable
 
-from circbridge.distributions import _require_tol
+from circbridge.distributions import (
+    SQRT2,
+    TWO_PI,
+    _require_tol,
+    _vm_density_value,
+    _wn_density_value,
+    _wn_series,
+    wrap_angle,
+)
 from circbridge.oracle import adaptive_quadrature
 
 # 300 log-uniform concentrations on [1e-4, 1e6], plus both sides of the
@@ -86,3 +96,17 @@ def bessel_i0_integral(kappa: float, tol: float = 1e-13) -> float:
     abs_tol = 0.5 * tol * coarse.value
     fine = adaptive_quadrature(g, 0.0, math.pi, abs_tol)
     return math.exp(kappa) * fine.value / math.pi
+
+
+def matched_sup_gap_full_grid(params, grid_size: int, tol: float) -> float:
+    """`matched_sup_gap` by evaluating both densities at all grid_size offsets."""
+    v = SQRT2 * params.sigma
+    series = _wn_series(v, tol)
+    step = TWO_PI / grid_size
+    sup = 0.0
+    for j in range(grid_size):
+        t = wrap_angle(j * step)
+        gap = abs(_vm_density_value(params.kappa, params.i0e, t) - _wn_density_value(t, v, series))
+        if gap > sup:
+            sup = gap
+    return sup

@@ -412,6 +412,17 @@ def test_convergence_rejects_empty_grid(grid, capsys):
     assert "grid_size must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "0", "1e308", "-1"])
+def test_convergence_checks_every_kappa_before_any_work(bad, count_calls, capsys):
+    lattice = count_calls(backend, "wn_density_at")
+    assert run(["convergence", "--kappas", "4," + bad, "--grid", "11"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--kappas entries must be finite, > 0 and <= " in captured.err
+    assert captured.err.endswith("got %r\n" % float(bad))
+    assert lattice == []
+
+
 def test_byte_identical_reruns(cli_env):
     first = run_cli(SCAN_ARGS, cli_env)
     second = run_cli(SCAN_ARGS, cli_env)

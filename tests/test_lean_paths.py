@@ -4,8 +4,10 @@ per-value formatter give."""
 
 import json
 import math
+import random
 
 import pytest
+from references import matched_sup_gap_full_grid
 
 from circbridge import backend, cli, oracle
 from circbridge.distributions import (
@@ -108,15 +110,29 @@ def test_residual_scan_equals_point_function_loop(target, spec):
 @pytest.mark.parametrize("mu", [0.0, 4.0])
 def test_matched_sup_gap_equals_density_loop(kappa, mu):
     # the gap is sampled at offsets from mu, so the mu = 0 laws give the
-    # reference for every mu
+    # reference for every mu; on the even grid one offset lands on pi
     params = VonMisesParams(mu, kappa)
     vm = VonMisesParams(0.0, kappa)
     wn = WrappedNormalParams(0.0, SQRT2 * vm.sigma)
-    sup = 0.0
-    for j in range(257):
-        theta = j * (TWO_PI / 257)
-        sup = max(sup, abs(vm_density(vm, theta) - wn_density(wn, theta, 1e-12)))
-    assert matched_sup_gap(params, 257, 1e-12) == sup
+    for grid, tol in [(257, 1e-12), (256, 1e-12), (257, 1e-3), (256, 1e-3)]:
+        sup = 0.0
+        for j in range(grid):
+            theta = j * (TWO_PI / grid)
+            sup = max(sup, abs(vm_density(vm, theta) - wn_density(wn, theta, tol)))
+        assert matched_sup_gap(params, grid, tol) == sup
+
+
+def test_matched_sup_gap_outward_walk_equals_full_grid():
+    # kappa log-uniform on [1e-3, 1e12]: from flat densities, where no
+    # point is cut, to a peak narrower than the grid spacing; the sup stays
+    # below 0.13 here, so at tol = 0.5 the wrapped-normal side of the
+    # stopping test never holds
+    rng = random.Random(20231016)
+    for _ in range(600):
+        params = VonMisesParams(rng.uniform(-10.0, 10.0), 10.0 ** rng.uniform(-3.0, 12.0))
+        grid = rng.choice([1, 2, 3, 4, 256, 257, 1000, 1001, 2001])
+        tol = rng.choice([1e-300, 1e-12, 1e-3, 0.5])
+        assert matched_sup_gap(params, grid, tol) == matched_sup_gap_full_grid(params, grid, tol)
 
 
 def _wn_per_point(t, v, tol):
