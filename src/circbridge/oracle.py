@@ -7,6 +7,7 @@ the bulk, and the log-log slope fit used to measure decay orders.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
@@ -32,6 +33,10 @@ from .expansions import (
 RESIDUAL_FLOOR = 1e-14
 
 SCAN_TARGETS = ("log_ratio", "ratio", "cdf")
+
+# The ratio residual exponentiates the exact log-ratio, which must stay
+# at or below this.
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -79,11 +84,17 @@ def vm_cdf_sweep(
     which must lie in the principal window (mu - pi, mu + pi].  The
     density is even about mu, so F(mu + t) = 1/2 + sgn(t) M(|t|), with M
     the mass on [mu, mu + |t|].  The cuts are the sorted set of 0 and
-    every |t|, plus 20 sigma when a point lies beyond it; one sweep
-    outwards from the mode integrates each of the n segments once, to
-    tol / n, and M is their running sum.  So F(mu) is exactly 1/2, and
-    tol is absolute and holds for every value.  Values are not clamped:
-    at either end of the window they may leave [0, 1] by up to tol.
+    every |t|, plus the reach min(pi, 20 sigma) when a point lies beyond
+    it.  One sweep outwards from the mode integrates, to tol / n for n
+    segments in all, each segment that starts below the reach, and M is
+    their running sum; so the cost grows with the distinct offsets
+    within 20 sigma.  A cut past the reach gets the mass at the reach:
+    there the integrand is at most e^-40 of its peak, and the whole tail
+    holds less than e^-40 / 5 of the mass up to the reach, under half
+    an ulp of it, so integrating it would change no bit.  F(mu) is
+    exactly 1/2, and tol is absolute and holds for every value.  Values
+    are not clamped: at either end of the window they may leave [0, 1]
+    by up to tol.
     """
     _require_tol(tol)
     if len(xs) == 0:
@@ -98,7 +109,7 @@ def vm_cdf_sweep(
     # essentially all mass lies within 20 sigma of the mode (the envelope
     # exp(kappa(cos t - 1)) <= exp(-kappa t^2 / 5) leaves e^-40 beyond); a
     # cut there keeps the first panel of a wide segment from stepping over
-    # the peak at its start
+    # the peak at its start, and the segments past it are not integrated
     reach = min(math.pi, 20.0 * params.sigma)
     offsets = {0.0, *map(abs, ts)}
     if max(offsets) > reach:
@@ -110,8 +121,8 @@ def vm_cdf_sweep(
     half = {0.0: 0.0}  # inv_norm times the mass on [0, cut], by cut
     mass = 0.0
     for lo, hi in zip(cuts, cuts[1:]):
-        part, _err, _n = backend.vm_scaled_mass(kappa, lo, hi, seg_tol)
-        mass += part
+        if lo < reach:
+            mass += backend.vm_scaled_mass(kappa, lo, hi, seg_tol)[0]
         half[hi] = inv_norm * mass
     return [0.5 - half[-t] if t < 0.0 else 0.5 + half[t] for t in ts]
 
@@ -184,6 +195,26 @@ def _scan_residuals(target, params, powers, xs, cdf_quad):
     return out
 
 
+def _require_finite_edge_ratio(regime, params, xs):
+    # the exact log-ratio grows like kappa t^4 / 24, so its largest value
+    # on the bulk is at an edge
+    log_i0e, half_log_var = _log_ratio_constants(params)
+    edge = max(
+        _log_ratio_exact_value(params.kappa, log_i0e, half_log_var, t, t / params.sigma)
+        for t in (xs[0] - params.mu, xs[-1] - params.mu)
+    )
+    if edge > _LOG_FLOAT_MAX:
+        if regime.regime == "fixed":
+            name, hint = "eta", "use the shrunken regime"
+        else:
+            name, hint = "eta_tilde", "use a smaller eta_tilde"
+        raise ValueError(
+            "the exact ratio overflows at the bulk edge at kappa=%r (%s regime, %s=%r):"
+            " its log is %.6g, above log(max float) = %.6g; %s"
+            % (params.kappa, regime.regime, name, regime.eta, edge, _LOG_FLOAT_MAX, hint)
+        )
+
+
 def residual_scan(
     regime: BulkSpec,
     kappa_values: Sequence[float],
@@ -214,12 +245,15 @@ def residual_scan(
     max_norm: List[float] = []
     slope_points: List[Tuple[float, float]] = []
     # every grid is built, and so checked against the circle, and every
-    # kappa checked against the expansions' range and the residuals'
-    # kappa^3 scale, before any is evaluated
+    # kappa checked against the expansions' range, the residuals' kappa^3
+    # scale and, for the ratio, the exact ratio's range at the bulk edges,
+    # before any is evaluated
     grids = []
     for kappa in kappa_values:
         params = VonMisesParams(0.0, kappa)
         grid = regime.grid(params, grid_size)
+        if target == "ratio":
+            _require_finite_edge_ratio(regime, params, grid[1])
         try:
             kappa_cubed = kappa ** 3
         except OverflowError:

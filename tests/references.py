@@ -6,13 +6,16 @@ references for the Bessel code and the circular variance.
 `bessel_i0_integral` gives I0 from its integral representation by
 adaptive quadrature.  `matched_sup_gap_full_grid` evaluates the density
 gap at every grid offset, the reference for `matched_sup_gap`'s outward
-walk.  MPMATH_KAPPAS are the concentrations at which the
-per-kappa values are checked against mpmath.
+walk, and `vm_cdf_sweep_every_segment` integrates every segment of the
+CDF sweep, the reference for the sweep's stop at its 20 sigma reach.
+MPMATH_KAPPAS are the concentrations at which the per-kappa values are
+checked against mpmath.
 """
 
 import math
 from typing import Callable
 
+from circbridge import backend
 from circbridge.distributions import (
     SQRT2,
     TWO_PI,
@@ -110,3 +113,26 @@ def matched_sup_gap_full_grid(params, grid_size: int, tol: float) -> float:
         if gap > sup:
             sup = gap
     return sup
+
+
+def vm_cdf_sweep_every_segment(params, xs, tol: float):
+    """`vm_cdf_sweep` integrating every segment, those past 20 sigma too.
+
+    xs must lie in the principal window (mu - pi, mu + pi] and tol must be
+    valid; neither is checked here.
+    """
+    ts = [x - params.mu for x in xs]
+    reach = min(math.pi, 20.0 * params.sigma)
+    offsets = {0.0, *map(abs, ts)}
+    if max(offsets) > reach:
+        offsets.add(reach)
+    cuts = sorted(offsets)
+    inv_norm = 1.0 / (2.0 * math.pi * params.i0e)
+    seg_tol = tol / inv_norm / max(len(cuts) - 1, 1)
+    half = {0.0: 0.0}
+    mass = 0.0
+    for lo, hi in zip(cuts, cuts[1:]):
+        part, _err, _n = backend.vm_scaled_mass(params.kappa, lo, hi, seg_tol)
+        mass += part
+        half[hi] = inv_norm * mass
+    return [0.5 - half[-t] if t < 0.0 else 0.5 + half[t] for t in ts]

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import circbridge
-from circbridge import backend, cli
+from circbridge import backend, cli, oracle
 from circbridge.cli import QUANTITIES, build_parser, run
 from circbridge.distributions import matched_wn_scale
 
@@ -500,6 +500,32 @@ def test_error_scan_rejects_kappa_where_inverse_cube_overflows(count_calls, caps
     # the geometric kappa grid gives 9.99999999999978e-201 as its first kappa
     assert "kappa=9.99999999999978e-201 is too small" in capsys.readouterr().err
     assert quadratures == []
+
+
+@pytest.mark.parametrize(
+    "regime, eta, kappa_min, kappa_max, message",
+    [
+        # the geometric kappa grid gives 1999999.9999999993 as its last kappa
+        ("fixed", "0.5", "1e5", "2e6", "at kappa=1999999.9999999993 (fixed regime, eta=0.5)"
+         ": its log is 1296.65, above log(max float) = 709.783; use the shrunken regime"),
+        # the shrunken edge log-ratio tends to eta_tilde^4 / 96 as kappa grows
+        ("shrunken", "20", "1e3", "8e3", "at kappa=999.9999999999998 (shrunken regime,"
+         " eta_tilde=20.0): its log is 1352.14, above log(max float) = 709.783;"
+         " use a smaller eta_tilde"),
+    ],
+    ids=["fixed", "shrunken"],
+)
+def test_error_scan_rejects_ratio_that_overflows_at_the_bulk_edge(
+    regime, eta, kappa_min, kappa_max, message, count_calls, capsys
+):
+    evaluated = count_calls(oracle, "_scan_residuals")
+    argv = ["error-scan", "--target", "ratio", "--regime", regime, "--eta", eta,
+            "--kappa-min", kappa_min, "--kappa-max", kappa_max, "--steps", "3", "--grid", "11"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the exact ratio overflows at the bulk edge %s\n" % message
+    assert evaluated == []
 
 
 def test_error_scan_rejects_kappa_where_cube_overflows(capsys):

@@ -1,13 +1,13 @@
-"""The grid loops (`table` rows, `residual_scan`, `matched_sup_gap`) and the
-CSV writer give, bit for bit, what the public point functions and the
-per-value formatter give."""
+"""The grid loops (`table` rows, `residual_scan`, `matched_sup_gap`), the
+CDF sweep and the CSV writer give, bit for bit, what the public point
+functions, the references and the per-value formatter give."""
 
 import json
 import math
 import random
 
 import pytest
-from references import matched_sup_gap_full_grid
+from references import matched_sup_gap_full_grid, vm_cdf_sweep_every_segment
 
 from circbridge import backend, cli, oracle
 from circbridge.distributions import (
@@ -133,6 +133,58 @@ def test_matched_sup_gap_outward_walk_equals_full_grid():
         grid = rng.choice([1, 2, 3, 4, 256, 257, 1000, 1001, 2001])
         tol = rng.choice([1e-300, 1e-12, 1e-3, 0.5])
         assert matched_sup_gap(params, grid, tol) == matched_sup_gap_full_grid(params, grid, tol)
+
+
+def _sweep_outcome(sweep, params, xs, tol):
+    try:
+        return sweep(params, xs, tol)
+    except oracle.QuadratureError as exc:
+        return type(exc), str(exc)
+
+
+def test_vm_cdf_sweep_stops_at_reach_equals_every_segment():
+    # kappa log-uniform on [1e-3, 1e12], with one case in ten up to 1e300;
+    # most offsets are drawn within 40 sigma, so that most point sets cross
+    # the 20 sigma reach; tol down to 1e-300, where no segment can meet it
+    # and the first one integrated raises
+    rng = random.Random(20231017)
+    crossed = failed = 0
+    for _ in range(600):
+        log_kappa = rng.uniform(-3.0, 12.0) if rng.random() < 0.9 else rng.uniform(12.0, 300.0)
+        params = VonMisesParams(rng.uniform(-10.0, 10.0), 10.0 ** log_kappa)
+        tol = 10.0 ** rng.uniform(rng.choice([-300.0, -16.0]), math.log10(0.5))
+        xs = []
+        for _ in range(rng.choice([1, 2, 5, 201])):
+            if rng.random() < 0.7:
+                t = params.sigma * rng.uniform(-40.0, 40.0)
+            else:
+                t = rng.uniform(-math.pi, math.pi)
+            x = params.mu + t
+            if -math.pi < x - params.mu <= math.pi:
+                xs.append(x)
+        xs = xs or [params.mu]
+        crossed += any(abs(x - params.mu) > 20.0 * params.sigma for x in xs)
+        got = _sweep_outcome(oracle.vm_cdf_sweep, params, xs, tol)
+        failed += isinstance(got, tuple)
+        assert got == _sweep_outcome(vm_cdf_sweep_every_segment, params, xs, tol)
+    assert crossed > 300 and 100 < failed < 500
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--mu", "1.3", "--kappa", "1e5", "--grid", "201"],
+        ["error-scan", "--target", "cdf", "--kappa-min", "1024", "--kappa-max", "16384",
+         "--steps", "7", "--grid", "201"],
+    ],
+    ids=lambda a: a[0],
+)
+def test_cli_output_equals_every_segment_sweep(argv, monkeypatch, capsys):
+    assert cli.run(argv) == 0
+    out = capsys.readouterr().out
+    monkeypatch.setattr(oracle, "vm_cdf_sweep", vm_cdf_sweep_every_segment)
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out == out
 
 
 def _wn_per_point(t, v, tol):

@@ -290,7 +290,8 @@ def test_vm_cdf_sweep_is_monotone_and_repeats_equal_points():
 @pytest.mark.parametrize("mu", [0.0, 1.0, -2.5])
 def test_vm_cdf_point_integrates_only_from_mu(count_calls, mu):
     # F(mu) is exactly 1/2 with no quadrature; a point within 20 sigma is
-    # one segment, and one beyond it two (the cut at 20 sigma)
+    # one segment, and so is one beyond it: the cut at 20 sigma ends the
+    # only segment integrated
     calls = count_calls(backend, "vm_scaled_mass")
     for kappa in (1e-3, 2.0, 1e6):
         p = VonMisesParams(mu, kappa)
@@ -298,10 +299,10 @@ def test_vm_cdf_point_integrates_only_from_mu(count_calls, mu):
         assert vm_cdf_sweep(p, [p.mu, p.mu]) == [0.5, 0.5]
     assert calls == []
     p = VonMisesParams(mu, 1e6)
-    for t, segments in ((-3.0, 1), (19.0, 1), (-25.0, 2), (1000.0, 2)):
+    for t in (-3.0, 19.0, -25.0, 1000.0):
         del calls[:]
         vm_cdf_quadrature(p, p.mu + t * p.sigma)
-        assert len(calls) == segments
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("kappa", [1e-3, 2.0, 100.0, 1e4, 1e6])
@@ -347,6 +348,31 @@ def test_vm_cdf_matches_mpmath_on_both_sides(kappa):
             assert abs(vm_cdf_quadrature(p, x, tol) - ref) <= tol
 
 
+@pytest.mark.parametrize("kappa", [21.0, 30.0, 100.0, 4096.0, 1e5, 1e8])
+def test_vm_cdf_sweep_tail_past_reach_is_below_half_an_ulp(kappa):
+    # the sweep integrates no segment past its reach r = 20 sigma; that
+    # changes no bit while the exact mass on [r, pi] is below 2^-54 of the
+    # mass on [0, r], under half an ulp of the running sum at r
+    mpmath = pytest.importorskip("mpmath")
+    p = VonMisesParams(0.0, kappa)
+    r = 20.0 * p.sigma
+    assert r < math.pi
+    with mpmath.workdps(30):
+        k = mpmath.mpf(kappa)
+        sigma = mpmath.mpf(p.sigma)
+        rr = mpmath.mpf(r)
+
+        def f(u):
+            return mpmath.exp(-2 * k * mpmath.sin(u / 2) ** 2)
+
+        inner = mpmath.quad(f, [0, sigma, 3 * sigma, 10 * sigma, rr])
+        # the tail falls off from r over a width 1 / (kappa sin r)
+        width = 1 / (k * mpmath.sin(rr))
+        steps = [rr + width * 10 ** j for j in range(-1, 8)]
+        tail = mpmath.quad(f, [rr] + [c for c in steps if c < mpmath.pi] + [mpmath.pi])
+        assert 0 < tail < mpmath.mpf(2) ** -54 * inner
+
+
 @pytest.mark.parametrize(
     "xs, message",
     [
@@ -388,35 +414,41 @@ def test_sweep_takes_points_in_any_order(kappa, count_calls):
 
 def test_table_integrates_each_segment_once(count_calls, capsys):
     # one sweep outwards from the mode: at mu = 0 the grid's offsets pair
-    # up, so one segment per distinct |x - mu| > 0 (100 of them) plus the
-    # +20 sigma cut (the grid reaches 32 sigma)
+    # up, so one segment ends at each distinct |x - mu| > 0 within the 20
+    # sigma reach and one at the reach; the grid reaches 32 sigma at
+    # kappa = 4096 (62 of its 100 offsets lie within 20 sigma) and 158
+    # sigma at kappa = 1e5 (12 of 100)
     calls = count_calls(backend, "vm_scaled_mass")
-    assert cli.run(["table", "--mu", "0", "--kappa", "4096", "--grid", "201"]) == 0
-    capsys.readouterr()
-    assert 0 < len(calls) <= (201 + 1) // 2 + 1
+    for kappa, segments in (("4096", 63), ("1e5", 13)):
+        del calls[:]
+        assert cli.run(["table", "--mu", "0", "--kappa", kappa, "--grid", "201"]) == 0
+        capsys.readouterr()
+        assert len(calls) == segments
 
 
 def test_sweep_cuts_at_each_distinct_offset_once(count_calls):
     # the cuts are 0, 0.5r, r, 2r and 3r: the 20 sigma reach r is also a
-    # point's offset, so it adds no zero-length segment
+    # point's offset, so it adds no zero-length segment, and the two
+    # segments past it are not integrated
     p = VonMisesParams(0.0, 1e4)
     r = 20.0 * p.sigma
     calls = count_calls(backend, "vm_scaled_mass")
     vm_cdf_sweep(p, [-2.0 * r, -r, 0.5 * r, r, 3.0 * r])
-    assert len(calls) == 4
+    assert len(calls) == 2
 
 
 def test_table_sweep_cuts_at_each_distinct_offset(count_calls, capsys):
     # off mu = 0 rounding splits some of the grid's paired offsets; one
-    # segment ends at each distinct |x - mu| > 0 and one at the 20 sigma
-    # reach (the grid reaches 32 sigma)
+    # segment ends at each distinct |x - mu| > 0 within the 20 sigma reach
+    # and one at the reach (the grid reaches 32 sigma)
     calls = count_calls(backend, "vm_scaled_mass")
     assert cli.run(["table", "--mu", "1.3", "--kappa", "4096", "--grid", "201"]) == 0
     capsys.readouterr()
     p = VonMisesParams(1.3, 4096.0)
     _dts, xs = BulkSpec.fixed(0.5).grid(p, 201)
     offsets = {abs(x - p.mu) for x in xs} - {0.0}
-    assert len(calls) == len(offsets) + 1 == 105
+    within = {t for t in offsets if t < 20.0 * p.sigma}
+    assert len(calls) == len(within) + 1 == 63
 
 
 @pytest.mark.parametrize(
