@@ -195,23 +195,30 @@ def _scan_residuals(target, params, powers, xs, cdf_quad):
     return out
 
 
-def _require_finite_edge_ratio(regime, params, xs):
-    # the exact log-ratio grows like kappa t^4 / 24, so its largest value
-    # on the bulk is at an edge
-    log_i0e, half_log_var = _log_ratio_constants(params)
-    edge = max(
-        _log_ratio_exact_value(params.kappa, log_i0e, half_log_var, t, t / params.sigma)
-        for t in (xs[0] - params.mu, xs[-1] - params.mu)
-    )
+def _require_finite_edge_ratio(regime, params, powers, kappa_cubed, xs):
+    # the exact log-ratio grows like kappa t^4 / 24, so on the mirror grid
+    # xs its largest value, and the ratio's largest residual, are at the
+    # edge xs[0]
+    if regime.regime == "fixed":
+        name, hint = "eta", "use the shrunken regime"
+    else:
+        name, hint = "eta_tilde", "use a smaller eta_tilde"
+    where = "at kappa=%r (%s regime, %s=%r)" % (params.kappa, regime.regime, name, regime.eta)
+    t = xs[0] - params.mu
+    edge = _log_ratio_exact_value(params.kappa, *_log_ratio_constants(params), t, t / params.sigma)
     if edge > _LOG_FLOAT_MAX:
-        if regime.regime == "fixed":
-            name, hint = "eta", "use the shrunken regime"
-        else:
-            name, hint = "eta_tilde", "use a smaller eta_tilde"
         raise ValueError(
-            "the exact ratio overflows at the bulk edge at kappa=%r (%s regime, %s=%r):"
-            " its log is %.6g, above log(max float) = %.6g; %s"
-            % (params.kappa, regime.regime, name, regime.eta, edge, _LOG_FLOAT_MAX, hint)
+            "the exact ratio overflows at the bulk edge %s: its log is %.6g,"
+            " above log(max float) = %.6g; %s" % (where, edge, _LOG_FLOAT_MAX, hint)
+        )
+    # the residual as _scan_residuals takes it, from the exact value above
+    u, uu = powers
+    dt = t / params.sigma / SQRT2
+    residual = abs(math.exp(edge) - (1.0 + _first_order_term(dt, u) + _ratio_second_term(dt, uu)))
+    if not math.isfinite(residual * kappa_cubed):
+        raise ValueError(
+            "the normalized ratio residual overflows at the bulk edge %s: the residual"
+            " %.6g times kappa^3 is not finite; %s" % (where, residual, hint)
         )
 
 
@@ -225,12 +232,12 @@ def residual_scan(
     """Exact-versus-expansion residuals over the bulk for each concentration.
 
     The laws are centred at mu = 0 (the residuals depend on x - mu only).
-    For every kappa the residual of the chosen target is evaluated on an
-    odd equispaced delta_tilde grid spanning the bulk; the report records
-    the maximum residual, the maximum residual normalized by the envelope
+    For every kappa the target's residual is evaluated on an odd
+    equispaced delta_tilde grid over the bulk, or its half up to mu for
+    log_ratio and ratio, which mirror bit for bit; the report records the
+    maximum residual, the maximum normalized by the envelope
     (1 + |dt|^p)/kappa^3, and the log-log slope across kappa of the
-    residual at fixed delta_tilde = 1 (points below RESIDUAL_FLOOR are
-    dropped from the fit as floating-point noise).
+    residual at delta_tilde = 1 (residuals below RESIDUAL_FLOOR not fitted).
     """
     if target not in SCAN_TARGETS:
         raise ValueError("target must be one of %s, got %r" % (SCAN_TARGETS, target))
@@ -245,29 +252,30 @@ def residual_scan(
     max_norm: List[float] = []
     slope_points: List[Tuple[float, float]] = []
     # every grid is built, and so checked against the circle, and every
-    # kappa checked against the expansions' range, the residuals' kappa^3
-    # scale and, for the ratio, the exact ratio's range at the bulk edges,
-    # before any is evaluated
+    # kappa checked (range, kappa^3, the ratio's bulk edge) before any is
+    # evaluated; at mu = 0 the grid mirrors exactly and the log_ratio and
+    # ratio residuals are even bit for bit, so the half up to mu has the
+    # grid's maxima (max() keeps a NaN only as its first item: the edge)
+    evaluated = grid_size if target == "cdf" else grid_size // 2 + 1
     grids = []
     for kappa in kappa_values:
         params = VonMisesParams(0.0, kappa)
-        grid = regime.grid(params, grid_size)
-        if target == "ratio":
-            _require_finite_edge_ratio(regime, params, grid[1])
+        dts, xs = regime.grid(params, grid_size)
         try:
             kappa_cubed = kappa ** 3
         except OverflowError:
             raise ValueError(
                 "kappa=%r is too large for the normalized residuals: kappa^3 overflows" % (kappa,)
             ) from None
-        grids.append((params, grid, _inverse_powers(kappa), kappa_cubed))
-    for params, (dts, xs), powers, kappa_cubed in grids:
+        powers = _inverse_powers(kappa)
+        if target == "ratio":
+            _require_finite_edge_ratio(regime, params, powers, kappa_cubed, xs)
+        grids.append((params, dts[:evaluated], xs[:evaluated], powers, kappa_cubed))
+    for params, dts, xs, powers, kappa_cubed in grids:
         cdf_quad = vm_cdf_sweep(params, xs, quad_tol) if target == "cdf" else None
         res = _scan_residuals(target, params, powers, xs, cdf_quad)
         max_res.append(max(res))
-        max_norm.append(
-            max(r * kappa_cubed / (1.0 + abs(dt) ** power) for dt, r in zip(dts, res))
-        )
+        max_norm.append(max(r * kappa_cubed / (1.0 + abs(dt) ** power) for dt, r in zip(dts, res)))
         x1 = params.mu + SQRT2 * params.sigma
         cq1 = [vm_cdf_quadrature(params, x1, quad_tol)] if target == "cdf" else None
         slope_points.append((params.kappa, _scan_residuals(target, params, powers, [x1], cq1)[0]))

@@ -5,9 +5,10 @@ to twice the term count needed for convergence; they are the high-trust
 references for the Bessel code and the circular variance.
 `bessel_i0_integral` gives I0 from its integral representation by
 adaptive quadrature.  `matched_sup_gap_full_grid` evaluates the density
-gap at every grid offset, the reference for `matched_sup_gap`'s outward
-walk, and `vm_cdf_sweep_every_segment` integrates every segment of the
-CDF sweep, the reference for the sweep's stop at its 20 sigma reach.
+gap at every grid offset on [0, pi], the reference for
+`matched_sup_gap`'s outward walk, and `vm_cdf_sweep_every_segment`
+integrates every segment of the CDF sweep, the reference for the
+sweep's stop at its 20 sigma reach.
 MPMATH_KAPPAS are the concentrations at which the per-kappa values are
 checked against mpmath.
 """
@@ -102,12 +103,13 @@ def bessel_i0_integral(kappa: float, tol: float = 1e-13) -> float:
 
 
 def matched_sup_gap_full_grid(params, grid_size: int, tol: float) -> float:
-    """`matched_sup_gap` by evaluating both densities at all grid_size offsets."""
+    """`matched_sup_gap` by evaluating both densities at every grid offset
+    on [0, pi], j = 0 .. grid_size // 2, with no stopping test."""
     v = SQRT2 * params.sigma
     series = _wn_series(v, tol)
     step = TWO_PI / grid_size
     sup = 0.0
-    for j in range(grid_size):
+    for j in range(grid_size // 2 + 1):
         t = wrap_angle(j * step)
         gap = abs(_vm_density_value(params.kappa, params.i0e, t) - _wn_density_value(t, v, series))
         if gap > sup:

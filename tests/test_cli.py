@@ -528,6 +528,35 @@ def test_error_scan_rejects_ratio_that_overflows_at_the_bulk_edge(
     assert evaluated == []
 
 
+@pytest.mark.parametrize(
+    "kappa_max, message",
+    [
+        # the geometric kappa grid ends a few ulp from kappa_max
+        ("1.07e6", "kappa=1070000.0000000014 (fixed regime, eta=0.5): the residual 1.86839e+301"),
+        ("1.08e6", "kappa=1080000.0000000012 (fixed regime, eta=0.5): the residual 1.22223e+304"),
+        ("1.085e6", "kappa=1085000.0 (fixed regime, eta=0.5): the residual 3.12603e+305"),
+        ("1.0899e6", "kappa=1089900.0000000007 (fixed regime, eta=0.5): the residual 7.49338e+306"),
+    ],
+    ids=["1.07e6", "1.08e6", "1.085e6", "1.0899e6"],
+)
+def test_error_scan_rejects_ratio_whose_normalized_residual_overflows_at_the_bulk_edge(
+    kappa_max, message, count_calls, capsys
+):
+    # below the exact ratio's own overflow (kappa ~ 1.09e6 at eta = 0.5)
+    # the edge residual r is finite, but r kappa^3 is not
+    evaluated = count_calls(oracle, "_scan_residuals")
+    argv = ["error-scan", "--target", "ratio", "--kappa-min", "10", "--kappa-max", kappa_max,
+            "--steps", "5", "--grid", "11"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the normalized ratio residual overflows at the bulk edge at %s"
+        " times kappa^3 is not finite; use the shrunken regime\n" % message
+    )
+    assert evaluated == []
+
+
 def test_error_scan_rejects_kappa_where_cube_overflows(capsys):
     argv = ["error-scan", "--target", "log_ratio", "--kappa-min", "1e100", "--kappa-max", "1e104",
             "--steps", "3", "--grid", "11"]

@@ -440,20 +440,21 @@ def test_matched_sup_gap_decreasing():
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
 
-@pytest.mark.parametrize("kappa, evaluations", [(0.5, 1001), (256.0, 85)])
+@pytest.mark.parametrize("kappa, evaluations", [(0.5, 501), (256.0, 43)])
 def test_matched_sup_gap_stops_where_neither_density_can_beat_the_sup(kappa, evaluations, count_calls):
-    # at kappa = 0.5 both densities are too flat for any point to be cut;
-    # at kappa = 256 the walk stops a few sigma out on each side
+    # the walk covers the 501 offsets on [0, pi]; at kappa = 0.5 both
+    # densities are too flat for any of them to be cut; at kappa = 256 it
+    # stops a few sigma out
     lattice = count_calls(backend, "wn_density_at")
     matched_sup_gap(VonMisesParams(0.0, kappa), grid_size=1001)
     assert len(lattice) == evaluations
 
 
-def test_convergence_default_kappas_evaluate_a_quarter_of_the_grid(count_calls, capsys):
+def test_convergence_default_kappas_evaluate_an_eighth_of_the_grid(count_calls, capsys):
     lattice = count_calls(backend, "wn_density_at")
     assert cli.run(["convergence", "--kappas", "4,16,64,256", "--grid", "1001"]) == 0
     capsys.readouterr()
-    assert len(lattice) == 511 + 279 + 153 + 85
+    assert len(lattice) == 256 + 140 + 77 + 43
 
 
 @pytest.mark.parametrize("grid_size", [0, -5])

@@ -5,6 +5,7 @@ functions, the references and the per-value formatter give."""
 import json
 import math
 import random
+import sys
 
 import pytest
 from references import matched_sup_gap_full_grid, vm_cdf_sweep_every_segment
@@ -16,7 +17,10 @@ from circbridge.distributions import (
     SQRT2,
     VonMisesParams,
     WrappedNormalParams,
+    _vm_density_value,
+    _wn_density_value,
     _wn_fourier_count,
+    _wn_series,
     matched_sup_gap,
     vm_density,
     wn_density,
@@ -110,13 +114,14 @@ def test_residual_scan_equals_point_function_loop(target, spec):
 @pytest.mark.parametrize("mu", [0.0, 4.0])
 def test_matched_sup_gap_equals_density_loop(kappa, mu):
     # the gap is sampled at offsets from mu, so the mu = 0 laws give the
-    # reference for every mu; on the even grid one offset lands on pi
+    # reference for every mu; both laws are even, so the offsets on [0, pi]
+    # are sampled, and on the even grid the last lands on pi
     params = VonMisesParams(mu, kappa)
     vm = VonMisesParams(0.0, kappa)
     wn = WrappedNormalParams(0.0, SQRT2 * vm.sigma)
     for grid, tol in [(257, 1e-12), (256, 1e-12), (257, 1e-3), (256, 1e-3)]:
         sup = 0.0
-        for j in range(grid):
+        for j in range(grid // 2 + 1):
             theta = j * (TWO_PI / grid)
             sup = max(sup, abs(vm_density(vm, theta) - wn_density(wn, theta, tol)))
         assert matched_sup_gap(params, grid, tol) == sup
@@ -133,6 +138,28 @@ def test_matched_sup_gap_outward_walk_equals_full_grid():
         grid = rng.choice([1, 2, 3, 4, 256, 257, 1000, 1001, 2001])
         tol = rng.choice([1e-300, 1e-12, 1e-3, 0.5])
         assert matched_sup_gap(params, grid, tol) == matched_sup_gap_full_grid(params, grid, tol)
+
+
+def test_matched_sup_gap_half_grid_stays_within_ulps_of_the_two_sided_max():
+    # t_(n-j) is not exactly -t_j, so the offsets on (pi, 2 pi) can give
+    # gaps a few rounding errors of the peak density away from their
+    # mirrors on [0, pi]
+    rng = random.Random(20261019)
+    for _ in range(300):
+        params = VonMisesParams(rng.uniform(-10.0, 10.0), 10.0 ** rng.uniform(-3.0, 8.0))
+        grid = rng.choice([3, 4, 256, 257, 1000, 1001, 2001])
+        tol = rng.choice([1e-300, 1e-12, 1e-3])
+        v = SQRT2 * params.sigma
+        series = _wn_series(v, tol)
+        two_sided = 0.0
+        for j in range(grid):
+            t = wrap_angle(j * (TWO_PI / grid))
+            f = _vm_density_value(params.kappa, params.i0e, t)
+            two_sided = max(two_sided, abs(f - _wn_density_value(t, v, series)))
+        f0 = _vm_density_value(params.kappa, params.i0e, 0.0)
+        peak = max(f0, _wn_density_value(0.0, v, series))
+        bound = 4.0 * sys.float_info.epsilon * peak
+        assert abs(matched_sup_gap(params, grid, tol) - two_sided) <= bound
 
 
 def _sweep_outcome(sweep, params, xs, tol):

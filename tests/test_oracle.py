@@ -5,9 +5,9 @@ import random
 import pytest
 from references import bessel_i0_integral
 
-from circbridge import backend, bessel, cli, oracle
+from circbridge import backend, bessel, cli, expansions, oracle
 from circbridge.distributions import VonMisesParams, WrappedNormalParams, vm_density, wn_density
-from circbridge.expansions import BulkSpec
+from circbridge.expansions import BulkSpec, _inverse_powers, log_ratio_exact
 from circbridge.oracle import (
     QuadratureError,
     adaptive_quadrature,
@@ -566,3 +566,37 @@ def test_residual_scan_cdf_max_residual_non_increasing():
 def test_residual_scan_shrunken_regime():
     rep = residual_scan(BulkSpec.shrunken(1.0), [64.0, 128.0, 256.0], 11, "ratio")
     assert -3.5 < rep.fitted_slope < -2.5
+
+
+def test_log_ratio_and_ratio_residuals_are_even_on_the_mirror_grid():
+    # residual_scan evaluates these two targets on half the grid; at
+    # mu = 0 BulkSpec.grid mirrors exactly and each residual list is its
+    # own reverse, bit for bit
+    rng = random.Random(20261019)
+    for _ in range(400):
+        kappa = 10.0 ** rng.uniform(-0.3, 6.0)
+        if rng.random() < 0.5:
+            spec = BulkSpec.fixed(rng.uniform(0.05, 0.95))
+        else:
+            spec = BulkSpec.shrunken(rng.uniform(0.1, 3.0))
+        params = VonMisesParams(0.0, kappa)
+        _dts, xs = spec.grid(params, rng.randrange(11, 1002, 2))
+        powers = _inverse_powers(kappa)
+        targets = ["log_ratio"]
+        # math.exp of the exact log-ratio overflows above ~709.78
+        if log_ratio_exact(params, xs[0]) < 700.0:
+            targets.append("ratio")
+        for target in targets:
+            res = [r.hex() for r in oracle._scan_residuals(target, params, powers, xs, None)]
+            assert res == res[::-1]
+
+
+@pytest.mark.parametrize("target, edge_checks", [("log_ratio", 0), ("ratio", 1)])
+def test_residual_scan_evaluates_half_the_grid(target, edge_checks, count_calls):
+    # per kappa: the grid from its edge to mu, then the slope point; the
+    # ratio checks each kappa's edge first, before any grid is evaluated
+    exact = count_calls(expansions, "_log_ratio_exact_value")
+    kappas = [64.0, 128.0, 256.0]
+    residual_scan(BulkSpec.fixed(0.5), kappas, 31, target)
+    per_kappa = 31 // 2 + 1 + 1
+    assert exact == kappas * edge_checks + [k for k in kappas for _ in range(per_kappa)]
