@@ -59,6 +59,9 @@ _WG = (
     0.3818300505051189,
     0.4179591836734694,
 )
+# (node, Kronrod weight, Gauss weight) of the off-centre node pairs, for
+# `_vm_panel`; the Gauss weight is 0.0 at the Kronrod-only pairs.
+_VM_NODES = tuple(zip(_XGK[:7], _WGK[:7], (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0)))
 
 # Bisection depth at which a panel that still fails its tolerance raises
 # QuadratureError instead of splitting again.
@@ -160,23 +163,27 @@ def gk15_panel(f, a, b):
 
 
 def _vm_panel(m, a, b):
-    """`gk15_panel` of exp(m * sin(t/2)^2), with the integrand in line."""
+    """`gk15_panel` of exp(m * sin(t/2)^2), with the integrand in line.
+
+    One loop over _VM_NODES.  The integrand lies in (0, 1], so a
+    Kronrod-only pair adds 0.0 * fsum = +0.0 to the Gauss sum, which
+    leaves its value and its summation order as they were.
+    """
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     u = math.sin(0.5 * c)
     fc = math.exp(m * (u * u))
     resk = _WGK[7] * fc
     resg = _WG[3] * fc
-    for i in range(7):
-        dx = h * _XGK[i]
+    for x, wk, wg in _VM_NODES:
+        dx = h * x
         u = math.sin(0.5 * (c - dx))
         f1 = math.exp(m * (u * u))
         u = math.sin(0.5 * (c + dx))
         f2 = math.exp(m * (u * u))
         fsum = f1 + f2
-        resk += _WGK[i] * fsum
-        if i & 1:
-            resg += _WG[i >> 1] * fsum
+        resk += wk * fsum
+        resg += wg * fsum
     return resk * h, abs(resk - resg) * h
 
 
@@ -185,16 +192,23 @@ def adaptive_gk15(panel, f, a, b, tol):
 
     `panel(f, lo, hi)` returns (estimate, error estimate) for one panel.
     A panel is accepted when its error estimate meets the local
-    tolerance, which is halved at every split.  Returns (value,
+    tolerance, which is halved at every split.  The whole of [a, b] is
+    tried first, and a panel that passes is returned as is, before any
+    stack is built; most sweep segments end there.  Returns (value,
     error_estimate, evaluations); raises QuadratureError when a panel at
     depth MAX_DEPTH still fails, so a tolerance the panels cannot meet
     fails loudly.  The stack is depth-first, so it never holds more than
     MAX_DEPTH + 1 panels.
     """
-    stack = [(a, b, tol, 0)]
+    val, err = panel(f, a, b)
+    if err <= tol:
+        return val, err, 15
+    mid = 0.5 * (a + b)
+    half = 0.5 * tol
+    stack = [(mid, b, half, 1), (a, mid, half, 1)]
     total = 0.0
     err_total = 0.0
-    evals = 0
+    evals = 15
     while stack:
         a1, b1, tol1, depth = stack.pop()
         val, err = panel(f, a1, b1)

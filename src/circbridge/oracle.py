@@ -25,6 +25,7 @@ from .expansions import (
     _log_ratio_exact_value,
     _log_ratio_second_term,
     _ratio_second_term,
+    _remainder_scale,
     grid_size_ok,
 )
 
@@ -169,16 +170,19 @@ def _scan_residuals(target, params, powers, xs, cdf_quad):
     quadrature for each x, read only for the cdf target.  The values are
     those of log_ratio_exact(params, x) and of the order-2
     log_ratio_expansion, ratio_expansion and cdf_expansion at the deviate
-    of x, from the same cores with the per-kappa numbers read once.
+    of x, from the same cores with the per-kappa numbers read once.  For
+    cdf, xs[j] and xs[-1 - j] must mirror about mu for j < len(xs) // 2,
+    as a bulk grid at mu = 0 or a single point does: the expansion
+    reflects as 1 - v, so each pair shares the value v at its upper point.
     """
     u, uu = powers
     mu = params.mu
     sigma = params.sigma
     if target == "cdf":
-        return [
-            abs(cq - _cdf_expansion_value(((x - mu) / sigma) / SQRT2, u, uu))
-            for x, cq in zip(xs, cdf_quad)
-        ]
+        h = len(xs) // 2
+        vs = [_cdf_expansion_value(((x - mu) / sigma) / SQRT2, u, uu) for x in xs[h:]]
+        lower = [abs(cq - (1.0 - v)) for cq, v in zip(cdf_quad[:h], reversed(vs))]
+        return lower + [abs(cq - v) for cq, v in zip(cdf_quad[h:], vs)]
     kappa = params.kappa
     log_i0e, half_log_var = _log_ratio_constants(params)
     out = []
@@ -252,7 +256,8 @@ def residual_scan(
     max_norm: List[float] = []
     slope_points: List[Tuple[float, float]] = []
     # every grid is built, and so checked against the circle, and every
-    # kappa checked (range, kappa^3, the ratio's bulk edge) before any is
+    # kappa checked (range, kappa^3, the ratio's bulk edge), then every
+    # remainder scale (1 + |dt|^p) / kappa^3 at the bulk edge, before any is
     # evaluated; at mu = 0 the grid mirrors exactly and the log_ratio and
     # ratio residuals are even bit for bit, so the half up to mu has the
     # grid's maxima (max() keeps a NaN only as its first item: the edge)
@@ -271,6 +276,8 @@ def residual_scan(
         if target == "ratio":
             _require_finite_edge_ratio(regime, params, powers, kappa_cubed, xs)
         grids.append((params, dts[:evaluated], xs[:evaluated], powers, kappa_cubed))
+    for _params, dts, _xs, powers, _kappa_cubed in grids:
+        _remainder_scale(target, -dts[0], *powers)  # at the upper bulk edge
     for params, dts, xs, powers, kappa_cubed in grids:
         cdf_quad = vm_cdf_sweep(params, xs, quad_tol) if target == "cdf" else None
         res = _scan_residuals(target, params, powers, xs, cdf_quad)

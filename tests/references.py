@@ -8,7 +8,11 @@ adaptive quadrature.  `matched_sup_gap_full_grid` evaluates the density
 gap at every grid offset on [0, pi], the reference for
 `matched_sup_gap`'s outward walk, and `vm_cdf_sweep_every_segment`
 integrates every segment of the CDF sweep, the reference for the
-sweep's stop at its 20 sigma reach.
+sweep's stop at its 20 sigma reach.  `vm_scaled_mass_stack_only`
+keeps the quadrature of the CDF sweep as it was before
+`backend.adaptive_gk15` tried its first panel ahead of the stack and
+`backend._vm_panel` looped over its node table: the reference that the
+current kernels must match bit for bit.
 MPMATH_KAPPAS are the concentrations at which the per-kappa values are
 checked against mpmath.
 """
@@ -138,3 +142,60 @@ def vm_cdf_sweep_every_segment(params, xs, tol: float):
         mass += part
         half[hi] = inv_norm * mass
     return [0.5 - half[-t] if t < 0.0 else 0.5 + half[t] for t in ts]
+
+
+def adaptive_gk15_stack_only(panel, f, a, b, tol):
+    """`backend.adaptive_gk15` with every panel, the first too, popped
+    from the bisection stack."""
+    stack = [(a, b, tol, 0)]
+    total = 0.0
+    err_total = 0.0
+    evals = 0
+    while stack:
+        a1, b1, tol1, depth = stack.pop()
+        val, err = panel(f, a1, b1)
+        evals += 15
+        if err <= tol1:
+            total += val
+            err_total += err
+        elif depth >= backend.MAX_DEPTH:
+            raise backend.QuadratureError(
+                "no convergence on [%g, %g] at depth %d (err=%.3e, tol=%.3e)"
+                % (a1, b1, depth, err, tol1)
+            )
+        else:
+            mid = 0.5 * (a1 + b1)
+            half = 0.5 * tol1
+            stack.append((mid, b1, half, depth + 1))
+            stack.append((a1, mid, half, depth + 1))
+    return total, err_total, evals
+
+
+def vm_panel_index_loop(m, a, b):
+    """`backend._vm_panel` as an index loop over the node arrays, adding to
+    the Gauss sum at the odd indices only."""
+    xgk, wgk, wg = backend._XGK, backend._WGK, backend._WG
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    u = math.sin(0.5 * c)
+    fc = math.exp(m * (u * u))
+    resk = wgk[7] * fc
+    resg = wg[3] * fc
+    for i in range(7):
+        dx = h * xgk[i]
+        u = math.sin(0.5 * (c - dx))
+        f1 = math.exp(m * (u * u))
+        u = math.sin(0.5 * (c + dx))
+        f2 = math.exp(m * (u * u))
+        fsum = f1 + f2
+        resk += wgk[i] * fsum
+        if i & 1:
+            resg += wg[i >> 1] * fsum
+    return resk * h, abs(resk - resg) * h
+
+
+def vm_scaled_mass_stack_only(kappa, a, b, tol):
+    """`backend.vm_scaled_mass` on the two references above."""
+    if b <= a:
+        return 0.0, 0.0, 0
+    return adaptive_gk15_stack_only(vm_panel_index_loop, -2.0 * kappa, a, b, tol)

@@ -567,6 +567,35 @@ def test_error_scan_rejects_kappa_where_cube_overflows(capsys):
     assert "kappa^3 overflows" in captured.err
 
 
+@pytest.mark.parametrize(
+    "target, kappa_min, kappa_max, message",
+    [
+        ("log_ratio", "1e40", "1e80",
+         "delta_tilde=3.535533905932743e+39 is outside the log_ratio expansion's range at this"
+         " kappa: its remainder scale (1 + |delta_tilde|^8) / kappa^3 is not finite"),
+        ("cdf", "1e57", "1e60",
+         "delta_tilde=1.1180339887498924e+28 is outside the cdf expansion's range at this"
+         " kappa: its remainder scale (1 + |delta_tilde|^11) / kappa^3 is not finite"),
+    ],
+    ids=["log_ratio", "cdf"],
+)
+def test_error_scan_rejects_bulk_edge_where_remainder_scale_overflows(
+    target, kappa_min, kappa_max, message, count_calls, capsys
+):
+    # |delta_tilde|^p of the normalized maximum overflows at the bulk edge
+    # (kappa = 1e80 and 1e57); the scan fails before any sweep or residual
+    quadratures = count_calls(backend, "vm_scaled_mass")
+    evaluated = count_calls(oracle, "_scan_residuals")
+    argv = ["error-scan", "--target", target, "--kappa-min", kappa_min, "--kappa-max", kappa_max,
+            "--steps", "3", "--grid", "11"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
+    assert quadratures == []
+    assert evaluated == []
+
+
 @pytest.mark.parametrize("quantity", APPROX_QUANTITIES)
 def test_eval_expansions_finite_at_kappa_1e_minus_100(quantity, capsys):
     for x in ("0", "0.1", "-3"):

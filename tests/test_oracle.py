@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from references import bessel_i0_integral
+from references import bessel_i0_integral, vm_panel_index_loop, vm_scaled_mass_stack_only
 
 from circbridge import backend, bessel, cli, expansions, oracle
 from circbridge.distributions import VonMisesParams, WrappedNormalParams, vm_density, wn_density
@@ -108,6 +108,34 @@ def test_vm_scaled_mass_matches_generic_engine_bitwise(kappa, hi):
     got = backend.vm_scaled_mass(kappa, -math.pi, hi, 1e-13)
     ref = backend.adaptive_gk15(backend.gk15_panel, f, -math.pi, hi, 1e-13)
     assert got == ref
+
+
+def _mass_or_error(mass, kappa, a, b, tol):
+    try:
+        return mass(kappa, a, b, tol)
+    except QuadratureError as exc:
+        return str(exc)
+
+
+def test_vm_scaled_mass_and_panel_equal_the_stack_only_references():
+    # the first panel tried ahead of the stack, and the node-table loop,
+    # change no bit of a value, error estimate, count or error message
+    rng = random.Random(20261019)
+    outcomes = {"first panel": 0, "bisected": 0, "error": 0}
+    for _ in range(2000):
+        kappa = 10.0 ** rng.uniform(-3.0, 8.0)
+        width = 10.0 ** rng.uniform(-15.0, math.log10(3.0))
+        a = rng.uniform(-math.pi, math.pi - width)
+        b = a + width
+        tol = 10.0 ** rng.uniform(-300.0, -6.0)
+        assert backend._vm_panel(-2.0 * kappa, a, b) == vm_panel_index_loop(-2.0 * kappa, a, b)
+        got = _mass_or_error(backend.vm_scaled_mass, kappa, a, b, tol)
+        assert got == _mass_or_error(vm_scaled_mass_stack_only, kappa, a, b, tol)
+        if isinstance(got, str):
+            outcomes["error"] += 1
+        else:
+            outcomes["first panel" if got[2] == 15 else "bisected"] += 1
+    assert min(outcomes.values()) >= 200, outcomes
 
 
 # --------------------------------------------------- integral representation
@@ -600,3 +628,12 @@ def test_residual_scan_evaluates_half_the_grid(target, edge_checks, count_calls)
     residual_scan(BulkSpec.fixed(0.5), kappas, 31, target)
     per_kappa = 31 // 2 + 1 + 1
     assert exact == kappas * edge_checks + [k for k in kappas for _ in range(per_kappa)]
+
+
+def test_cdf_residual_scan_evaluates_one_expansion_per_mirror_pair(count_calls):
+    # per kappa: the grid's upper half with mu, whose values the lower half
+    # reflects, then the slope point
+    values = count_calls(expansions, "_cdf_expansion_value")
+    residual_scan(BulkSpec.fixed(0.5), [64.0, 128.0, 256.0], 31, "cdf")
+    assert len(values) == 3 * (31 // 2 + 1 + 1)
+    assert min(values) == 0.0
