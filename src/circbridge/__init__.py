@@ -21,8 +21,6 @@ from .distributions import (
     normalize_angle,
     upper_incomplete_moment,
     vm_density,
-    vm_log_density,
-    wn_circular_variance,
     wn_density,
     wrap_angle,
 )
@@ -31,7 +29,6 @@ from .expansions import (
     ExpansionValue,
     StandardizedDeviate,
     cdf_expansion,
-    in_bulk,
     log_ratio_exact,
     log_ratio_expansion,
     normalization_log_constant,
@@ -41,9 +38,7 @@ from .expansions import (
 )
 from .oracle import (
     QuadratureError,
-    QuadratureResult,
     ScanReport,
-    adaptive_quadrature,
     residual_scan,
     slope_fit,
     vm_cdf_quadrature,
@@ -56,19 +51,16 @@ __all__ = [
     "BulkSpec",
     "ExpansionValue",
     "QuadratureError",
-    "QuadratureResult",
     "ScanReport",
     "StandardizedDeviate",
     "VonMisesParams",
     "WrappedNormalParams",
-    "adaptive_quadrature",
     "backend_name",
     "bessel_i0e_asymptotic",
     "bessel_i1e_asymptotic",
     "cdf_expansion",
     "circular_variance_exact",
     "circular_variance_expansion",
-    "in_bulk",
     "log_ratio_exact",
     "log_ratio_expansion",
     "matched_sup_gap",
@@ -86,8 +78,6 @@ __all__ = [
     "vm_cdf_quadrature",
     "vm_cdf_sweep",
     "vm_density",
-    "vm_log_density",
-    "wn_circular_variance",
     "wn_density",
     "wrap_angle",
 ]

@@ -1,7 +1,7 @@
 """Exact circular and linear distribution functions.
 
-Covers the circular normal (von Mises) density and log-density, its
-circular variance, the wrapped normal density and circular variance, the
+Covers the circular normal (von Mises) density and its circular
+variance, the wrapped normal density for scales below sqrt(2 pi), the
 matched-scale relation v = sqrt(2) sigma between the two laws, and the
 linear-normal helpers phi, Phi and the upper incomplete moments.
 """
@@ -17,9 +17,10 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 LOG_TWO = math.log(2.0)
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
-# From this wrapped-normal scale up, the density is summed as its Fourier
-# series instead of over integer wraps (see wn_density).
-_WN_FOURIER_MIN_V = math.sqrt(TWO_PI)
+# Wrapped-normal scales lie below this.  Every matched scale sqrt(2) sigma
+# is at most sqrt(2), and below sqrt(2 pi) the lattice sum needs at most
+# 11 terms at tol 1e-12 and 35 at tol 1e-300.
+_WN_MAX_V = math.sqrt(TWO_PI)
 
 # 1 + m for the rounding margin m of matched_sup_gap's stopping test
 _SUP_MARGIN = 1.0 + 1e-6
@@ -77,7 +78,7 @@ class VonMisesParams:
 
 @dataclass(frozen=True)
 class WrappedNormalParams:
-    """Mean direction mu (normalized to [0, 2*pi)) and linear scale v > 0."""
+    """Mean direction mu (normalized to [0, 2*pi)) and linear scale 0 < v < sqrt(2 pi)."""
 
     mu: float
     v: float
@@ -85,8 +86,8 @@ class WrappedNormalParams:
     def __post_init__(self):
         if not (-math.inf < self.mu < math.inf):
             raise ValueError("mu must be finite, got %r" % (self.mu,))
-        if not (0.0 < self.v < math.inf):
-            raise ValueError("v must be finite and > 0, got %r" % (self.v,))
+        if not (0.0 < self.v < _WN_MAX_V):
+            raise ValueError("v must be finite, > 0 and < sqrt(2 pi), got %r" % (self.v,))
         object.__setattr__(self, "mu", normalize_angle(self.mu))
 
 
@@ -113,17 +114,6 @@ def _vm_density_value(kappa, i0e, t):
     # the density at wrapped offset t, given kappa and e^-kappa I0(kappa)
     s = math.sin(0.5 * t)
     return math.exp(-2.0 * kappa * (s * s)) / (TWO_PI * i0e)
-
-
-def vm_log_density(params: VonMisesParams, theta: float) -> float:
-    """Log of the circular normal density, finite for very large kappa.
-
-    Evaluated in the scaled form -2 kappa sin^2(t/2) - log(2 pi e^-kappa I0),
-    like `vm_density`.
-    """
-    t = wrap_angle(theta - params.mu)
-    s = math.sin(0.5 * t)
-    return -2.0 * params.kappa * (s * s) - LOG_TWO_PI - params.log_i0e
 
 
 def circular_variance_exact(kappa: float) -> float:
@@ -162,54 +152,20 @@ def _wn_wraps(t_wrapped: float, reach) -> int:
     return int(math.ceil((abs(t_wrapped) + reach) / TWO_PI)) + 1
 
 
-def _wn_fourier_count(v: float, tol: float) -> int:
-    # With rho = e^(-v^2/2), the terms p > P of the Fourier series add at
-    # most rho^((P+1)^2) / (pi (1 - rho)) to the density; the smallest P
-    # that puts this below tol.
-    log_arg = -math.log(math.pi * tol) - math.log1p(-math.exp(-0.5 * v * v))
-    if log_arg <= 0.0:
-        return 0
-    return int(math.ceil(math.sqrt(2.0 * log_arg) / v)) - 1
-
-
-def _wn_series(v: float, tol: float):
-    # the per-scale part of wn_density: (Fourier term count, None) from
-    # v = sqrt(2 pi) up, else (None, lattice tail reach)
-    if v >= _WN_FOURIER_MIN_V:
-        return _wn_fourier_count(v, tol), None
-    return None, _wn_tail_reach(v, tol)
-
-
-def _wn_density_value(t, v, series):
-    # the density at wrapped offset t, given series = _wn_series(v, tol)
-    pmax, reach = series
-    if pmax is not None:
-        return backend.wn_fourier_at(t, v, pmax)
-    return backend.wn_density_at(t, v, _wn_wraps(t, reach))
-
-
 def wn_density(params: WrappedNormalParams, theta: float, tol: float = 1e-12) -> float:
     """Wrapped normal density, within tol (absolute) of the exact value.
 
-    Below v = sqrt(2 pi) it sums normal densities over integer wraps,
-    with the symmetric truncation bound kmax chosen so the omitted tail
-    is below tol; from there up it sums the Fourier (theta) series
-    (1/2pi)(1 + 2 sum rho^(p^2) cos(p t)), rho = e^(-v^2/2), truncated
-    the same way.  The lattice terms decay like e^(-2 pi^2 k^2 / v^2) and
-    the Fourier terms like e^(-v^2 p^2 / 2), so each series is used where
-    it needs the fewer terms; at the switch both decay like e^(-pi n^2)
-    (Kurz, Gilitschenski & Hanebeck 2014).
+    Sums normal densities over integer wraps, with the symmetric
+    truncation bound kmax chosen so the omitted tail is below tol.  The
+    terms decay like e^(-2 pi^2 k^2 / v^2), so below v = sqrt(2 pi), the
+    bound `WrappedNormalParams` keeps, the lattice needs no more terms
+    than the Fourier (theta) series would (Kurz, Gilitschenski & Hanebeck
+    2014).
     """
     _require_tol(tol)
     v = params.v
-    return _wn_density_value(wrap_angle(theta - params.mu), v, _wn_series(v, tol))
-
-
-def wn_circular_variance(v: float) -> float:
-    """Circular variance of the wrapped normal law: 1 - exp(-v^2 / 2)."""
-    if not (v > 0.0):
-        raise ValueError("v must be > 0, got %r" % (v,))
-    return -math.expm1(-0.5 * v * v)
+    t = wrap_angle(theta - params.mu)
+    return backend.wn_density_at(t, v, _wn_wraps(t, _wn_tail_reach(v, tol)))
 
 
 # No package code calls this; perfbench/worker.py does, until the next
@@ -233,18 +189,18 @@ def matched_sup_gap(params: VonMisesParams, grid_size: int = 1001, tol: float = 
     point where f (1 + m) and (g + tol)(1 + m) both fall below the running
     sup, f and g being the two densities there and m = 1e-6 a margin for
     rounding.  No later point can raise the sup: |f - g| <= max(f, g) for
-    f, g >= 0; both exact densities decrease in |t| on [0, pi]; and
-    sigma^2 <= 1 keeps v <= sqrt(2) on the lattice sum, which omits only
-    positive terms, less than tol in all, so a later g is at most the
-    exact density here, below g + tol.  The offsets on (pi, 2 pi) mirror
-    these only up to rounding, so the max over all grid_size offsets may
-    differ from the result by a few ulp of the peak density.
+    f, g >= 0; both exact densities decrease in |t| on [0, pi]; and the
+    lattice sum omits only positive terms, less than tol in all, so a
+    later g is at most the exact density here, below g + tol.  The
+    offsets on (pi, 2 pi) mirror these only up to rounding, so the max
+    over all grid_size offsets may differ from the result by a few ulp of
+    the peak density.
     """
     if grid_size < 1:
         raise ValueError("grid_size must be >= 1, got %r" % (grid_size,))
     _require_tol(tol)
-    v = SQRT2 * params.sigma
-    series = _wn_series(v, tol)
+    v = SQRT2 * params.sigma  # at most sqrt(2), as sigma^2 <= 1
+    reach = _wn_tail_reach(v, tol)
     kappa = params.kappa
     i0e = params.i0e
     step = TWO_PI / grid_size
@@ -252,7 +208,7 @@ def matched_sup_gap(params: VonMisesParams, grid_size: int = 1001, tol: float = 
     for j in range(grid_size // 2 + 1):
         t = wrap_angle(j * step)
         f = _vm_density_value(kappa, i0e, t)
-        g = _wn_density_value(t, v, series)
+        g = backend.wn_density_at(t, v, _wn_wraps(t, reach))
         gap = abs(f - g)
         if gap > sup:
             sup = gap

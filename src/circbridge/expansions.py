@@ -129,12 +129,6 @@ def standardized_deviate(params: VonMisesParams, x: float) -> StandardizedDeviat
     return StandardizedDeviate(delta, delta / SQRT2)
 
 
-def in_bulk(params: VonMisesParams, spec: BulkSpec, x: float) -> bool:
-    """Whether x lies in the bulk region of the concentrated circular law."""
-    d = standardized_deviate(params, x).delta
-    return abs(d) <= spec.delta_halfwidth(params.kappa)
-
-
 # Value-only cores: each formula is written once, here (the circular
 # density's is `distributions._vm_density_value`).  The public point
 # functions wrap them; the grid loops (the `table` rows in `cli`,

@@ -1,18 +1,18 @@
 """Independent brute-force references and error-order scan machinery.
 
-Everything the expansions are validated against lives here: adaptive
-Gauss-Kronrod quadrature of any integrand (on the kernels' GK15 engine),
-quadrature of the circular distribution function, residual scans over
-the bulk, and the log-log slope fit used to measure decay orders.
+Everything the expansions are validated against lives here: quadrature
+of the circular distribution function (on the kernels' adaptive GK15
+integrator), residual scans over the bulk, and the log-log slope fit
+used to measure decay orders.
 """
 
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import backend
-from .backend import QuadratureError  # re-exported: raised by the integrator
+from .backend import QuadratureError  # re-exported: raised by the CDF sweep
 from .distributions import SQRT2, VonMisesParams, _require_tol
 from .expansions import (
     ENVELOPE_POWER,
@@ -39,12 +39,6 @@ SCAN_TARGETS = ("log_ratio", "ratio", "cdf")
 # at or below this.
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    abs_error_estimate: float
-    evaluations: int
-
 
 @dataclass(frozen=True)
 class ScanReport:
@@ -56,24 +50,6 @@ class ScanReport:
     fitted_slope: float
     grid_size: int
     regime: BulkSpec
-
-
-def adaptive_quadrature(
-    f: Callable[[float], float], a: float, b: float, tol: float
-) -> QuadratureResult:
-    """Integrate f over [a, b] to absolute tolerance tol.
-
-    Adaptive bisection on 15-point Kronrod panels; each panel is accepted
-    when its embedded Gauss/Kronrod error estimate meets the local
-    tolerance, which is halved at every split.  Raises QuadratureError if
-    a panel at bisection depth `backend.MAX_DEPTH` (40) still fails its
-    tolerance.
-    """
-    if not (a < b):
-        raise ValueError("need a < b, got a=%r b=%r" % (a, b))
-    _require_tol(tol)
-    value, err, evals = backend.adaptive_gk15(backend.gk15_panel, f, a, b, tol)
-    return QuadratureResult(value=value, abs_error_estimate=err, evaluations=evals)
 
 
 def vm_cdf_sweep(
@@ -194,8 +170,19 @@ def _scan_residuals(target, params, powers, xs, cdf_quad):
         first = _first_order_term(dt, u)
         if target == "log_ratio":
             out.append(abs(exact - (first + _log_ratio_second_term(dt, uu))))
-        else:
-            out.append(abs(math.exp(exact) - (1.0 + first + _ratio_second_term(dt, uu))))
+            continue
+        try:
+            ratio = math.exp(exact)
+        except OverflowError:
+            # the edge check passed, so exact is not kappa t^4 / 24 here
+            # but the rounding noise of its two cancelling terms of order
+            # delta^2 / 4
+            raise ValueError(
+                "the exact ratio overflows inside the bulk at kappa=%r, delta_tilde=%r:"
+                " the exact log-ratio there reads %.6g, rounding noise of its cancelling"
+                " terms at this kappa; use a smaller kappa" % (kappa, dt, exact)
+            ) from None
+        out.append(abs(ratio - (1.0 + first + _ratio_second_term(dt, uu))))
     return out
 
 

@@ -3,21 +3,24 @@
 Compensated scaled power series for e^(-x) I0(x) and e^(-x) I1(x), run
 to twice the term count needed for convergence; they are the high-trust
 references for the Bessel code and the circular variance.
-`bessel_i0_integral` gives I0 from its integral representation by
-adaptive quadrature.  `matched_sup_gap_full_grid` evaluates the density
-gap at every grid offset on [0, pi], the reference for
-`matched_sup_gap`'s outward walk, and `vm_cdf_sweep_every_segment`
-integrates every segment of the CDF sweep, the reference for the
-sweep's stop at its 20 sigma reach.  `vm_scaled_mass_stack_only`
-keeps the quadrature of the CDF sweep as it was before
-`backend.adaptive_gk15` tried its first panel ahead of the stack and
-`backend._vm_panel` looped over its node table: the reference that the
-current kernels must match bit for bit.
+`adaptive_quadrature` integrates any integrand by adaptive bisection on
+the generic 15-point Gauss-Kronrod panel `gk15_panel`; the tests take
+integrals, normalizations and moments with it, and `bessel_i0_integral`
+gives I0 from its integral representation with it.
+`matched_sup_gap_full_grid` evaluates the density gap at every grid
+offset on [0, pi], the reference for `matched_sup_gap`'s outward walk,
+and `vm_cdf_sweep_every_segment` integrates every segment of the CDF
+sweep, the reference for the sweep's stop at its 20 sigma reach.
+`vm_scaled_mass_stack_only` keeps the quadrature of the CDF sweep as it
+was before `backend.vm_scaled_mass` tried its first panel ahead of the
+stack and `backend._vm_panel` looped over its node table: the reference
+that the current kernels must match bit for bit.
 MPMATH_KAPPAS are the concentrations at which the per-kappa values are
 checked against mpmath.
 """
 
 import math
+from dataclasses import dataclass
 from typing import Callable
 
 from circbridge import backend
@@ -26,11 +29,10 @@ from circbridge.distributions import (
     TWO_PI,
     _require_tol,
     _vm_density_value,
-    _wn_density_value,
-    _wn_series,
+    _wn_tail_reach,
+    _wn_wraps,
     wrap_angle,
 )
-from circbridge.oracle import adaptive_quadrature
 
 # 300 log-uniform concentrations on [1e-4, 1e6], plus both sides of the
 # kappa = 300 and 600 points where earlier versions switched algorithms.
@@ -110,12 +112,13 @@ def matched_sup_gap_full_grid(params, grid_size: int, tol: float) -> float:
     """`matched_sup_gap` by evaluating both densities at every grid offset
     on [0, pi], j = 0 .. grid_size // 2, with no stopping test."""
     v = SQRT2 * params.sigma
-    series = _wn_series(v, tol)
+    reach = _wn_tail_reach(v, tol)
     step = TWO_PI / grid_size
     sup = 0.0
     for j in range(grid_size // 2 + 1):
         t = wrap_angle(j * step)
-        gap = abs(_vm_density_value(params.kappa, params.i0e, t) - _wn_density_value(t, v, series))
+        g = backend.wn_density_at(t, v, _wn_wraps(t, reach))
+        gap = abs(_vm_density_value(params.kappa, params.i0e, t) - g)
         if gap > sup:
             sup = gap
     return sup
@@ -144,9 +147,57 @@ def vm_cdf_sweep_every_segment(params, xs, tol: float):
     return [0.5 - half[-t] if t < 0.0 else 0.5 + half[t] for t in ts]
 
 
+@dataclass(frozen=True)
+class QuadratureResult:
+    value: float
+    abs_error_estimate: float
+    evaluations: int
+
+
+def gk15_panel(f, a, b):
+    """One Kronrod-15 panel of f over [a, b], a < b.
+
+    Returns (kronrod, |kronrod - gauss|).
+    """
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    fc = f(c)
+    resk = backend._WGK[7] * fc
+    resg = backend._WG[3] * fc
+    for i in range(7):
+        dx = h * backend._XGK[i]
+        fsum = f(c - dx) + f(c + dx)
+        resk += backend._WGK[i] * fsum
+        if i & 1:
+            resg += backend._WG[i >> 1] * fsum
+    return resk * h, abs(resk - resg) * h
+
+
+def adaptive_quadrature(
+    f: Callable[[float], float], a: float, b: float, tol: float
+) -> QuadratureResult:
+    """Integrate f over [a, b] to absolute tolerance tol.
+
+    Adaptive bisection on 15-point Kronrod panels; each panel is accepted
+    when its embedded Gauss/Kronrod error estimate meets the local
+    tolerance, which is halved at every split.  Raises QuadratureError if
+    a panel at bisection depth `backend.MAX_DEPTH` (40) still fails its
+    tolerance.
+    """
+    if not (a < b):
+        raise ValueError("need a < b, got a=%r b=%r" % (a, b))
+    _require_tol(tol)
+    value, err, evals = adaptive_gk15_stack_only(gk15_panel, f, a, b, tol)
+    return QuadratureResult(value=value, abs_error_estimate=err, evaluations=evals)
+
+
 def adaptive_gk15_stack_only(panel, f, a, b, tol):
-    """`backend.adaptive_gk15` with every panel, the first too, popped
-    from the bisection stack."""
+    """Adaptive bisection of [a, b] on `panel(f, lo, hi)`, which returns
+    (estimate, error estimate), with every panel, the first too, popped
+    from a depth-first stack: `backend.vm_scaled_mass`'s driver before it
+    tried its first panel ahead of the stack.  It has no panel budget, so
+    the tests give it only calls that take far fewer panels than
+    `backend.MAX_PANELS`."""
     stack = [(a, b, tol, 0)]
     total = 0.0
     err_total = 0.0

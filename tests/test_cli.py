@@ -492,6 +492,47 @@ def test_table_rejects_kappa_where_inverse_cube_overflows(kappa, count_calls, ca
     assert quadratures == []
 
 
+@pytest.mark.parametrize(
+    "kappa, eta, message",
+    [
+        ("1e300", "0.5", "delta_tilde=3.5355339059327374e+149 is outside the log_ratio"
+         " expansion's range at this kappa: its remainder scale (1 + |delta_tilde|^8)"),
+        ("1e80", "0.5", "delta_tilde=3.535533905932738e+39 is outside the log_ratio"
+         " expansion's range at this kappa: its remainder scale (1 + |delta_tilde|^8)"),
+        ("1e60", "0.5", "delta_tilde=3.5355339059327375e+29 is outside the cdf"
+         " expansion's range at this kappa: its remainder scale (1 + |delta_tilde|^11)"),
+        # just past the onset, about 2.2e56 / eta^2, where |delta_tilde|^11
+        # overflows at the bulk edge
+        ("8.91e58", "0.05", "delta_tilde=1.0553435459602716e+28 is outside the cdf"
+         " expansion's range at this kappa: its remainder scale (1 + |delta_tilde|^11)"),
+        ("8.91e56", "0.5", "delta_tilde=1.0553435459602716e+28 is outside the cdf"
+         " expansion's range at this kappa: its remainder scale (1 + |delta_tilde|^11)"),
+        ("2.47e56", "0.95", "delta_tilde=1.0557402616174112e+28 is outside the cdf"
+         " expansion's range at this kappa: its remainder scale (1 + |delta_tilde|^11)"),
+    ],
+    ids=["1e300", "1e80", "1e60", "onset-eta-0.05", "onset-eta-0.5", "onset-eta-0.95"],
+)
+def test_table_rejects_bulk_edge_where_remainder_scale_is_not_finite(
+    kappa, eta, message, count_calls, capsys
+):
+    # the rule `eval` applies to its point, applied at the outermost
+    # deviate before the sweep
+    quadratures = count_calls(backend, "vm_scaled_mass")
+    assert run(["table", "--mu", "0", "--kappa", kappa, "--eta", eta, "--grid", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s / kappa^3 is not finite\n" % message
+    assert quadratures == []
+
+
+@pytest.mark.parametrize("kappa, eta", [("8.9e58", "0.05"), ("8.9e56", "0.5"), ("2.46e56", "0.95")])
+def test_table_finite_just_below_the_bulk_edge_rule(kappa, eta, capsys):
+    assert run(["table", "--mu", "0", "--kappa", kappa, "--eta", eta, "--grid", "5"]) == 0
+    rows = capsys.readouterr().out.split()[1:]
+    assert len(rows) == 5
+    assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+
 def test_error_scan_rejects_kappa_where_inverse_cube_overflows(count_calls, capsys):
     quadratures = count_calls(backend, "vm_scaled_mass")
     argv = ["error-scan", "--target", "cdf", "--kappa-min", "1e-200", "--kappa-max", "1",
@@ -555,6 +596,21 @@ def test_error_scan_rejects_ratio_whose_normalized_residual_overflows_at_the_bul
         " times kappa^3 is not finite; use the shrunken regime\n" % message
     )
     assert evaluated == []
+
+
+def test_error_scan_rejects_ratio_that_overflows_inside_the_bulk(capsys):
+    # the edge passes its check, but at kappa = 7.38e52 the exact log-ratio
+    # inside the grid is rounding noise of order 1e7, past log(max float)
+    argv = ["error-scan", "--target", "ratio", "--kappa-min", "6.36e+27", "--kappa-max", "7.38e+52",
+            "--steps", "5", "--grid", "25", "--regime", "shrunken", "--eta", "0.116"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the exact ratio overflows inside the bulk at kappa=7.379999999999975e+52,"
+        " delta_tilde=-1013954215760.4701: the exact log-ratio there reads 6.71089e+07,"
+        " rounding noise of its cancelling terms at this kappa; use a smaller kappa\n"
+    )
 
 
 def test_error_scan_rejects_kappa_where_cube_overflows(capsys):

@@ -4,14 +4,18 @@ import math
 import pickle
 
 import pytest
-from references import MPMATH_KAPPAS, i0e_series_reference, i1e_series_reference
+from references import (
+    MPMATH_KAPPAS,
+    adaptive_quadrature,
+    i0e_series_reference,
+    i1e_series_reference,
+)
 
 from circbridge import backend, bessel, cli, distributions, oracle
 from circbridge.distributions import (
     SQRT2,
     VonMisesParams,
     WrappedNormalParams,
-    _wn_fourier_count,
     _wn_tail_reach,
     _wn_wraps,
     circular_variance_exact,
@@ -23,8 +27,6 @@ from circbridge.distributions import (
     normalize_angle,
     upper_incomplete_moment,
     vm_density,
-    vm_log_density,
-    wn_circular_variance,
     wn_density,
     wrap_angle,
 )
@@ -170,14 +172,6 @@ def test_convergence_computes_per_kappa_values_once(count_calls, capsys):
     assert kernel == [4.0, 16.0]
 
 
-def test_vm_log_density_reads_per_kappa_log_i0e(count_calls):
-    kernel = count_calls(backend, "i0e_sigma2")
-    p = VonMisesParams(0.3, 50.0)
-    for j in range(100):
-        vm_log_density(p, j * TWO_PI / 100.0)
-    assert kernel == [50.0]
-
-
 NAN = float("nan")
 INF = float("inf")
 
@@ -240,7 +234,7 @@ def test_vm_density_symmetric_about_mu(t):
 @pytest.mark.parametrize("kappa", [0.0, 0.5, 5.0, 50.0, 500.0])
 def test_vm_density_normalizes(kappa):
     p = VonMisesParams(0.8, kappa)
-    r = oracle.adaptive_quadrature(
+    r = adaptive_quadrature(
         lambda th: vm_density(p, th), p.mu - math.pi, p.mu + math.pi, 1e-11
     )
     assert abs(r.value - 1.0) <= 1e-10
@@ -252,25 +246,6 @@ def test_vm_density_maximized_at_mu():
     for j in range(721):
         theta = j * TWO_PI / 721.0
         assert vm_density(p, theta) <= peak
-
-
-def test_vm_log_density_uniform():
-    p = VonMisesParams(0.0, 0.0)
-    assert vm_log_density(p, math.pi) == -math.log(TWO_PI)
-
-
-def test_vm_log_density_large_kappa_finite():
-    p = VonMisesParams(0.0, 1000.0)
-    v = vm_log_density(p, 0.0)
-    assert math.isfinite(v)
-    assert abs(v - 2.5348140437211897) <= 1e-9
-
-
-def test_vm_log_density_consistent_with_density():
-    p = VonMisesParams(0.3, 3.0)
-    for j in range(13):
-        theta = j * TWO_PI / 13.0
-        assert rel(math.exp(vm_log_density(p, theta)), vm_density(p, theta)) <= 1e-13
 
 
 # ------------------------------------------------------- circular variance
@@ -330,10 +305,23 @@ def test_circular_variance_matches_mpmath():
 # -------------------------------------------------------- wrapped normal
 
 
+def _rejected(v):
+    # whether v is at or above sqrt(2 pi), where WrappedNormalParams must
+    # reject it: only the lattice sum is kept, and every matched scale
+    # sqrt(2) sigma is at most sqrt(2)
+    if v < math.sqrt(TWO_PI):
+        return False
+    with pytest.raises(ValueError, match=r"^v must be finite, > 0 and < sqrt\(2 pi\), got"):
+        WrappedNormalParams(0.0, v)
+    return True
+
+
 @pytest.mark.parametrize("v", [0.1, 1.0, 3.0])
 def test_wn_density_normalizes(v):
+    if _rejected(v):
+        return
     p = WrappedNormalParams(1.234, v)
-    r = oracle.adaptive_quadrature(lambda th: wn_density(p, th, 1e-12), 0.0, TWO_PI, 1e-10)
+    r = adaptive_quadrature(lambda th: wn_density(p, th, 1e-12), 0.0, TWO_PI, 1e-10)
     assert abs(r.value - 1.0) <= 1e-9
 
 
@@ -372,10 +360,12 @@ def _wn_reference(t, v):
         return float(mpmath.jtheta(3, t / 2, mpmath.exp(-v * v / 2)) / (2 * mpmath.pi))
 
 
-@pytest.mark.parametrize("v", [1e-300, 1.0, 2.5, 3.0, 100.0, 1e3, 1e5, 1e12])
+@pytest.mark.parametrize("v", [1e-300, 1.0, 2.5, 2.5066, 3.0, 100.0, 1e3, 1e5, 1e12])
 @pytest.mark.parametrize("t", [0.0, 1.0, math.pi])
 def test_wn_density_matches_mpmath(v, t):
     # within tol absolute, and relative where the density exceeds 1
+    if _rejected(v):
+        return
     tol = 1e-12
     ref = _wn_reference(t, v)
     got = wn_density(WrappedNormalParams(0.0, v), t, tol)
@@ -387,34 +377,28 @@ def test_wn_density_extreme_scales():
     narrow = WrappedNormalParams(0.0, 1e-300)
     assert rel(wn_density(narrow, 0.0), 1.0 / (1e-300 * math.sqrt(TWO_PI))) <= 1e-15
     assert wn_density(narrow, 1.0) == 0.0
-    # a flat law: the Fourier series stops at its constant term
-    assert wn_density(WrappedNormalParams(0.0, 1e12), 1.0) == 1.0 / TWO_PI
+    # a flat law is rejected: it lies above sqrt(2 pi)
+    assert _rejected(1e12)
 
 
 @pytest.mark.parametrize("v", [2.6, 3.0, 10.0, 1e6])
 def test_wn_density_wide_laws_need_few_terms(v):
-    # from v = sqrt(2 pi) up the Fourier series needs at most three terms
-    # at tol = 1e-12, where the lattice would need ~1.2 v
-    assert _wn_fourier_count(v, 1e-12) <= 3
-    p = WrappedNormalParams(0.5, v)
-    assert abs(wn_density(p, 1.5, 1e-12) - wn_density(p, 1.5, 1e-15)) <= 1e-12
+    # laws from v = sqrt(2 pi) up are rejected; the widest accepted one
+    # needs at most 11 lattice terms at tol 1e-12 and 35 at tol 1e-300,
+    # and a matched law (v <= sqrt(2)) at most 9 and 21
+    assert _rejected(v)
+    widest = math.nextafter(math.sqrt(TWO_PI), 0.0)
+    WrappedNormalParams(0.0, widest)
+    for scale, tol, terms in [
+        (widest, 1e-12, 11), (widest, 1e-300, 35), (SQRT2, 1e-12, 9), (SQRT2, 1e-300, 21)
+    ]:
+        assert max(2 * _wn_wraps(t, _wn_tail_reach(scale, tol)) + 1 for t in (0.0, math.pi)) == terms
 
 
 def test_wn_density_rejects_bad_tol():
     p = WrappedNormalParams(0.0, 1.0)
     with pytest.raises(ValueError):
         wn_density(p, 0.0, 0.0)
-
-
-def test_wn_circular_variance_values():
-    v = math.sqrt(2.0 * math.log(2.0))
-    assert math.isclose(wn_circular_variance(v), 0.5, rel_tol=0.0, abs_tol=1e-15)
-    assert math.isclose(wn_circular_variance(1.0), 0.3934693402873666, rel_tol=1e-14)
-    # small-scale Taylor window
-    r = wn_circular_variance(0.01)
-    assert abs(r - 0.5e-4) <= 0.01 ** 4 / 8.0
-    with pytest.raises(ValueError):
-        wn_circular_variance(-1.0)
 
 
 # ---------------------------------------------------------- matched scale
@@ -470,7 +454,7 @@ def test_normal_pdf_values():
     assert normal_pdf(0.0) == 1.0 / math.sqrt(TWO_PI)
     for z in [0.5, 1.0, 3.0]:
         assert normal_pdf(z) == normal_pdf(-z)
-    r = oracle.adaptive_quadrature(normal_pdf, -10.0, 10.0, 1e-11)
+    r = adaptive_quadrature(normal_pdf, -10.0, 10.0, 1e-11)
     assert abs(r.value - 1.0) <= 1e-10
 
 
@@ -478,7 +462,7 @@ def test_normal_cdf_values():
     assert normal_cdf(0.0) == 0.5
     for z in [0.3, 1.7, 4.0]:
         assert abs(normal_cdf(-z) - (1.0 - normal_cdf(z))) <= 1e-14
-    ref = oracle.adaptive_quadrature(normal_pdf, -10.0, 1.96, 1e-12).value
+    ref = adaptive_quadrature(normal_pdf, -10.0, 1.96, 1e-12).value
     assert abs(normal_cdf(1.96) - ref) <= 1e-11
     assert abs(normal_cdf(1.96) - 0.9750021048517795) <= 1e-14
 
@@ -492,7 +476,7 @@ def test_upper_incomplete_moment_at_zero():
 
 
 def test_upper_incomplete_moment_vs_quadrature():
-    ref = oracle.adaptive_quadrature(lambda y: y ** 6 * normal_pdf(y), 1.0, 12.0, 1e-12).value
+    ref = adaptive_quadrature(lambda y: y ** 6 * normal_pdf(y), 1.0, 12.0, 1e-12).value
     assert abs(upper_incomplete_moment(6, 1.0) - ref) <= 1e-10
     assert abs(upper_incomplete_moment(6, 1.0) - 7.4612140238738665) <= 1e-13
 
@@ -503,7 +487,7 @@ def test_upper_incomplete_moment_closed_forms(j, z):
     def integrand(y):
         return y ** j * normal_pdf(y)
 
-    ref = oracle.adaptive_quadrature(integrand, z, z + 42.0, 1e-12).value
+    ref = adaptive_quadrature(integrand, z, z + 42.0, 1e-12).value
     assert abs(upper_incomplete_moment(j, z) - ref) <= 1e-10
 
 

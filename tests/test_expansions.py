@@ -1,14 +1,13 @@
 import math
 
 import pytest
-from references import i0e_series_reference, i1e_series_reference
+from references import adaptive_quadrature, i0e_series_reference, i1e_series_reference
 
 from circbridge import oracle
 from circbridge.distributions import SQRT2, VonMisesParams
 from circbridge.expansions import (
     BulkSpec,
     cdf_expansion,
-    in_bulk,
     log_ratio_exact,
     log_ratio_expansion,
     normalization_log_constant,
@@ -104,19 +103,24 @@ def test_bulk_grid_rejects_kappa_zero():
 
 
 def test_mu_always_in_bulk():
+    # the middle point of every bulk grid is mu itself
     p = VonMisesParams(1.0, 37.0)
-    assert in_bulk(p, BulkSpec.fixed(0.1), p.mu)
-    assert in_bulk(p, BulkSpec.shrunken(0.1), p.mu)
+    for spec in (BulkSpec.fixed(0.1), BulkSpec.shrunken(0.1)):
+        dts, xs = spec.grid(p, 11)
+        assert dts[5] == 0.0
+        assert xs[5] == p.mu
 
 
 def test_bulk_membership_boundary():
+    # the outermost grid points sit on the bulk edge |delta| = 5
     p = VonMisesParams(0.0, 100.0)
     spec = BulkSpec.fixed(0.5)  # |delta| <= 5
     sigma = sigma_reference(100.0)
-    assert in_bulk(p, spec, p.mu + 4.999 * sigma)
-    assert not in_bulk(p, spec, p.mu + (5.0 + 1e-9) * sigma)
-    assert in_bulk(p, spec, p.mu - 4.999 * sigma)
-    assert not in_bulk(p, spec, p.mu - (5.0 + 1e-9) * sigma)
+    _dts, xs = spec.grid(p, 201)
+    assert math.isclose(xs[-1], p.mu + 5.0 * sigma, rel_tol=1e-12)
+    assert math.isclose(xs[0], p.mu - 5.0 * sigma, rel_tol=1e-12)
+    for x in xs:
+        assert abs(standardized_deviate(p, x).delta) <= 5.0 * (1.0 + 1e-14)
 
 
 # --------------------------------------------------------- exact log ratio
@@ -313,7 +317,7 @@ def test_reference_density_normalizes():
     p = VonMisesParams(0.0, kappa)
     sigma = p.sigma
     halfwidth = 12.0 * SQRT2 * sigma
-    r = oracle.adaptive_quadrature(
+    r = adaptive_quadrature(
         lambda x: reference_normal_density(p, x), -halfwidth, halfwidth, 1e-11
     )
     assert abs(r.value - 1.0) <= 1e-10

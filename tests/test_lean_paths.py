@@ -18,9 +18,8 @@ from circbridge.distributions import (
     VonMisesParams,
     WrappedNormalParams,
     _vm_density_value,
-    _wn_density_value,
-    _wn_fourier_count,
-    _wn_series,
+    _wn_tail_reach,
+    _wn_wraps,
     matched_sup_gap,
     vm_density,
     wn_density,
@@ -150,14 +149,15 @@ def test_matched_sup_gap_half_grid_stays_within_ulps_of_the_two_sided_max():
         grid = rng.choice([3, 4, 256, 257, 1000, 1001, 2001])
         tol = rng.choice([1e-300, 1e-12, 1e-3])
         v = SQRT2 * params.sigma
-        series = _wn_series(v, tol)
+        reach = _wn_tail_reach(v, tol)
         two_sided = 0.0
         for j in range(grid):
             t = wrap_angle(j * (TWO_PI / grid))
             f = _vm_density_value(params.kappa, params.i0e, t)
-            two_sided = max(two_sided, abs(f - _wn_density_value(t, v, series)))
+            g = backend.wn_density_at(t, v, _wn_wraps(t, reach))
+            two_sided = max(two_sided, abs(f - g))
         f0 = _vm_density_value(params.kappa, params.i0e, 0.0)
-        peak = max(f0, _wn_density_value(0.0, v, series))
+        peak = max(f0, backend.wn_density_at(0.0, v, _wn_wraps(0.0, reach)))
         bound = 4.0 * sys.float_info.epsilon * peak
         assert abs(matched_sup_gap(params, grid, tol) - two_sided) <= bound
 
@@ -215,10 +215,8 @@ def test_cli_output_equals_every_segment_sweep(argv, monkeypatch, capsys):
 
 
 def _wn_per_point(t, v, tol):
-    # wn_density with both term counts worked out anew at every point,
-    # the reference for the per-scale counts
-    if v >= math.sqrt(TWO_PI):
-        return backend.wn_fourier_at(t, v, _wn_fourier_count(v, tol))
+    # wn_density with the wrap count worked out anew at every point, the
+    # reference for the per-scale tail reach
     log_arg = LOG_TWO - math.log(tol) - math.log(v) - 0.5 * LOG_TWO_PI
     if log_arg <= 0.0:
         return backend.wn_density_at(t, v, 1)
@@ -229,9 +227,12 @@ def _wn_per_point(t, v, tol):
 @pytest.mark.parametrize("v", [1e-3, 0.3, 1.4, 2.5, 2.5066, 2.5067, 3.0, 10.0])
 @pytest.mark.parametrize("tol", [1e-12, 1e-3, 0.5])
 def test_wn_density_per_scale_counts_match_per_point_counts(v, tol):
-    # the matched scale sqrt(2) sigma stays below sqrt(2) < sqrt(2 pi), so
-    # matched_sup_gap only reaches the lattice; the Fourier side is
-    # checked here
+    # the lattice sum is the only series: from sqrt(2 pi) up, where the
+    # Fourier series would need fewer terms, the scale is rejected
+    if v >= math.sqrt(TWO_PI):
+        with pytest.raises(ValueError, match=r"^v must be finite, > 0 and < sqrt\(2 pi\)"):
+            WrappedNormalParams(0.7, v)
+        return
     p = WrappedNormalParams(0.7, v)
     for j in range(64):
         theta = j * (TWO_PI / 64)

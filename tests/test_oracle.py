@@ -1,16 +1,23 @@
 import contextlib
 import math
 import random
+import time
 
 import pytest
-from references import bessel_i0_integral, vm_panel_index_loop, vm_scaled_mass_stack_only
+from references import (
+    adaptive_gk15_stack_only,
+    adaptive_quadrature,
+    bessel_i0_integral,
+    gk15_panel,
+    vm_panel_index_loop,
+    vm_scaled_mass_stack_only,
+)
 
 from circbridge import backend, bessel, cli, expansions, oracle
 from circbridge.distributions import VonMisesParams, WrappedNormalParams, vm_density, wn_density
 from circbridge.expansions import BulkSpec, _inverse_powers, log_ratio_exact
 from circbridge.oracle import (
     QuadratureError,
-    adaptive_quadrature,
     residual_scan,
     slope_fit,
     vm_cdf_quadrature,
@@ -106,8 +113,20 @@ def test_vm_scaled_mass_matches_generic_engine_bitwise(kappa, hi):
         return math.exp(-2.0 * kappa * (u * u))
 
     got = backend.vm_scaled_mass(kappa, -math.pi, hi, 1e-13)
-    ref = backend.adaptive_gk15(backend.gk15_panel, f, -math.pi, hi, 1e-13)
+    ref = adaptive_gk15_stack_only(gk15_panel, f, -math.pi, hi, 1e-13)
     assert got == ref
+
+
+def test_vm_scaled_mass_raises_once_its_panel_budget_is_spent():
+    # tol at the panels' rounding noise: some panels pass and others fail,
+    # so without the budget the depth-first walk could visit ~2^40 panels
+    # before one reaches MAX_DEPTH
+    start = time.perf_counter()
+    with pytest.raises(QuadratureError, match="within %d panels" % backend.MAX_PANELS):
+        backend.vm_scaled_mass(
+            5813591.037352941, -0.009194654792658241, -0.009194542863874989, 2.380096336369539e-129
+        )
+    assert time.perf_counter() - start < 1.0
 
 
 def _mass_or_error(mass, kappa, a, b, tol):
