@@ -115,6 +115,15 @@ def vm_cdf_quadrature(params: VonMisesParams, x: float, tol: float = 1e-12) -> f
     return vm_cdf_sweep(params, (x,), tol)[0]
 
 
+def _plain_sum(values):
+    # left to right in double precision, as sum() adds floats before
+    # Python 3.12, which compensates; the slope is then the same on all
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def slope_fit(points: Sequence[Tuple[float, float]]) -> float:
     """Least-squares slope of log(y) against log(x).
 
@@ -132,10 +141,10 @@ def slope_fit(points: Sequence[Tuple[float, float]]) -> float:
     lx = [math.log(x) for x in xs]
     ly = [math.log(y) for y in ys]
     n = len(points)
-    mx = sum(lx) / n
-    my = sum(ly) / n
-    sxx = sum((v - mx) ** 2 for v in lx)
-    sxy = sum((u - mx) * (v - my) for u, v in zip(lx, ly))
+    mx = _plain_sum(lx) / n
+    my = _plain_sum(ly) / n
+    sxx = _plain_sum((v - mx) ** 2 for v in lx)
+    sxy = _plain_sum((u - mx) * (v - my) for u, v in zip(lx, ly))
     return sxy / sxx
 
 
