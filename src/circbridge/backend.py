@@ -209,12 +209,12 @@ def vm_scaled_mass(kappa, a, b, tol):
             err_total += err
         elif depth >= MAX_DEPTH:
             raise QuadratureError(
-                "no convergence on [%g, %g] at depth %d (err=%.3e, tol=%.3e)"
+                "no convergence on [%r, %r] at depth %d (err=%.3e, tol=%.3e)"
                 % (a1, b1, depth, err, tol1)
             )
         elif panels >= MAX_PANELS:
             raise QuadratureError(
-                "no convergence on [%g, %g] within %d panels (err=%.3e, tol=%.3e)"
+                "no convergence on [%r, %r] within %d panels (err=%.3e, tol=%.3e)"
                 % (a1, b1, MAX_PANELS, err, tol1)
             )
         else:

@@ -16,7 +16,6 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure.
 
 import argparse
 import functools
-import json
 import math
 import sys
 
@@ -91,6 +90,8 @@ def _json_value(x, precision):
 def _emit(rows, header, meta, args):
     precision = args.precision
     if args.format == "json":
+        import json  # here, not at the top: only --format json reads it
+
         payload = {
             "meta": dict(meta, tol=args.tol, version=__version__),
             "rows": [

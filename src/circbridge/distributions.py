@@ -7,7 +7,6 @@ linear-normal helpers phi, Phi and the upper incomplete moments.
 """
 
 import math
-from dataclasses import dataclass
 
 from . import backend
 from .backend import INV_SQRT_2PI, TWO_PI
@@ -47,8 +46,37 @@ def wrap_angle(t: float) -> float:
     return t
 
 
-@dataclass(frozen=True)
-class VonMisesParams:
+# bound once: the constructors below set their attributes through it,
+# past the __setattr__ that refuses every assignment
+_setattr = object.__setattr__
+
+
+class _Frozen:
+    """Immutable record whose equality, hash and repr read the names in _fields."""
+
+    def _key(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self._fields)
+        return "%s(%s)" % (self.__class__.__qualname__, fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+
+class VonMisesParams(_Frozen):
     """Mean direction mu (normalized to [0, 2*pi)) and concentration kappa >= 0.
 
     Also carries the per-concentration values every evaluation at this
@@ -58,37 +86,36 @@ class VonMisesParams:
     Equality, hashing and repr depend on (mu, kappa) alone.
     """
 
-    mu: float
-    kappa: float
+    _fields = ("mu", "kappa")
 
-    def __post_init__(self):
-        if not (-math.inf < self.mu < math.inf):
-            raise ValueError("mu must be finite, got %r" % (self.mu,))
-        if not (0.0 <= self.kappa < math.inf):
-            raise ValueError("kappa must be finite and >= 0, got %r" % (self.kappa,))
-        object.__setattr__(self, "mu", normalize_angle(self.mu))
-        # object.__setattr__ keeps the values in the instance's inline
-        # slots, where reads specialize; writing self.__dict__ would not
-        i0e, sigma2 = backend.i0e_sigma2(self.kappa)
-        object.__setattr__(self, "i0e", i0e)
-        object.__setattr__(self, "log_i0e", math.log(i0e))
-        object.__setattr__(self, "variance", sigma2)
-        object.__setattr__(self, "sigma", math.sqrt(sigma2))
+    def __init__(self, mu: float, kappa: float):
+        if not (-math.inf < mu < math.inf):
+            raise ValueError("mu must be finite, got %r" % (mu,))
+        if not (0.0 <= kappa < math.inf):
+            raise ValueError("kappa must be finite and >= 0, got %r" % (kappa,))
+        # _setattr keeps the values in the instance's inline slots, where
+        # reads specialize; writing self.__dict__ would not
+        _setattr(self, "mu", normalize_angle(mu))
+        _setattr(self, "kappa", kappa)
+        i0e, sigma2 = backend.i0e_sigma2(kappa)
+        _setattr(self, "i0e", i0e)
+        _setattr(self, "log_i0e", math.log(i0e))
+        _setattr(self, "variance", sigma2)
+        _setattr(self, "sigma", math.sqrt(sigma2))
 
 
-@dataclass(frozen=True)
-class WrappedNormalParams:
+class WrappedNormalParams(_Frozen):
     """Mean direction mu (normalized to [0, 2*pi)) and linear scale 0 < v < sqrt(2 pi)."""
 
-    mu: float
-    v: float
+    _fields = ("mu", "v")
 
-    def __post_init__(self):
-        if not (-math.inf < self.mu < math.inf):
-            raise ValueError("mu must be finite, got %r" % (self.mu,))
-        if not (0.0 < self.v < _WN_MAX_V):
-            raise ValueError("v must be finite, > 0 and < sqrt(2 pi), got %r" % (self.v,))
-        object.__setattr__(self, "mu", normalize_angle(self.mu))
+    def __init__(self, mu: float, v: float):
+        if not (-math.inf < mu < math.inf):
+            raise ValueError("mu must be finite, got %r" % (mu,))
+        if not (0.0 < v < _WN_MAX_V):
+            raise ValueError("v must be finite, > 0 and < sqrt(2 pi), got %r" % (v,))
+        _setattr(self, "mu", normalize_angle(mu))
+        _setattr(self, "v", v)
 
 
 def _require_positive_kappa(kappa):

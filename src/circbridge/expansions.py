@@ -13,14 +13,15 @@ power p specific to each expansion, listed in ENVELOPE_POWER.
 """
 
 import math
-from dataclasses import dataclass
-from typing import List, Tuple
+from collections import namedtuple
 
 from .backend import HALF_LOG_TWO_PI
 from .distributions import (
     SQRT2,
     VonMisesParams,
+    _Frozen,
     _require_positive_kappa,
+    _setattr,
     normal_cdf,
     normal_pdf,
 )
@@ -42,16 +43,11 @@ def grid_size_ok(size: int, minimum: int) -> bool:
     return size >= minimum and size % 2 == 1
 
 
-@dataclass(frozen=True)
-class StandardizedDeviate:
-    """Deviate delta = (x - mu)/sigma and its rescaled form delta/sqrt(2)."""
-
-    delta: float
-    delta_tilde: float
+StandardizedDeviate = namedtuple("StandardizedDeviate", "delta delta_tilde")
+StandardizedDeviate.__doc__ = "Deviate delta = (x - mu)/sigma and its rescaled form delta/sqrt(2)."
 
 
-@dataclass(frozen=True)
-class BulkSpec:
+class BulkSpec(_Frozen):
     """Region of deviates where the expansions hold uniformly.
 
     Fixed regime: |delta| <= eta * sqrt(kappa) with 0 < eta < 1.
@@ -60,18 +56,19 @@ class BulkSpec:
     `eta` holds the regime's parameter: eta, or eta_tilde when shrunken.
     """
 
-    regime: str
-    eta: float
+    _fields = ("regime", "eta")
 
-    def __post_init__(self):
-        if self.regime == "fixed":
-            if not (0.0 < self.eta < 1.0):
-                raise ValueError("fixed regime needs 0 < eta < 1, got %r" % (self.eta,))
-        elif self.regime == "shrunken":
-            if not (self.eta > 0.0):
-                raise ValueError("shrunken regime needs eta_tilde > 0, got %r" % (self.eta,))
+    def __init__(self, regime: str, eta: float):
+        if regime == "fixed":
+            if not (0.0 < eta < 1.0):
+                raise ValueError("fixed regime needs 0 < eta < 1, got %r" % (eta,))
+        elif regime == "shrunken":
+            if not (eta > 0.0):
+                raise ValueError("shrunken regime needs eta_tilde > 0, got %r" % (eta,))
         else:
-            raise ValueError("regime must be 'fixed' or 'shrunken', got %r" % (self.regime,))
+            raise ValueError("regime must be 'fixed' or 'shrunken', got %r" % (regime,))
+        _setattr(self, "regime", regime)
+        _setattr(self, "eta", eta)
 
     @classmethod
     def fixed(cls, eta: float) -> "BulkSpec":
@@ -87,7 +84,7 @@ class BulkSpec:
             return self.eta * math.sqrt(kappa)
         return self.eta * kappa ** 0.25
 
-    def grid(self, params: VonMisesParams, size: int) -> Tuple[List[float], List[float]]:
+    def grid(self, params: VonMisesParams, size: int) -> tuple[list[float], list[float]]:
         """Equispaced bulk grid of `size` points at params, size odd and >= 3.
 
         Returns (dts, xs): the deviates delta_tilde = j * step for
@@ -114,13 +111,8 @@ class BulkSpec:
         return dts, [params.mu + width * dt for dt in dts]
 
 
-@dataclass(frozen=True)
-class ExpansionValue:
-    """An expansion value plus the scale of its truncation remainder."""
-
-    value: float
-    order: int
-    remainder_scale: float
+ExpansionValue = namedtuple("ExpansionValue", "value order remainder_scale")
+ExpansionValue.__doc__ = "An expansion value plus the scale of its truncation remainder."
 
 
 def standardized_deviate(params: VonMisesParams, x: float) -> StandardizedDeviate:
@@ -136,7 +128,7 @@ def standardized_deviate(params: VonMisesParams, x: float) -> StandardizedDeviat
 # read once per kappa.  No core checks its arguments.
 
 
-def _inverse_powers(kappa: float) -> Tuple[float, float]:
+def _inverse_powers(kappa: float) -> tuple[float, float]:
     """(u, u^2) with u = 1/kappa: the per-kappa numbers of the expansion cores.
 
     Raises ValueError unless kappa > 0 and 1/kappa^3, the scale of every
@@ -152,7 +144,7 @@ def _inverse_powers(kappa: float) -> Tuple[float, float]:
     return u, uu
 
 
-def _log_ratio_constants(params: VonMisesParams) -> Tuple[float, float]:
+def _log_ratio_constants(params: VonMisesParams) -> tuple[float, float]:
     """log(e^-kappa I0) and log(sigma^2)/2: `_log_ratio_exact_value`'s per-kappa numbers."""
     return params.log_i0e, 0.5 * math.log(params.variance)
 

@@ -8,8 +8,7 @@ used to measure decay orders.
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from collections import namedtuple
 
 from . import backend
 from .backend import QuadratureError  # re-exported: raised by the CDF sweep
@@ -40,21 +39,14 @@ SCAN_TARGETS = ("log_ratio", "ratio", "cdf")
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    """Per-concentration residual maxima and the fitted decay slope."""
-
-    kappa_values: Tuple[float, ...]
-    max_residual: Tuple[float, ...]
-    max_normalized_residual: Tuple[float, ...]
-    fitted_slope: float
-    grid_size: int
-    regime: BulkSpec
+ScanReport = namedtuple(
+    "ScanReport",
+    "kappa_values max_residual max_normalized_residual fitted_slope grid_size regime",
+)
+ScanReport.__doc__ = "Per-concentration residual maxima and the fitted decay slope."
 
 
-def vm_cdf_sweep(
-    params: VonMisesParams, xs: Sequence[float], tol: float = 1e-12
-) -> List[float]:
+def vm_cdf_sweep(params: VonMisesParams, xs, tol: float = 1e-12) -> list[float]:
     """Circular distribution function at points in any order, in one pass.
 
     F(x) = integral of the density from mu - pi to x, for each x of xs,
@@ -124,7 +116,7 @@ def _plain_sum(values):
     return total
 
 
-def slope_fit(points: Sequence[Tuple[float, float]]) -> float:
+def slope_fit(points) -> float:
     """Least-squares slope of log(y) against log(x).
 
     Needs at least three points with distinct finite positive abscissae
@@ -224,7 +216,7 @@ def _require_finite_edge_ratio(regime, params, powers, kappa_cubed, xs):
 
 def residual_scan(
     regime: BulkSpec,
-    kappa_values: Sequence[float],
+    kappa_values,
     grid_size: int,
     target: str,
     quad_tol: float = 1e-13,
@@ -248,9 +240,9 @@ def residual_scan(
     if not grid_size_ok(grid_size, SCAN_MIN_GRID):
         raise ValueError("grid_size must be odd and >= 11, got %r" % (grid_size,))
     power = ENVELOPE_POWER[target]
-    max_res: List[float] = []
-    max_norm: List[float] = []
-    slope_points: List[Tuple[float, float]] = []
+    max_res = []
+    max_norm = []
+    slope_points = []
     # every grid is built, and so checked against the circle, and every
     # kappa checked (range, kappa^3, the ratio's bulk edge), then every
     # remainder scale (1 + |dt|^p) / kappa^3 at the bulk edge, before any is

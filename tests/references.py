@@ -211,7 +211,7 @@ def adaptive_gk15_stack_only(panel, f, a, b, tol):
             err_total += err
         elif depth >= backend.MAX_DEPTH:
             raise backend.QuadratureError(
-                "no convergence on [%g, %g] at depth %d (err=%.3e, tol=%.3e)"
+                "no convergence on [%r, %r] at depth %d (err=%.3e, tol=%.3e)"
                 % (a1, b1, depth, err, tol1)
             )
         else:

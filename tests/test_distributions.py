@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import math
 import pickle
 
@@ -30,7 +29,8 @@ from circbridge.distributions import (
     wn_density,
     wrap_angle,
 )
-from circbridge.expansions import BulkSpec
+from circbridge.expansions import BulkSpec, ExpansionValue, StandardizedDeviate
+from circbridge.oracle import ScanReport
 
 TWO_PI = 2.0 * math.pi
 
@@ -92,7 +92,7 @@ def test_per_kappa_values_leave_identity_alone():
     assert a == b
     assert hash(a) == hash(b)
     assert repr(a) == repr(b) == "VonMisesParams(mu=0.5, kappa=20.0)"
-    assert dataclasses.astuple(a) == (0.5, 20.0)
+    assert (a.mu, a.kappa) == (0.5, 20.0)
 
 
 def test_zero_kappa_params_valid_until_variance_is_read():
@@ -121,7 +121,7 @@ def test_kappa_beyond_kernel_range_fails_at_construction():
 @pytest.mark.parametrize(
     "make",
     [
-        lambda p: dataclasses.replace(p, kappa=80.0),
+        lambda p: VonMisesParams(p.mu, 80.0),
         copy.copy,
         lambda p: pickle.loads(pickle.dumps(p)),
     ],
@@ -143,6 +143,91 @@ def test_per_kappa_values_are_instance_attributes():
     assert not hasattr(VonMisesParams, "log_i0e")
     assert not hasattr(VonMisesParams, "variance")
     assert not hasattr(VonMisesParams, "sigma")
+
+
+# ---------------------------------------------------------- value objects
+
+RECORDS = [
+    (VonMisesParams(0.5, 20.0), "VonMisesParams(mu=0.5, kappa=20.0)"),
+    (WrappedNormalParams(0.5, 0.25), "WrappedNormalParams(mu=0.5, v=0.25)"),
+    (BulkSpec.fixed(0.5), "BulkSpec(regime='fixed', eta=0.5)"),
+    (BulkSpec.shrunken(2.0), "BulkSpec(regime='shrunken', eta=2.0)"),
+]
+
+
+@pytest.mark.parametrize("record, text", RECORDS)
+def test_records_repr_their_defining_fields(record, text):
+    assert repr(record) == text
+
+
+@pytest.mark.parametrize("record", [r for r, _ in RECORDS])
+@pytest.mark.parametrize("name", ["mu", "kappa", "v", "regime", "eta", "sigma", "other"])
+def test_records_refuse_assignment_and_deletion(record, name):
+    before = dict(vars(record))
+    with pytest.raises(AttributeError):
+        setattr(record, name, 1.0)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    assert vars(record) == before
+
+
+@pytest.mark.parametrize("record", [r for r, _ in RECORDS])
+@pytest.mark.parametrize(
+    "make",
+    [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_records_survive_copy_and_pickle(record, make):
+    q = make(record)
+    assert q is not record
+    assert type(q) is type(record)
+    assert q == record
+    assert hash(q) == hash(record)
+    assert repr(q) == repr(record)
+    assert list(vars(q).items()) == list(vars(record).items())
+
+
+def test_records_compare_on_class_and_defining_fields():
+    a = VonMisesParams(0.5, 0.25)
+    assert a == VonMisesParams(0.5, 0.25)
+    assert a != VonMisesParams(0.5, 0.5)
+    assert a != WrappedNormalParams(0.5, 0.25)
+    assert a != (0.5, 0.25)
+    assert BulkSpec.fixed(0.5) == BulkSpec("fixed", 0.5)
+    assert BulkSpec.fixed(0.5) != BulkSpec.shrunken(0.5)
+    assert hash(WrappedNormalParams(0.5, 0.25)) == hash(WrappedNormalParams(0.5, 0.25))
+    assert len({a, VonMisesParams(0.5, 0.25), BulkSpec.fixed(0.5)}) == 2
+
+
+def test_per_kappa_values_are_set_in_order():
+    assert list(vars(VonMisesParams(0.5, 20.0))) == [
+        "mu",
+        "kappa",
+        "i0e",
+        "log_i0e",
+        "variance",
+        "sigma",
+    ]
+    assert list(vars(WrappedNormalParams(0.5, 0.25))) == ["mu", "v"]
+    assert list(vars(BulkSpec.fixed(0.5))) == ["regime", "eta"]
+
+
+def test_result_records_are_named_tuples():
+    assert StandardizedDeviate._fields == ("delta", "delta_tilde")
+    assert ExpansionValue._fields == ("value", "order", "remainder_scale")
+    assert ScanReport._fields == (
+        "kappa_values",
+        "max_residual",
+        "max_normalized_residual",
+        "fitted_slope",
+        "grid_size",
+        "regime",
+    )
+    v = ExpansionValue(0.5, 2, 1e-6)
+    assert v == (0.5, 2, 1e-6)
+    assert repr(v) == "ExpansionValue(value=0.5, order=2, remainder_scale=1e-06)"
+    with pytest.raises(AttributeError):
+        v.value = 1.0
 
 
 def test_table_computes_per_kappa_values_once(count_calls, capsys):

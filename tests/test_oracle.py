@@ -1,6 +1,7 @@
 import contextlib
 import math
 import random
+import re
 import time
 
 import pytest
@@ -121,12 +122,15 @@ def test_vm_scaled_mass_raises_once_its_panel_budget_is_spent():
     # tol at the panels' rounding noise: some panels pass and others fail,
     # so without the budget the depth-first walk could visit ~2^40 panels
     # before one reaches MAX_DEPTH
+    a, b = -0.009194654792658241, -0.009194542863874989
     start = time.perf_counter()
-    with pytest.raises(QuadratureError, match="within %d panels" % backend.MAX_PANELS):
-        backend.vm_scaled_mass(
-            5813591.037352941, -0.009194654792658241, -0.009194542863874989, 2.380096336369539e-129
-        )
+    with pytest.raises(QuadratureError, match="within %d panels" % backend.MAX_PANELS) as info:
+        backend.vm_scaled_mass(5813591.037352941, a, b, 2.380096336369539e-129)
     assert time.perf_counter() - start < 1.0
+    # the message names the failing panel by ends that round-trip, so a
+    # panel narrower than 6 significant digits still prints two ends
+    lo, hi = map(float, re.search(r"on \[(\S+), (\S+)\]", str(info.value)).groups())
+    assert a <= lo < hi <= b
 
 
 def _mass_or_error(mass, kappa, a, b, tol):

@@ -1,9 +1,9 @@
 """Repository hygiene: nothing git tracks may match an ignore rule,
 every function the benchmark traces exists, every public name resolves,
 every private module-level name is used, the package reads no
-environment variables, importing the CLI builds no parser, the README's
-library example runs, and the package version is the one pyproject.toml
-declares."""
+environment variables, importing the CLI builds no parser and loads no
+module it does not need, the README's library example runs, and the
+package version is the one pyproject.toml declares."""
 
 import ast
 import importlib
@@ -150,6 +150,34 @@ def test_importing_cli_builds_no_parser(cli_env):
         check=True,
     )
     assert out.stdout.split() == ["0", "True"]
+
+
+# the modules that `import circbridge.cli` plus one build_parser() must not
+# load, then whether json is loaded after one --format json run
+IMPORT_GUARD_PROBE = """
+import os, sys
+import circbridge.cli
+circbridge.cli.build_parser()
+heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "json", "typing")
+print(",".join(m for m in heavy if m in sys.modules) or "none")
+argv = ["eval", "--mu", "0", "--kappa", "50", "--x", "0.1", "--quantity", "density"]
+code = circbridge.cli.run(argv + ["--format", "json", "--out", os.devnull])
+print(code, "json" in sys.modules)
+"""
+
+
+def test_importing_cli_loads_no_heavy_module(cli_env):
+    # setup_s is mostly imports: dataclasses alone pulls in inspect, ast,
+    # dis and tokenize.  -S keeps site (and any .pth it runs) from
+    # preloading modules, as on an interpreter without extras
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_GUARD_PROBE],
+        env=cli_env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.split("\n")[:2] == ["none", "0 True"]
 
 
 def test_version_matches_pyproject():
