@@ -109,7 +109,8 @@ def vm_cdf_quadrature(params: VonMisesParams, x: float, tol: float = 1e-12) -> f
 
 def _plain_sum(values):
     # left to right in double precision, as sum() adds floats before
-    # Python 3.12, which compensates; the slope is then the same on all
+    # Python 3.12 (later ones compensate), so that the slope prints the
+    # same digits on every version
     total = 0.0
     for v in values:
         total += v
