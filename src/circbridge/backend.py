@@ -8,6 +8,7 @@ The I0 power series `i0_series_sum`, the `sigma2_series` alias and
 `backend_name` remain only because the benchmark reads them.
 """
 
+import functools
 import math
 import sys
 
@@ -106,6 +107,21 @@ def i0_series_sum(x, head=1.0):
         k += 1
 
 
+@functools.lru_cache(maxsize=4096)
+def _sin2_nodes(n):
+    """sin(j h)^2 for j = 1 .. min(n, 28) - 1, h = pi / (2 n): the s^2 at
+    the interior nodes of `i0e_sigma2`'s n-panel rule that it can reach."""
+    import array  # here, not at the top: only a new n reads it
+
+    h = 0.5 * math.pi / n
+    table = []
+    for j in range(1, min(n, 28)):
+        u = math.sin(j * h)
+        u *= u
+        table.append(u)
+    return array.array("d", table)
+
+
 def i0e_sigma2(kappa):
     """e^(-kappa) I0(kappa) and the circular variance 1 - I1(kappa)/I0(kappa).
 
@@ -116,20 +132,23 @@ def i0e_sigma2(kappa):
     [0, pi], from t = 0 outwards, until a term falls below _TRAPEZOID_EPS
     of the running sum.  For a periodic analytic integrand the rule
     converges exponentially: the aliasing error is about e^(-2 n^2 / kappa),
-    below e^-48, and every term is positive, so nothing cancels.  At most
-    28 nodes are summed for any kappa.  Raises ValueError unless
+    below e^-48, and every term is positive, so nothing cancels.  The s^2
+    at the nodes depend on n alone and come from `_sin2_nodes(n)`, a table
+    kept for the last 4096 n (~0.5 kB each).  It holds the nodes
+    j = 1 .. min(n, 28) - 1: every interior node for n <= 28, and for
+    n >= 29 enough, because the sum then stops by j = 22 (checked at the
+    smallest kappa of every n in 29..20,000: 22 at n = 29, 15 for large
+    n; within one n a larger kappa stops no later).  At most 28 nodes
+    are summed for any kappa.  Raises ValueError unless
     0 <= kappa <= _KAPPA_MAX (about 9e307).
     """
     if not (0.0 <= kappa <= _KAPPA_MAX):
         raise ValueError("kappa must be finite, >= 0 and <= %r, got %r" % (_KAPPA_MAX, kappa))
     n = math.ceil(_SQRT24 * math.sqrt(kappa)) + 4
-    h = 0.5 * math.pi / n  # node j sits at t = 2 j h, where s = sin(j h)
     m = -2.0 * kappa
     s0 = 0.5  # the node t = 0, at half weight
     s1 = 0.0
-    for j in range(1, n):
-        u = math.sin(j * h)
-        u *= u
+    for u in _sin2_nodes(n):
         f = math.exp(m * u)
         s0 += f
         s1 += u * f

@@ -46,6 +46,15 @@ ScanReport = namedtuple(
 ScanReport.__doc__ = "Per-concentration residual maxima and the fitted decay slope."
 
 
+def _window_offset(x, mu):
+    t = x - mu
+    if not (-math.pi < t <= math.pi):
+        raise ValueError(
+            "x must lie in the principal window (mu - pi, mu + pi], got offset %r" % (t,)
+        )
+    return t
+
+
 def vm_cdf_sweep(params: VonMisesParams, xs, tol: float = 1e-12) -> list[float]:
     """Circular distribution function at points in any order, in one pass.
 
@@ -68,13 +77,7 @@ def vm_cdf_sweep(params: VonMisesParams, xs, tol: float = 1e-12) -> list[float]:
     _require_tol(tol)
     if len(xs) == 0:
         raise ValueError("xs must not be empty")
-    mu = params.mu
-    ts = [x - mu for x in xs]
-    for t in ts:
-        if not (-math.pi < t <= math.pi):
-            raise ValueError(
-                "x must lie in the principal window (mu - pi, mu + pi], got offset %r" % (t,)
-            )
+    ts = [_window_offset(x, params.mu) for x in xs]
     # essentially all mass lies within 20 sigma of the mode (the envelope
     # exp(kappa(cos t - 1)) <= exp(-kappa t^2 / 5) leaves e^-40 beyond); a
     # cut there keeps the first panel of a wide segment from stepping over
@@ -102,9 +105,21 @@ def vm_cdf_quadrature(params: VonMisesParams, x: float, tol: float = 1e-12) -> f
     x must lie in the principal window (mu - pi, mu + pi]; tol is
     absolute.  The mass is integrated outwards from mu, so x = mu gives
     exactly 1/2, and the value may leave [0, 1] by up to tol at either
-    end of the window.
+    end of the window.  The sweep's steps for one point, without its
+    bookkeeping for many: the same checks and messages, and the value
+    equal to `vm_cdf_sweep(params, (x,), tol)[0]` bit for bit.
     """
-    return vm_cdf_sweep(params, (x,), tol)[0]
+    _require_tol(tol)
+    t = _window_offset(x, params.mu)
+    if t == 0.0:
+        return 0.5
+    a = abs(t)
+    reach = min(math.pi, 20.0 * params.sigma)
+    inv_norm = 1.0 / (2.0 * math.pi * params.i0e)
+    # the sweep's cuts: [0, a], or [0, reach] and the tail [reach, a]
+    seg_tol = tol / inv_norm / (2 if a > reach else 1)
+    mass = inv_norm * backend.vm_scaled_mass(params.kappa, 0.0, min(a, reach), seg_tol)[0]
+    return 0.5 - mass if t < 0.0 else 0.5 + mass
 
 
 def _plain_sum(values):

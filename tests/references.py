@@ -250,3 +250,53 @@ def vm_scaled_mass_stack_only(kappa, a, b, tol):
     if b <= a:
         return 0.0, 0.0, 0
     return adaptive_gk15_stack_only(vm_panel_index_loop, -2.0 * kappa, a, b, tol)
+
+
+def _sin_per_node_sums(kappa):
+    # `backend.i0e_sigma2`'s trapezoid loop as it was before its node
+    # table, with a sine per node; returns n, both sums and the node j at
+    # which the loop stopped (n when it ran to t = pi)
+    n = math.ceil(backend._SQRT24 * math.sqrt(kappa)) + 4
+    h = 0.5 * math.pi / n
+    m = -2.0 * kappa
+    s0 = 0.5
+    s1 = 0.0
+    for j in range(1, n):
+        u = math.sin(j * h)
+        u *= u
+        f = math.exp(m * u)
+        s0 += f
+        s1 += u * f
+        if f < backend._TRAPEZOID_EPS * s0:
+            return n, s0, s1, j
+    f = 0.5 * math.exp(m)
+    return n, s0 + f, s1 + f, n
+
+
+def i0e_sigma2_sin_per_node(kappa):
+    """`backend.i0e_sigma2` computing sin(j h) at every node, as it did
+    before `backend._sin2_nodes`; kappa is not checked."""
+    n, s0, s1, _stop = _sin_per_node_sums(kappa)
+    return s0 / n, 2.0 * s1 / s0
+
+
+def sin_per_node_stop(kappa):
+    """The node j at which `i0e_sigma2_sin_per_node(kappa)` stops, n when
+    it sums every node."""
+    return _sin_per_node_sums(kappa)[3]
+
+
+def smallest_kappa_of_nodes(n):
+    """The smallest float kappa at which `backend.i0e_sigma2` takes n
+    panels, n >= 4 (n = 4 only at kappa = 0)."""
+
+    def nodes(kappa):
+        return math.ceil(backend._SQRT24 * math.sqrt(kappa)) + 4
+
+    kappa = ((n - 5) / backend._SQRT24) ** 2 if n > 5 else 0.0
+    while nodes(kappa) < n:
+        kappa = math.nextafter(kappa, math.inf)
+    while kappa > 0.0 and nodes(math.nextafter(kappa, 0.0)) >= n:
+        kappa = math.nextafter(kappa, 0.0)
+    assert nodes(kappa) == n
+    return kappa

@@ -1,6 +1,7 @@
 """The grid loops (`table` rows, `residual_scan`, `matched_sup_gap`), the
-CDF sweep and the CSV writer give, bit for bit, what the public point
-functions, the references and the per-value formatter give."""
+CDF sweep, the one-point CDF, the per-kappa kernel's node table and the
+CSV writer give, bit for bit, what the public point functions, the
+references and the per-value formatter give."""
 
 import json
 import math
@@ -8,7 +9,13 @@ import random
 import sys
 
 import pytest
-from references import matched_sup_gap_full_grid, vm_cdf_sweep_every_segment
+from references import (
+    i0e_sigma2_sin_per_node,
+    matched_sup_gap_full_grid,
+    sin_per_node_stop,
+    smallest_kappa_of_nodes,
+    vm_cdf_sweep_every_segment,
+)
 
 from circbridge import backend, cli, oracle
 from circbridge.distributions import (
@@ -195,6 +202,92 @@ def test_vm_cdf_sweep_stops_at_reach_equals_every_segment():
         failed += isinstance(got, tuple)
         assert got == _sweep_outcome(vm_cdf_sweep_every_segment, params, xs, tol)
     assert crossed > 300 and 100 < failed < 500
+
+
+# the smallest kappa of every panel count n up to 20,000, the worst case
+# for where the kernel's sum stops within one n
+NODE_KAPPAS = [smallest_kappa_of_nodes(n) for n in range(4, 20001)]
+
+
+def test_kernel_node_table_equals_sin_per_node_log_uniform():
+    # kappa log-uniform over the kernel's range: most n are new, so most
+    # calls build a table
+    rng = random.Random(20231018)
+    kappas = [10.0 ** rng.uniform(-12.0, math.log10(8.9e307)) for _ in range(100000)]
+    kernel = backend.i0e_sigma2
+    assert [k for k in kappas if kernel(k) != i0e_sigma2_sin_per_node(k)] == []
+
+
+def test_kernel_node_table_equals_sin_per_node_at_each_n():
+    # the range's ends, the smallest subnormal and the smallest kappa of
+    # every n <= 20,000
+    kappas = [0.0, 5e-324, backend._KAPPA_MAX] + NODE_KAPPAS
+    kernel = backend.i0e_sigma2
+    assert [k for k in kappas if kernel(k) != i0e_sigma2_sin_per_node(k)] == []
+
+
+def test_kernel_sum_stops_within_its_node_table():
+    # `_sin2_nodes` holds j < 28 for n >= 29: the sum must stop before it
+    # runs out, and within one n it stops soonest at the largest kappa
+    stops = [sin_per_node_stop(k) for k in NODE_KAPPAS[25:]]  # n = 29 ..
+    assert max(stops) == stops[0] == 22
+    assert min(stops) == 15
+
+
+def _point_cdf_outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, oracle.QuadratureError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "mu, kappa, t, tol, kind",
+    [
+        (0.3, 0.0, 1.0, 1e-12, float),
+        (0.3, 0.0, -2.5, 1e-12, float),
+        (0.3, 50.0, 0.0, 1e-12, float),
+        (0.3, 50.0, -0.0, 1e-12, float),
+        (0.0, 50.0, math.pi, 1e-12, float),
+        (0.0, 50.0, -math.pi, 1e-12, ValueError),
+        (1.0, 1000.0, 0.9, 1e-12, float),
+        (1.0, 1000.0, -0.9, 1e-12, float),
+        (1.0, 1e9, 1e-3, 1e-12, float),
+        (1.0, 50.0, math.nan, 1e-12, ValueError),
+        (1.0, 50.0, 0.2, 0.0, ValueError),
+        (1.0, 50.0, 0.2, math.nan, ValueError),
+        (1.0, 50.0, 0.2, 1e-300, float),
+        (1.0, 50.0, -0.5, 1e-300, oracle.QuadratureError),
+        (1.0, 1000.0, 1.0, 1e-300, oracle.QuadratureError),
+    ],
+)
+def test_point_cdf_equals_one_point_sweep_cases(mu, kappa, t, tol, kind):
+    # x = mu + pi, mu - pi (outside the window), beyond 20 sigma (0.45 at
+    # kappa 1000), NaN x, bad tols, and tol 1e-300, which only some
+    # segments meet
+    p = VonMisesParams(mu, kappa)
+    x = mu + t
+    got = _point_cdf_outcome(oracle.vm_cdf_quadrature, p, x, tol)
+    assert got == _point_cdf_outcome(lambda *a: oracle.vm_cdf_sweep(*a)[0], p, (x,), tol)
+    assert type(got) is kind if kind is float else got[0] is kind
+    if t == 0.0:
+        assert got == 0.5
+
+
+def test_point_cdf_equals_one_point_sweep_seeded():
+    rng = random.Random(20231019)
+    failed = 0
+    for _ in range(3000):
+        p = VonMisesParams(rng.uniform(-10.0, 10.0), 10.0 ** rng.uniform(-3.0, 9.0))
+        tol = 10.0 ** rng.uniform(-16.0 if rng.random() < 0.9 else -300.0, -6.0)
+        if rng.random() < 0.7:
+            x = p.mu + p.sigma * rng.uniform(-40.0, 40.0)
+        else:
+            x = p.mu + rng.uniform(-math.pi, math.pi)
+        got = _point_cdf_outcome(oracle.vm_cdf_quadrature, p, x, tol)
+        failed += isinstance(got, tuple)
+        assert got == _point_cdf_outcome(lambda *a: oracle.vm_cdf_sweep(*a)[0], p, (x,), tol)
+    assert 50 < failed < 1000
 
 
 @pytest.mark.parametrize(
