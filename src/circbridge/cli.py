@@ -25,7 +25,6 @@ from .distributions import (
     SQRT2,
     VonMisesParams,
     _require_tol,
-    _vm_density_value,
     matched_sup_gap,
     normalize_angle,
     vm_density,
@@ -33,19 +32,13 @@ from .distributions import (
 )
 from .expansions import (
     BulkSpec,
-    _cdf_expansion_value,
-    _first_order_term,
-    _inverse_powers,
-    _log_ratio_constants,
-    _log_ratio_exact_value,
-    _log_ratio_second_term,
-    _reference_density_value,
     cdf_expansion,
     log_ratio_exact,
     log_ratio_expansion,
     ratio_expansion,
     standardized_deviate,
 )
+from .oracle import TABLE_COLUMNS
 
 QUANTITIES = (
     "density",
@@ -54,21 +47,6 @@ QUANTITIES = (
     "ratio-approx",
     "cdf-approx",
     "cdf-quad",
-)
-
-TABLE_COLUMNS = (
-    "x",
-    "delta",
-    "delta_tilde",
-    "vm_density",
-    "ref_normal_density",
-    "logratio_exact",
-    "logratio_order1",
-    "logratio_order2",
-    "cdf_quad",
-    "cdf_approx",
-    "residual_log",
-    "residual_cdf",
 )
 
 
@@ -171,54 +149,11 @@ def _cmd_eval(args):
 
 
 def _cmd_table(args):
-    mu = _wrapped_mu(args.mu)
-    params = VonMisesParams(mu, args.kappa)
-    dts, xs = BulkSpec.fixed(args.eta).grid(params, args.grid)
-    # the rule `eval` applies, at the grid's outermost deviate and before
-    # any quadrature: the remainder scales grow with |delta_tilde|
-    log_ratio_expansion(dts[-1], params.kappa, 2)
-    cdf_expansion(dts[-1], params.kappa)
-    u, uu = _inverse_powers(params.kappa)
-    cdf_quad = oracle.vm_cdf_sweep(params, xs, args.tol)
-    # the columns of the point functions (standardized_deviate, vm_density,
-    # reference_normal_density, log_ratio_exact, log_ratio_expansion,
-    # cdf_expansion), from their cores with the per-kappa numbers read once
-    mu = params.mu
-    sigma = params.sigma
-    width = SQRT2 * sigma
-    kappa = params.kappa
-    i0e = params.i0e
-    log_i0e, half_log_var = _log_ratio_constants(params)
-    # the sweep has rejected every offset t outside (-pi, pi]; on that
-    # window wrap_angle(t) is t itself, -0.0 included
-    rows = []
-    for x, cq in zip(xs, cdf_quad):
-        t = x - mu
-        delta = t / sigma
-        dt = delta / SQRT2
-        lre = _log_ratio_exact_value(kappa, log_i0e, half_log_var, t, delta)
-        lr1 = _first_order_term(dt, u)
-        lr2 = lr1 + _log_ratio_second_term(dt, uu)
-        ca = _cdf_expansion_value(dt, u, uu)
-        rows.append(
-            (
-                x,
-                delta,
-                dt,
-                _vm_density_value(kappa, i0e, t),
-                _reference_density_value(dt, width),
-                lre,
-                lr1,
-                lr2,
-                cq,
-                ca,
-                abs(lre - lr2),
-                abs(cq - ca),
-            )
-        )
+    params = VonMisesParams(_wrapped_mu(args.mu), args.kappa)
+    rows = oracle.table_rows(params, BulkSpec.fixed(args.eta), args.grid, args.tol)
     meta = {
         "command": "table",
-        "mu": mu,
+        "mu": params.mu,
         "kappa": args.kappa,
         "eta": args.eta,
         "grid": args.grid,

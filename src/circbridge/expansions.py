@@ -123,7 +123,7 @@ def standardized_deviate(params: VonMisesParams, x: float) -> StandardizedDeviat
 
 # Value-only cores: each formula is written once, here (the circular
 # density's is `distributions._vm_density_value`).  The public point
-# functions wrap them; the grid loops (the `table` rows in `cli`,
+# functions wrap them; the grid loops (`oracle.table_rows` and
 # `oracle.residual_scan`) call them directly, with the per-kappa numbers
 # read once per kappa.  No core checks its arguments.
 

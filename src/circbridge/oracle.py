@@ -1,9 +1,9 @@
-"""Independent brute-force references and error-order scan machinery.
+"""Independent brute-force references and the bulk comparisons.
 
 Everything the expansions are validated against lives here: quadrature
 of the circular distribution function (on the kernels' adaptive GK15
-integrator), residual scans over the bulk, and the log-log slope fit
-used to measure decay orders.
+integrator), the `table` rows and the residual scans over the bulk, and
+the log-log slope fit used to measure decay orders.
 """
 
 import math
@@ -12,7 +12,7 @@ from collections import namedtuple
 
 from . import backend
 from .backend import QuadratureError  # re-exported: raised by the CDF sweep
-from .distributions import SQRT2, VonMisesParams, _require_tol
+from .distributions import SQRT2, VonMisesParams, _require_tol, _vm_density_value
 from .expansions import (
     ENVELOPE_POWER,
     SCAN_MIN_GRID,
@@ -24,8 +24,10 @@ from .expansions import (
     _log_ratio_exact_value,
     _log_ratio_second_term,
     _ratio_second_term,
+    _reference_density_value,
     _remainder_scale,
     grid_size_ok,
+    log_ratio_exact,
 )
 
 # Residuals below this are floating-point noise and are excluded from
@@ -33,6 +35,21 @@ from .expansions import (
 RESIDUAL_FLOOR = 1e-14
 
 SCAN_TARGETS = ("log_ratio", "ratio", "cdf")
+
+TABLE_COLUMNS = (
+    "x",
+    "delta",
+    "delta_tilde",
+    "vm_density",
+    "ref_normal_density",
+    "logratio_exact",
+    "logratio_order1",
+    "logratio_order2",
+    "cdf_quad",
+    "cdf_approx",
+    "residual_log",
+    "residual_cdf",
+)
 
 # The ratio residual exponentiates the exact log-ratio, which must stay
 # at or below this.
@@ -156,6 +173,55 @@ def slope_fit(points) -> float:
     return sxy / sxx
 
 
+def table_rows(params: VonMisesParams, spec: BulkSpec, size: int, tol: float = 1e-12) -> list[tuple]:
+    """Rows of TABLE_COLUMNS on the bulk grid `spec.grid(params, size)`.
+
+    Each row holds, bit for bit, what the point functions give at its x,
+    with F(x) from `vm_cdf_sweep` at tol.  Raises ValueError before any
+    quadrature where the log_ratio or cdf remainder scale is not finite
+    at the grid's outer deviate, as `eval` does at one point.
+    """
+    dts, xs = spec.grid(params, size)
+    kappa = params.kappa
+    u, uu = _inverse_powers(kappa)
+    _remainder_scale("log_ratio", dts[-1], u, uu)
+    _remainder_scale("cdf", dts[-1], u, uu)
+    cdf_quad = vm_cdf_sweep(params, xs, tol)
+    mu = params.mu
+    sigma = params.sigma
+    width = SQRT2 * sigma
+    i0e = params.i0e
+    log_i0e, half_log_var = _log_ratio_constants(params)
+    # the sweep has rejected every offset t outside (-pi, pi]; on that
+    # window wrap_angle(t) is t itself, -0.0 included
+    rows = []
+    for x, cq in zip(xs, cdf_quad):
+        t = x - mu
+        delta = t / sigma
+        dt = delta / SQRT2
+        lre = _log_ratio_exact_value(kappa, log_i0e, half_log_var, t, delta)
+        lr1 = _first_order_term(dt, u)
+        lr2 = lr1 + _log_ratio_second_term(dt, uu)
+        ca = _cdf_expansion_value(dt, u, uu)
+        rows.append(
+            (
+                x,
+                delta,
+                dt,
+                _vm_density_value(kappa, i0e, t),
+                _reference_density_value(dt, width),
+                lre,
+                lr1,
+                lr2,
+                cq,
+                ca,
+                abs(lre - lr2),
+                abs(cq - ca),
+            )
+        )
+    return rows
+
+
 def _scan_residuals(target, params, powers, xs, cdf_quad):
     """Residual |exact - expansion| of the target at each of xs.
 
@@ -212,8 +278,7 @@ def _require_finite_edge_ratio(regime, params, powers, kappa_cubed, xs):
     else:
         name, hint = "eta_tilde", "use a smaller eta_tilde"
     where = "at kappa=%r (%s regime, %s=%r)" % (params.kappa, regime.regime, name, regime.eta)
-    t = xs[0] - params.mu
-    edge = _log_ratio_exact_value(params.kappa, *_log_ratio_constants(params), t, t / params.sigma)
+    edge = log_ratio_exact(params, xs[0])
     if edge > _LOG_FLOAT_MAX:
         raise ValueError(
             "the exact ratio overflows at the bulk edge %s: its log is %.6g,"
@@ -221,7 +286,7 @@ def _require_finite_edge_ratio(regime, params, powers, kappa_cubed, xs):
         )
     # the residual as _scan_residuals takes it, from the exact value above
     u, uu = powers
-    dt = t / params.sigma / SQRT2
+    dt = (xs[0] - params.mu) / params.sigma / SQRT2
     residual = abs(math.exp(edge) - (1.0 + _first_order_term(dt, u) + _ratio_second_term(dt, uu)))
     if not math.isfinite(residual * kappa_cubed):
         raise ValueError(

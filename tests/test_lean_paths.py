@@ -6,6 +6,7 @@ references and the per-value formatter give."""
 import json
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -56,8 +57,8 @@ def _table_rows(kappa, mu, grid, capsys):
 
 @pytest.mark.parametrize("kappa, mu", [(8.0, 0.0), (4096.0, 1.3), (600.75, 5.5)])
 def test_table_columns_equal_point_functions_bitwise(kappa, mu, capsys):
-    rows = _table_rows(kappa, mu, 201, capsys)
     params = VonMisesParams(mu, kappa)
+    rows = oracle.table_rows(params, BulkSpec.fixed(0.5), 201, 1e-12)
     _dts, xs = BulkSpec.fixed(0.5).grid(params, 201)
     assert [row[0] for row in rows] == xs
     cdf_quad = oracle.vm_cdf_sweep(params, xs, 1e-12)
@@ -66,7 +67,7 @@ def test_table_columns_equal_point_functions_bitwise(kappa, mu, capsys):
         lre = log_ratio_exact(params, x)
         lr2 = log_ratio_expansion(sd.delta_tilde, kappa, 2).value
         ca = cdf_expansion(sd.delta_tilde, kappa).value
-        want = [
+        want = (
             x,
             sd.delta,
             sd.delta_tilde,
@@ -79,8 +80,23 @@ def test_table_columns_equal_point_functions_bitwise(kappa, mu, capsys):
             ca,
             abs(lre - lr2),
             abs(cq - ca),
-        ]
+        )
         assert row == want
+    # the CLI prints these rows, every float round-tripped by its repr
+    assert _table_rows(kappa, mu, 201, capsys) == [list(row) for row in rows]
+
+
+@pytest.mark.parametrize(
+    "kappa, message",
+    [(1e-320, "1/kappa^3 overflows"), (1e57, "outside the cdf expansion's range")],
+)
+def test_table_rows_check_the_edge_before_any_quadrature(kappa, message, count_calls):
+    # below kappa ~ 1.8e-103 no remainder scale is finite; at 1e57 the
+    # edge's |delta_tilde|^11 overflows while its |delta_tilde|^8 does not
+    sweeps = count_calls(oracle, "vm_cdf_sweep")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        oracle.table_rows(VonMisesParams(0.0, kappa), BulkSpec.fixed(0.5), 11)
+    assert sweeps == []
 
 
 def _public_residual(target, params, x, cdf_quad):

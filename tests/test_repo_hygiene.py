@@ -2,8 +2,10 @@
 every function the benchmark traces exists, every public name resolves,
 every private module-level name is used, the package reads no
 environment variables, importing the CLI builds no parser and loads no
-module it does not need, the README's library example runs, and the
-package version is the one pyproject.toml declares."""
+module it does not need, the CLI reads no private name of the numerics,
+the README's library example runs, the package version is the one
+pyproject.toml declares, and its test extra names every package the
+tests import through importorskip."""
 
 import ast
 import importlib
@@ -103,6 +105,29 @@ def test_every_private_name_is_used():
     assert dead == []
 
 
+def test_cli_imports_no_private_numerics():
+    # the front end parses, formats and dispatches; the grid loops and
+    # their value-only cores stay behind the public functions of
+    # expansions and oracle
+    tree = ast.parse((ROOT / "src" / "circbridge" / "cli.py").read_text())
+    numerics = {"expansions", "oracle"}
+    private = [
+        "%s.%s" % (stmt.module, alias.name)
+        for stmt in ast.walk(tree)
+        if isinstance(stmt, ast.ImportFrom) and stmt.module is not None
+        and stmt.module.split(".")[-1] in numerics
+        for alias in stmt.names
+        if alias.name.startswith("_")
+    ]
+    private += [
+        "%s.%s" % (n.value.id, n.attr)
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+        and n.value.id in numerics and n.attr.startswith("_")
+    ]
+    assert private == []
+
+
 def test_readme_library_example_runs():
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Library use", 1)[1]
@@ -186,3 +211,23 @@ def test_version_matches_pyproject():
     with open(ROOT / "pyproject.toml", "rb") as f:
         project = tomllib.load(f)["project"]
     assert circbridge.__version__ == project["version"]
+
+
+def test_test_extra_names_every_importorskip():
+    # `pip install -e .[test]` must install what the tests skip without,
+    # or those tests skip without a word
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        extra = tomllib.load(f)["project"]["optional-dependencies"]["test"]
+    named = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_") for req in extra}
+    skipped = {
+        call.args[0].value.split(".")[0]
+        for path in sorted((ROOT / "tests").glob("*.py"))
+        for call in ast.walk(ast.parse(path.read_text()))
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "attr", getattr(call.func, "id", None)) == "importorskip"
+        and call.args
+        and isinstance(call.args[0], ast.Constant)
+    }
+    assert skipped
+    assert sorted(skipped - set(sys.stdlib_module_names) - named) == []
