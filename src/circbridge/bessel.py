@@ -9,6 +9,7 @@ the error-order checks measure.
 import math
 
 from . import backend
+from .distributions import _inverse_powers
 
 
 # the 1/kappa, 1/kappa^2 and 1/kappa^3 coefficients of each bracket
@@ -17,13 +18,11 @@ _I1_TERMS = (-0.375, -0.1171875, -0.1025390625)
 
 
 def _bracket(terms, kappa, order):
-    if not (kappa > 0.0):
-        raise ValueError("kappa must be > 0, got %r" % (kappa,))
+    u, uu = _inverse_powers(kappa)
     if order not in (0, 1, 2, 3):
         raise ValueError("asymptotic order must be in {0,1,2,3}, got %r" % (order,))
-    u = 1.0 / kappa
     b = 1.0
-    for c, p in zip(terms[:order], (u, u * u, u * u * u)):
+    for c, p in zip(terms[:order], (u, uu, uu * u)):
         b += c * p
     return b
 

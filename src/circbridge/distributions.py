@@ -7,6 +7,7 @@ linear-normal helpers phi, Phi and the upper incomplete moments.
 """
 
 import math
+import sys
 
 from . import backend
 from .backend import INV_SQRT_2PI, TWO_PI
@@ -20,6 +21,9 @@ LOG_TWO_PI = math.log(2.0 * math.pi)
 # is at most sqrt(2), and below sqrt(2 pi) the lattice sum needs at most
 # 11 terms at tol 1e-12 and 35 at tol 1e-300.
 _WN_MAX_V = math.sqrt(TWO_PI)
+# The smallest scale whose reciprocal is finite.  1 / (float max) itself
+# rounds down to a scale whose reciprocal overflows.
+_WN_MIN_V = math.nextafter(1.0 / sys.float_info.max, 1.0)
 
 # 1 + m for the rounding margin m of matched_sup_gap's stopping test
 _SUP_MARGIN = 1.0 + 1e-6
@@ -46,13 +50,17 @@ def wrap_angle(t: float) -> float:
     return t
 
 
-# bound once: the constructors below set their attributes through it,
-# past the __setattr__ that refuses every assignment
-_setattr = object.__setattr__
-
-
 class _Frozen:
-    """Immutable record whose equality, hash and repr read the names in _fields."""
+    """Immutable slotted record whose equality, hash and repr read the names in _fields.
+
+    Each constructor stores its fields through the class's slot descriptors,
+    bound once at module level, past the __setattr__ that refuses every
+    assignment.  Pickling and copying rebuild a record from its _fields
+    through __reduce__: the default protocol would restore the slots
+    through that __setattr__.
+    """
+
+    __slots__ = ()
 
     def _key(self):
         return tuple([getattr(self, name) for name in self._fields])
@@ -68,6 +76,9 @@ class _Frozen:
     def __repr__(self):
         fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self._fields)
         return "%s(%s)" % (self.__class__.__qualname__, fields)
+
+    def __reduce__(self):
+        return self.__class__, self._key()
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % (name,))
@@ -86,6 +97,7 @@ class VonMisesParams(_Frozen):
     Equality, hashing and repr depend on (mu, kappa) alone.
     """
 
+    __slots__ = ("mu", "kappa", "i0e", "log_i0e", "variance", "sigma")
     _fields = ("mu", "kappa")
 
     def __init__(self, mu: float, kappa: float):
@@ -93,20 +105,33 @@ class VonMisesParams(_Frozen):
             raise ValueError("mu must be finite, got %r" % (mu,))
         if not (0.0 <= kappa < math.inf):
             raise ValueError("kappa must be finite and >= 0, got %r" % (kappa,))
-        # _setattr keeps the values in the instance's inline slots, where
-        # reads specialize; writing self.__dict__ would not
-        _setattr(self, "mu", normalize_angle(mu))
-        _setattr(self, "kappa", kappa)
+        _set_vm_mu(self, normalize_angle(mu))
+        _set_vm_kappa(self, kappa)
         i0e, sigma2 = backend.i0e_sigma2(kappa)
-        _setattr(self, "i0e", i0e)
-        _setattr(self, "log_i0e", math.log(i0e))
-        _setattr(self, "variance", sigma2)
-        _setattr(self, "sigma", math.sqrt(sigma2))
+        _set_vm_i0e(self, i0e)
+        _set_vm_log_i0e(self, math.log(i0e))
+        _set_vm_variance(self, sigma2)
+        _set_vm_sigma(self, math.sqrt(sigma2))
+
+
+# slot stores, one per field: a bound descriptor's __set__ costs about
+# two thirds of a generic object.__setattr__ call
+_set_vm_mu = VonMisesParams.mu.__set__
+_set_vm_kappa = VonMisesParams.kappa.__set__
+_set_vm_i0e = VonMisesParams.i0e.__set__
+_set_vm_log_i0e = VonMisesParams.log_i0e.__set__
+_set_vm_variance = VonMisesParams.variance.__set__
+_set_vm_sigma = VonMisesParams.sigma.__set__
 
 
 class WrappedNormalParams(_Frozen):
-    """Mean direction mu (normalized to [0, 2*pi)) and linear scale 0 < v < sqrt(2 pi)."""
+    """Mean direction mu (normalized to [0, 2*pi)) and linear scale v.
 
+    The scale lies in [_WN_MIN_V, sqrt(2 pi)): below _WN_MIN_V, about
+    5.6e-309, the reciprocal 1/v that the lattice sum scales by overflows.
+    """
+
+    __slots__ = ("mu", "v")
     _fields = ("mu", "v")
 
     def __init__(self, mu: float, v: float):
@@ -114,13 +139,35 @@ class WrappedNormalParams(_Frozen):
             raise ValueError("mu must be finite, got %r" % (mu,))
         if not (0.0 < v < _WN_MAX_V):
             raise ValueError("v must be finite, > 0 and < sqrt(2 pi), got %r" % (v,))
-        _setattr(self, "mu", normalize_angle(mu))
-        _setattr(self, "v", v)
+        if v < _WN_MIN_V:
+            raise ValueError("v must be >= %r, where 1/v is finite, got %r" % (_WN_MIN_V, v))
+        _set_wn_mu(self, normalize_angle(mu))
+        _set_wn_v(self, v)
+
+
+_set_wn_mu = WrappedNormalParams.mu.__set__
+_set_wn_v = WrappedNormalParams.v.__set__
 
 
 def _require_positive_kappa(kappa):
     if not (kappa > 0.0):
         raise ValueError("kappa must be > 0, got %r" % (kappa,))
+
+
+def _inverse_powers(kappa: float) -> tuple[float, float]:
+    """(u, u^2) with u = 1/kappa: the per-kappa numbers of the 1/kappa expansions.
+
+    Raises ValueError unless kappa > 0 and 1/kappa^3, the scale of every
+    remainder, is finite; below about 1.8e-103 the expansions overflow.
+    """
+    _require_positive_kappa(kappa)
+    u = 1.0 / kappa
+    uu = u * u
+    if not (uu * u < math.inf):
+        raise ValueError(
+            "kappa=%r is too small for the 1/kappa expansions: 1/kappa^3 overflows" % (kappa,)
+        )
+    return u, uu
 
 
 def _require_tol(tol):
@@ -156,9 +203,8 @@ def circular_variance_exact(kappa: float) -> float:
 
 def circular_variance_expansion(kappa: float) -> float:
     """Three-term large-concentration expansion 1/(2k) + 1/(8k^2) + 1/(8k^3)."""
-    _require_positive_kappa(kappa)
-    u = 1.0 / kappa
-    return 0.5 * u + 0.125 * (u * u) + 0.125 * (u * u * u)
+    u, uu = _inverse_powers(kappa)
+    return 0.5 * u + 0.125 * uu + 0.125 * (uu * u)
 
 
 def _wn_tail_reach(v: float, tol: float):
@@ -254,10 +300,15 @@ def normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z * INV_SQRT2)
 
 
+# (j - 1)!!, the j-th moment of the standard normal
+_MOMENT_LIMITS = {2: 1.0, 4: 3.0, 6: 15.0, 8: 105.0}
+
+
 def upper_incomplete_moment(j: int, z: float) -> float:
     """Upper incomplete moment of the standard normal: integral of y^j phi(y) over (z, inf).
 
-    Closed forms for even j up to 8; j = 0 is the survival function.
+    Closed forms for even j up to 8; j = 0 is the survival function.  The
+    limits are 0 at z = +inf and (j - 1)!! at z = -inf; a nan z gives nan.
     """
     if j not in (0, 2, 4, 6, 8):
         raise ValueError("j must be one of {0, 2, 4, 6, 8}, got %r" % (j,))
@@ -265,6 +316,10 @@ def upper_incomplete_moment(j: int, z: float) -> float:
     if j == 0:
         return psi
     phi = normal_pdf(z)
+    if phi == 0.0:
+        # |z| beyond about 38.6, or infinite: the z phi terms vanish, and
+        # computing them could give inf * 0 = nan
+        return _MOMENT_LIMITS[j] * psi
     z2 = z * z
     if j == 2:
         return z * phi + psi

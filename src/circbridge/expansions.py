@@ -20,8 +20,8 @@ from .distributions import (
     SQRT2,
     VonMisesParams,
     _Frozen,
+    _inverse_powers,
     _require_positive_kappa,
-    _setattr,
     normal_cdf,
     normal_pdf,
 )
@@ -56,6 +56,7 @@ class BulkSpec(_Frozen):
     `eta` holds the regime's parameter: eta, or eta_tilde when shrunken.
     """
 
+    __slots__ = ("regime", "eta")
     _fields = ("regime", "eta")
 
     def __init__(self, regime: str, eta: float):
@@ -67,8 +68,8 @@ class BulkSpec(_Frozen):
                 raise ValueError("shrunken regime needs eta_tilde > 0, got %r" % (eta,))
         else:
             raise ValueError("regime must be 'fixed' or 'shrunken', got %r" % (regime,))
-        _setattr(self, "regime", regime)
-        _setattr(self, "eta", eta)
+        _set_bulk_regime(self, regime)
+        _set_bulk_eta(self, eta)
 
     @classmethod
     def fixed(cls, eta: float) -> "BulkSpec":
@@ -111,14 +112,23 @@ class BulkSpec(_Frozen):
         return dts, [params.mu + width * dt for dt in dts]
 
 
+# slot stores, bound once as in `distributions`
+_set_bulk_regime = BulkSpec.regime.__set__
+_set_bulk_eta = BulkSpec.eta.__set__
+
+
 ExpansionValue = namedtuple("ExpansionValue", "value order remainder_scale")
 ExpansionValue.__doc__ = "An expansion value plus the scale of its truncation remainder."
+
+# _tuple_new(cls, (...)) is all that a named tuple's generated __new__
+# does; the functions below call it directly and skip that Python frame.
+_tuple_new = tuple.__new__
 
 
 def standardized_deviate(params: VonMisesParams, x: float) -> StandardizedDeviate:
     """Deviate of a point x on the line near mu, in units of sigma."""
     delta = (x - params.mu) / params.sigma
-    return StandardizedDeviate(delta, delta / SQRT2)
+    return _tuple_new(StandardizedDeviate, (delta, delta / SQRT2))
 
 
 # Value-only cores: each formula is written once, here (the circular
@@ -126,22 +136,6 @@ def standardized_deviate(params: VonMisesParams, x: float) -> StandardizedDeviat
 # functions wrap them; the grid loops (`oracle.table_rows` and
 # `oracle.residual_scan`) call them directly, with the per-kappa numbers
 # read once per kappa.  No core checks its arguments.
-
-
-def _inverse_powers(kappa: float) -> tuple[float, float]:
-    """(u, u^2) with u = 1/kappa: the per-kappa numbers of the expansion cores.
-
-    Raises ValueError unless kappa > 0 and 1/kappa^3, the scale of every
-    remainder, is finite; below about 1.8e-103 the expansions overflow.
-    """
-    _require_positive_kappa(kappa)
-    u = 1.0 / kappa
-    uu = u * u
-    if not (uu * u < math.inf):
-        raise ValueError(
-            "kappa=%r is too small for the 1/kappa expansions: 1/kappa^3 overflows" % (kappa,)
-        )
-    return u, uu
 
 
 def _log_ratio_constants(params: VonMisesParams) -> tuple[float, float]:
@@ -252,7 +246,7 @@ def log_ratio_expansion(delta_tilde: float, kappa: float, order: int) -> Expansi
     if order == 2:
         v += _log_ratio_second_term(delta_tilde, uu)
     scale = _remainder_scale("log_ratio", delta_tilde, u, uu)
-    return ExpansionValue(v, order, scale)
+    return _tuple_new(ExpansionValue, (v, order, scale))
 
 
 def ratio_expansion(delta_tilde: float, kappa: float, order: int) -> ExpansionValue:
@@ -268,7 +262,7 @@ def ratio_expansion(delta_tilde: float, kappa: float, order: int) -> ExpansionVa
     if order == 2:
         v += _ratio_second_term(delta_tilde, uu)
     scale = _remainder_scale("ratio", delta_tilde, u, uu)
-    return ExpansionValue(v, order, scale)
+    return _tuple_new(ExpansionValue, (v, order, scale))
 
 
 def cdf_expansion(delta_tilde: float, kappa: float) -> ExpansionValue:
@@ -283,7 +277,7 @@ def cdf_expansion(delta_tilde: float, kappa: float) -> ExpansionValue:
     """
     u, uu = _inverse_powers(kappa)
     scale = _remainder_scale("cdf", delta_tilde, u, uu)
-    return ExpansionValue(_cdf_expansion_value(delta_tilde, u, uu), 2, scale)
+    return _tuple_new(ExpansionValue, (_cdf_expansion_value(delta_tilde, u, uu), 2, scale))
 
 
 def reference_normal_density(params: VonMisesParams, x: float) -> float:

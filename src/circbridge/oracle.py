@@ -12,14 +12,19 @@ from collections import namedtuple
 
 from . import backend
 from .backend import QuadratureError  # re-exported: raised by the CDF sweep
-from .distributions import SQRT2, VonMisesParams, _require_tol, _vm_density_value
+from .distributions import (
+    SQRT2,
+    VonMisesParams,
+    _inverse_powers,
+    _require_tol,
+    _vm_density_value,
+)
 from .expansions import (
     ENVELOPE_POWER,
     SCAN_MIN_GRID,
     BulkSpec,
     _cdf_expansion_value,
     _first_order_term,
-    _inverse_powers,
     _log_ratio_constants,
     _log_ratio_exact_value,
     _log_ratio_second_term,

@@ -125,6 +125,14 @@ def test_i0e_helper_branches():
     assert rel(got, ref) <= 1e-12
 
 
+@pytest.mark.parametrize("bracket", [bessel_i0e_asymptotic, bessel_i1e_asymptotic])
+@pytest.mark.parametrize("kappa", [1e-200, 1e-320])
+def test_asym_bracket_rejects_overflowing_powers(bracket, kappa):
+    # 1/kappa^3 overflows below about 1.8e-103; the bracket would be inf
+    with pytest.raises(ValueError, match=r"too small for the 1/kappa expansions: 1/kappa\^3 overflows"):
+        bracket(kappa, 3)
+
+
 def test_domain_and_range_errors():
     with pytest.raises(ValueError):
         i0e(-1.0)

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import types
 
 import pytest
 from references import (
@@ -10,7 +11,7 @@ from references import (
     i1e_series_reference,
 )
 
-from circbridge import backend, bessel, cli, distributions, oracle
+from circbridge import backend, bessel, cli, distributions, expansions, oracle
 from circbridge.distributions import (
     SQRT2,
     VonMisesParams,
@@ -33,6 +34,7 @@ from circbridge.expansions import BulkSpec, ExpansionValue, StandardizedDeviate
 from circbridge.oracle import ScanReport
 
 TWO_PI = 2.0 * math.pi
+INV_SQRT_2PI = 1.0 / math.sqrt(TWO_PI)
 
 
 def rel(a, b):
@@ -87,7 +89,8 @@ def test_per_kappa_values_leave_identity_alone():
     a = VonMisesParams(0.5, 20.0)
     names = ("variance", "sigma", "i0e", "log_i0e")
     filled = tuple(getattr(a, name) for name in names)
-    assert all(vars(a)[name] is v for name, v in zip(names, filled))
+    # stored once, not recomputed at each read
+    assert all(getattr(a, name) is v for name, v in zip(names, filled))
     b = VonMisesParams(0.5, 20.0)
     assert a == b
     assert hash(a) == hash(b)
@@ -118,14 +121,20 @@ def test_kappa_beyond_kernel_range_fails_at_construction():
         VonMisesParams(0.0, 1e308)
 
 
+def _pickled(protocol):
+    return lambda r: pickle.loads(pickle.dumps(r, protocol))
+
+
+# every way to copy a record: the default pickle protocol, then each one
+COPIES = [
+    pytest.param(copy.copy, id="copy"),
+    pytest.param(copy.deepcopy, id="deepcopy"),
+    pytest.param(_pickled(None), id="pickle"),
+] + [pytest.param(_pickled(n), id="pickle%d" % n) for n in range(pickle.HIGHEST_PROTOCOL + 1)]
+
+
 @pytest.mark.parametrize(
-    "make",
-    [
-        lambda p: VonMisesParams(p.mu, 80.0),
-        copy.copy,
-        lambda p: pickle.loads(pickle.dumps(p)),
-    ],
-    ids=["replace", "copy", "pickle"],
+    "make", [pytest.param(lambda p: VonMisesParams(p.mu, 80.0), id="replace")] + COPIES
 )
 def test_copied_params_carry_their_own_kappa_values(make):
     q = make(VonMisesParams(0.4, 20.0))
@@ -133,19 +142,26 @@ def test_copied_params_carry_their_own_kappa_values(make):
     assert q.log_i0e == bessel.log_i0e(q.kappa)
     assert q.variance == circular_variance_exact(q.kappa)
     assert q.sigma == math.sqrt(q.variance)
-    assert vars(q)["sigma"] is q.sigma
+    assert q.sigma is q.sigma
+    assert not hasattr(q, "__dict__")
 
 
 def test_per_kappa_values_are_instance_attributes():
-    # reads of a class-level descriptor do not specialize; the values
-    # must live in the instance
-    assert not hasattr(VonMisesParams, "i0e")
-    assert not hasattr(VonMisesParams, "log_i0e")
-    assert not hasattr(VonMisesParams, "variance")
-    assert not hasattr(VonMisesParams, "sigma")
+    # each value lives in a slot of the instance: a slot's member
+    # descriptor is a data descriptor, whose reads specialize
+    for name in ("i0e", "log_i0e", "variance", "sigma"):
+        assert type(vars(VonMisesParams)[name]) is types.MemberDescriptorType
+    a, b = VonMisesParams(0.5, 20.0), VonMisesParams(0.5, 80.0)
+    assert (a.i0e, a.variance) != (b.i0e, b.variance)
 
 
 # ---------------------------------------------------------- value objects
+
+
+def slot_values(record):
+    # every slot of a record, in declaration order, with its value
+    return [(name, getattr(record, name)) for name in type(record).__slots__]
+
 
 RECORDS = [
     (VonMisesParams(0.5, 20.0), "VonMisesParams(mu=0.5, kappa=20.0)"),
@@ -163,20 +179,17 @@ def test_records_repr_their_defining_fields(record, text):
 @pytest.mark.parametrize("record", [r for r, _ in RECORDS])
 @pytest.mark.parametrize("name", ["mu", "kappa", "v", "regime", "eta", "sigma", "other"])
 def test_records_refuse_assignment_and_deletion(record, name):
-    before = dict(vars(record))
+    before = slot_values(record)
     with pytest.raises(AttributeError):
         setattr(record, name, 1.0)
     with pytest.raises(AttributeError):
         delattr(record, name)
-    assert vars(record) == before
+    assert slot_values(record) == before
+    assert not hasattr(record, "__dict__")
 
 
 @pytest.mark.parametrize("record", [r for r, _ in RECORDS])
-@pytest.mark.parametrize(
-    "make",
-    [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],
-    ids=["copy", "deepcopy", "pickle"],
-)
+@pytest.mark.parametrize("make", COPIES)
 def test_records_survive_copy_and_pickle(record, make):
     q = make(record)
     assert q is not record
@@ -184,7 +197,8 @@ def test_records_survive_copy_and_pickle(record, make):
     assert q == record
     assert hash(q) == hash(record)
     assert repr(q) == repr(record)
-    assert list(vars(q).items()) == list(vars(record).items())
+    assert slot_values(q) == slot_values(record)
+    assert not hasattr(q, "__dict__")
 
 
 def test_records_compare_on_class_and_defining_fields():
@@ -200,7 +214,9 @@ def test_records_compare_on_class_and_defining_fields():
 
 
 def test_per_kappa_values_are_set_in_order():
-    assert list(vars(VonMisesParams(0.5, 20.0))) == [
+    # every slot is declared in this order and set by construction
+    vm = VonMisesParams(0.5, 20.0)
+    assert [name for name, _ in slot_values(vm)] == [
         "mu",
         "kappa",
         "i0e",
@@ -208,8 +224,8 @@ def test_per_kappa_values_are_set_in_order():
         "variance",
         "sigma",
     ]
-    assert list(vars(WrappedNormalParams(0.5, 0.25))) == ["mu", "v"]
-    assert list(vars(BulkSpec.fixed(0.5))) == ["regime", "eta"]
+    assert [name for name, _ in slot_values(WrappedNormalParams(0.5, 0.25))] == ["mu", "v"]
+    assert [name for name, _ in slot_values(BulkSpec.fixed(0.5))] == ["regime", "eta"]
 
 
 def test_result_records_are_named_tuples():
@@ -228,6 +244,18 @@ def test_result_records_are_named_tuples():
     assert repr(v) == "ExpansionValue(value=0.5, order=2, remainder_scale=1e-06)"
     with pytest.raises(AttributeError):
         v.value = 1.0
+    # the functions build the same classes that the public constructors do
+    sd = expansions.standardized_deviate(VonMisesParams(0.0, 50.0), 0.1)
+    assert type(sd) is StandardizedDeviate
+    assert sd == StandardizedDeviate(*sd)
+    assert repr(sd) == "StandardizedDeviate(delta=%r, delta_tilde=%r)" % sd
+    for got in (
+        expansions.log_ratio_expansion(0.5, 50.0, 2),
+        expansions.ratio_expansion(0.5, 50.0, 1),
+        expansions.cdf_expansion(0.5, 50.0),
+    ):
+        assert type(got) is ExpansionValue
+        assert repr(got) == repr(ExpansionValue(*got))
 
 
 def test_table_computes_per_kappa_values_once(count_calls, capsys):
@@ -363,6 +391,13 @@ def test_circular_variance_expansion_values():
     assert math.isclose(got, want, rel_tol=1e-15)
 
 
+@pytest.mark.parametrize("kappa", [1e-200, 1e-320])
+def test_circular_variance_expansion_rejects_overflowing_powers(kappa):
+    # 1/kappa^3 overflows below about 1.8e-103; the expansion would be inf
+    with pytest.raises(ValueError, match=r"too small for the 1/kappa expansions: 1/kappa\^3 overflows"):
+        circular_variance_expansion(kappa)
+
+
 def test_circular_variance_domain():
     for bad in (0.0, -1.0):
         with pytest.raises(ValueError):
@@ -464,6 +499,22 @@ def test_wn_density_extreme_scales():
     assert wn_density(narrow, 1.0) == 0.0
     # a flat law is rejected: it lies above sqrt(2 pi)
     assert _rejected(1e12)
+
+
+def test_wn_params_reject_scales_with_infinite_reciprocal():
+    # the lattice sum scales by 1/v, which overflows below _WN_MIN_V
+    smallest = distributions._WN_MIN_V
+    assert 1.0 / smallest < math.inf
+    assert 1.0 / math.nextafter(smallest, 0.0) == math.inf
+    for v in (math.nextafter(smallest, 0.0), 1e-310, 5e-324):
+        with pytest.raises(ValueError, match=r"^v must be >= 5\.56268464626801e-309, where 1/v is finite"):
+            WrappedNormalParams(0.0, v)
+    # the smallest accepted scale is a point mass whose peak is finite
+    p = WrappedNormalParams(0.0, smallest)
+    peak = wn_density(p, 0.0)
+    assert peak < math.inf
+    assert rel(peak, INV_SQRT_2PI * (1.0 / smallest)) <= 1e-15
+    assert wn_density(p, 0.3) == 0.0
 
 
 @pytest.mark.parametrize("v", [2.6, 3.0, 10.0, 1e6])
@@ -574,6 +625,17 @@ def test_upper_incomplete_moment_closed_forms(j, z):
 
     ref = adaptive_quadrature(integrand, z, z + 42.0, 1e-12).value
     assert abs(upper_incomplete_moment(j, z) - ref) <= 1e-10
+
+
+@pytest.mark.parametrize("j, moment", [(0, 1.0), (2, 1.0), (4, 3.0), (6, 15.0), (8, 105.0)])
+def test_upper_incomplete_moment_limits(j, moment):
+    # 0 at +inf and the full moment (j - 1)!! at -inf, also where z^2
+    # overflows or phi(z) underflows; no inf * 0 = nan
+    for z in (math.inf, 1e200, 40.0):
+        assert upper_incomplete_moment(j, z) == 0.0
+    for z in (-math.inf, -1e200, -40.0):
+        assert upper_incomplete_moment(j, z) == moment
+    assert math.isnan(upper_incomplete_moment(j, math.nan))
 
 
 def test_upper_incomplete_moment_rejects_odd_j():
