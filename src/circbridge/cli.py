@@ -52,11 +52,9 @@ QUANTITIES = (
 
 def _fmt(x, precision):
     """Shortest round-trip decimal at the requested precision."""
-    if isinstance(x, float):
-        if precision >= 17:
-            return repr(x)
+    if isinstance(x, float) and precision < 17:
         return format(x, ".%dg" % precision)
-    return str(x)
+    return format(x)
 
 
 def _json_value(x, precision):
@@ -78,17 +76,10 @@ def _emit(rows, header, meta, args):
         }
         text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
     else:
+        # _fmt(v, 17) is format(v) for a float and a label alike
+        fmt = format if precision >= 17 else functools.partial(_fmt, precision=precision)
         lines = [",".join(header)]
-        for row in rows:
-            if precision >= 17:
-                # _fmt is repr for a float, and a float's repr holds no quote;
-                # only a row with a label (the repr of a str always holds a
-                # "'") needs _fmt value by value
-                line = ",".join(map(repr, row))
-                if "'" not in line:
-                    lines.append(line)
-                    continue
-            lines.append(",".join(_fmt(v, precision) for v in row))
+        lines.extend(",".join(map(fmt, row)) for row in rows)
         text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", newline="") as fh:

@@ -92,12 +92,13 @@ class VonMisesParams(_Frozen):
 
     Also carries the per-concentration values every evaluation at this
     kappa shares, set at construction from one call of the kernel
-    `backend.i0e_sigma2`: `i0e`, `log_i0e`, `variance` (sigma^2) and `sigma`.
+    `backend.i0e_sigma2`: `i0e`, `variance` (sigma^2) and `sigma`.  The
+    log of `i0e` is `bessel.log_i0e(kappa)`, or `math.log(params.i0e)`.
     At kappa == 0 the law is uniform: i0e, variance and sigma are all 1.
     Equality, hashing and repr depend on (mu, kappa) alone.
     """
 
-    __slots__ = ("mu", "kappa", "i0e", "log_i0e", "variance", "sigma")
+    __slots__ = ("mu", "kappa", "i0e", "variance", "sigma")
     _fields = ("mu", "kappa")
 
     def __init__(self, mu: float, kappa: float):
@@ -109,7 +110,6 @@ class VonMisesParams(_Frozen):
         _set_vm_kappa(self, kappa)
         i0e, sigma2 = backend.i0e_sigma2(kappa)
         _set_vm_i0e(self, i0e)
-        _set_vm_log_i0e(self, math.log(i0e))
         _set_vm_variance(self, sigma2)
         _set_vm_sigma(self, math.sqrt(sigma2))
 
@@ -119,7 +119,6 @@ class VonMisesParams(_Frozen):
 _set_vm_mu = VonMisesParams.mu.__set__
 _set_vm_kappa = VonMisesParams.kappa.__set__
 _set_vm_i0e = VonMisesParams.i0e.__set__
-_set_vm_log_i0e = VonMisesParams.log_i0e.__set__
 _set_vm_variance = VonMisesParams.variance.__set__
 _set_vm_sigma = VonMisesParams.sigma.__set__
 

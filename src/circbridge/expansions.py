@@ -140,7 +140,7 @@ def standardized_deviate(params: VonMisesParams, x: float) -> StandardizedDeviat
 
 def _log_ratio_constants(params: VonMisesParams) -> tuple[float, float]:
     """log(e^-kappa I0) and log(sigma^2)/2: `_log_ratio_exact_value`'s per-kappa numbers."""
-    return params.log_i0e, 0.5 * math.log(params.variance)
+    return math.log(params.i0e), 0.5 * math.log(params.variance)
 
 
 def _log_ratio_exact_value(kappa, log_i0e, half_log_var, t, delta):
