@@ -209,7 +209,7 @@ def _cmd_convergence(args):
     return 0
 
 
-def _add_output_options(p):
+def _add_output_options(p, tol_help):
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
     p.add_argument("--out", default=None, help="output path (default: stdout)")
     p.add_argument(
@@ -218,7 +218,7 @@ def _add_output_options(p):
         default=17,
         help="significant digits for emitted numbers (6..17)",
     )
-    p.add_argument("--tol", type=float, default=1e-12, help="quadrature tolerance")
+    p.add_argument("--tol", type=float, default=1e-12, help=tol_help)
 
 
 def build_parser():
@@ -234,7 +234,7 @@ def build_parser():
     p.add_argument("--kappa", type=float, required=True, help="concentration")
     p.add_argument("--x", type=float, required=True, help="evaluation point (radians)")
     p.add_argument("--quantity", choices=QUANTITIES, required=True)
-    _add_output_options(p)
+    _add_output_options(p, "quadrature tolerance, read only by cdf-quad")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("table", help="comparison table over the bulk")
@@ -242,7 +242,7 @@ def build_parser():
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--eta", type=float, default=0.5, help="bulk parameter (fixed regime)")
     p.add_argument("--grid", type=int, default=201, help="odd number of grid points")
-    _add_output_options(p)
+    _add_output_options(p, "quadrature tolerance")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("error-scan", help="residual scan across concentrations")
@@ -253,14 +253,14 @@ def build_parser():
     p.add_argument("--eta", type=float, default=0.5, help="bulk parameter for the chosen regime")
     p.add_argument("--regime", choices=("fixed", "shrunken"), default="fixed")
     p.add_argument("--grid", type=int, default=201)
-    _add_output_options(p)
+    _add_output_options(p, "quadrature tolerance")
     p.set_defaults(func=_cmd_error_scan)
 
     p = sub.add_parser("convergence", help="sup gap between matched circular laws")
     p.add_argument("--mu", type=float, default=0.0)
     p.add_argument("--kappas", default="4,16,64,256", help="comma-separated concentrations")
     p.add_argument("--grid", type=int, default=1001, help="theta grid size")
-    _add_output_options(p)
+    _add_output_options(p, "wrapped-normal lattice truncation tolerance")
     p.set_defaults(func=_cmd_convergence)
 
     return parser

@@ -178,8 +178,10 @@ def vm_density(params: VonMisesParams, theta: float) -> float:
     """Circular normal density exp(kappa cos(theta - mu)) / (2 pi I0(kappa)).
 
     Evaluated in scaled form exp(-2 kappa sin^2(t/2)) / (2 pi e^-kappa I0),
-    which never overflows.
+    which never overflows.  Raises ValueError unless theta is finite.
     """
+    if not (-math.inf < theta < math.inf):
+        raise ValueError("theta must be finite, got %r" % (theta,))
     return _vm_density_value(params.kappa, params.i0e, wrap_angle(theta - params.mu))
 
 
@@ -232,9 +234,11 @@ def wn_density(params: WrappedNormalParams, theta: float, tol: float = 1e-12) ->
     terms decay like e^(-2 pi^2 k^2 / v^2), so below v = sqrt(2 pi), the
     bound `WrappedNormalParams` keeps, the lattice needs no more terms
     than the Fourier (theta) series would (Kurz, Gilitschenski & Hanebeck
-    2014).
+    2014).  Raises ValueError unless theta is finite.
     """
     _require_tol(tol)
+    if not (-math.inf < theta < math.inf):
+        raise ValueError("theta must be finite, got %r" % (theta,))
     v = params.v
     t = wrap_angle(theta - params.mu)
     return backend.wn_density_at(t, v, _wn_wraps(t, _wn_tail_reach(v, tol)))

@@ -202,18 +202,21 @@ def _reference_density_value(dt, width):
 
 
 def _remainder_scale(target, dt, u, uu):
-    # (1 + |dt|^p) / kappa^3, which must be finite
+    # (1 + |dt|^p) / kappa^3, which must be finite, as must |dt|^p itself
     p = ENVELOPE_POWER[target]
     try:
-        scale = (1.0 + abs(dt) ** p) * (uu * u)
+        power = abs(dt) ** p
     except OverflowError:  # float ** raises where * would give inf
-        scale = math.inf
-    if not (scale < math.inf):
-        raise ValueError(
-            "delta_tilde=%r is outside the %s expansion's range at this kappa: its remainder"
-            " scale (1 + |delta_tilde|^%d) / kappa^3 is not finite" % (dt, target, p)
-        )
-    return scale
+        reason = "|delta_tilde|^%d in its remainder scale (1 + |delta_tilde|^%d) / kappa^3 overflows"
+        reason %= (p, p)
+    else:
+        scale = (1.0 + power) * (uu * u)
+        if scale < math.inf:
+            return scale
+        reason = "its remainder scale (1 + |delta_tilde|^%d) / kappa^3 is not finite" % (p,)
+    raise ValueError(
+        "delta_tilde=%r is outside the %s expansion's range at this kappa: %s" % (dt, target, reason)
+    )
 
 
 def _check_order(order):
@@ -225,7 +228,10 @@ def log_ratio_exact(params: VonMisesParams, x: float) -> float:
     """Exact log of the density ratio sqrt(2) sigma f(x) / phi(delta_tilde).
 
     Evaluated entirely in log space; finite well beyond kappa = 5000.
+    Raises ValueError unless x is finite.
     """
+    if not (-math.inf < x < math.inf):
+        raise ValueError("x must be finite, got %r" % (x,))
     log_i0e, half_log_var = _log_ratio_constants(params)
     t = x - params.mu
     delta = t / params.sigma

@@ -323,6 +323,13 @@ def residual_scan(
         raise ValueError(
             "a slope fit needs at least 3 kappa values, got %d" % len(kappa_values)
         )
+    seen = set()
+    for kappa in kappa_values:
+        if kappa in seen:
+            raise ValueError(
+                "a slope fit needs distinct kappa values, got %r more than once" % (kappa,)
+            )
+        seen.add(kappa)
     if not grid_size_ok(grid_size, SCAN_MIN_GRID):
         raise ValueError("grid_size must be odd and >= 11, got %r" % (grid_size,))
     power = ENVELOPE_POWER[target]

@@ -496,19 +496,25 @@ def test_table_rejects_kappa_where_inverse_cube_overflows(kappa, count_calls, ca
     "kappa, eta, message",
     [
         ("1e300", "0.5", "delta_tilde=3.5355339059327374e+149 is outside the log_ratio"
-         " expansion's range at this kappa: its remainder scale (1 + |delta_tilde|^8)"),
+         " expansion's range at this kappa: |delta_tilde|^8 in its remainder"
+         " scale (1 + |delta_tilde|^8)"),
         ("1e80", "0.5", "delta_tilde=3.535533905932738e+39 is outside the log_ratio"
-         " expansion's range at this kappa: its remainder scale (1 + |delta_tilde|^8)"),
+         " expansion's range at this kappa: |delta_tilde|^8 in its remainder"
+         " scale (1 + |delta_tilde|^8)"),
         ("1e60", "0.5", "delta_tilde=3.5355339059327375e+29 is outside the cdf"
-         " expansion's range at this kappa: its remainder scale (1 + |delta_tilde|^11)"),
+         " expansion's range at this kappa: |delta_tilde|^11 in its remainder"
+         " scale (1 + |delta_tilde|^11)"),
         # just past the onset, about 2.2e56 / eta^2, where |delta_tilde|^11
         # overflows at the bulk edge
         ("8.91e58", "0.05", "delta_tilde=1.0553435459602716e+28 is outside the cdf"
-         " expansion's range at this kappa: its remainder scale (1 + |delta_tilde|^11)"),
+         " expansion's range at this kappa: |delta_tilde|^11 in its remainder"
+         " scale (1 + |delta_tilde|^11)"),
         ("8.91e56", "0.5", "delta_tilde=1.0553435459602716e+28 is outside the cdf"
-         " expansion's range at this kappa: its remainder scale (1 + |delta_tilde|^11)"),
+         " expansion's range at this kappa: |delta_tilde|^11 in its remainder"
+         " scale (1 + |delta_tilde|^11)"),
         ("2.47e56", "0.95", "delta_tilde=1.0557402616174112e+28 is outside the cdf"
-         " expansion's range at this kappa: its remainder scale (1 + |delta_tilde|^11)"),
+         " expansion's range at this kappa: |delta_tilde|^11 in its remainder"
+         " scale (1 + |delta_tilde|^11)"),
     ],
     ids=["1e300", "1e80", "1e60", "onset-eta-0.05", "onset-eta-0.5", "onset-eta-0.95"],
 )
@@ -521,7 +527,7 @@ def test_table_rejects_bulk_edge_where_remainder_scale_is_not_finite(
     assert run(["table", "--mu", "0", "--kappa", kappa, "--eta", eta, "--grid", "5"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: %s / kappa^3 is not finite\n" % message
+    assert captured.err == "error: %s / kappa^3 overflows\n" % message
     assert quadratures == []
 
 
@@ -613,6 +619,20 @@ def test_error_scan_rejects_ratio_that_overflows_inside_the_bulk(capsys):
     )
 
 
+def test_error_scan_rejects_colliding_kappas_before_any_work(count_calls, capsys):
+    # every kappa of the geometric grid rounds to the same float
+    evaluated = count_calls(oracle, "_scan_residuals")
+    argv = ["error-scan", "--target", "log_ratio", "--kappa-min", "100",
+            "--kappa-max", "100.00000000000003", "--steps", "7", "--grid", "11"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: a slope fit needs distinct kappa values, got 100.00000000000004 more than once\n"
+    )
+    assert evaluated == []
+
+
 def test_error_scan_rejects_kappa_where_cube_overflows(capsys):
     argv = ["error-scan", "--target", "log_ratio", "--kappa-min", "1e100", "--kappa-max", "1e104",
             "--steps", "3", "--grid", "11"]
@@ -628,10 +648,12 @@ def test_error_scan_rejects_kappa_where_cube_overflows(capsys):
     [
         ("log_ratio", "1e40", "1e80",
          "delta_tilde=3.535533905932743e+39 is outside the log_ratio expansion's range at this"
-         " kappa: its remainder scale (1 + |delta_tilde|^8) / kappa^3 is not finite"),
+         " kappa: |delta_tilde|^8 in its remainder scale (1 + |delta_tilde|^8) / kappa^3"
+         " overflows"),
         ("cdf", "1e57", "1e60",
          "delta_tilde=1.1180339887498924e+28 is outside the cdf expansion's range at this"
-         " kappa: its remainder scale (1 + |delta_tilde|^11) / kappa^3 is not finite"),
+         " kappa: |delta_tilde|^11 in its remainder scale (1 + |delta_tilde|^11) / kappa^3"
+         " overflows"),
     ],
     ids=["log_ratio", "cdf"],
 )
@@ -704,6 +726,22 @@ def test_runs_build_the_parser_once(fresh_parser, monkeypatch, capsys):
     assert run(["convergence", "--kappas", "4", "--grid", "11"]) == 0
     capsys.readouterr()
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("eval", "quadrature tolerance, read only by cdf-quad"),
+        ("table", "quadrature tolerance"),
+        ("error-scan", "quadrature tolerance"),
+        ("convergence", "wrapped-normal lattice truncation tolerance"),
+    ],
+)
+def test_tol_help_says_what_each_subcommand_uses_it_for(command, text, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text to the terminal
+    assert run([command, "--help"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(None, 2)[2] for line in lines if line.startswith("  --tol TOL")] == [text]
 
 
 def test_build_parser_returns_a_new_parser():

@@ -306,6 +306,21 @@ def test_wn_params_reject_non_finite(mu, v, field):
         WrappedNormalParams(mu, v)
 
 
+@pytest.mark.parametrize("value", [INF, -INF, NAN])
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda a: vm_density(VonMisesParams(0.0, 5.0), a), "theta"),
+        (lambda a: wn_density(WrappedNormalParams(0.0, 0.5), a), "theta"),
+        (lambda a: expansions.log_ratio_exact(VonMisesParams(0.0, 5.0), a), "x"),
+    ],
+    ids=["vm_density", "wn_density", "log_ratio_exact"],
+)
+def test_point_functions_reject_non_finite_angle(call, name, value):
+    with pytest.raises(ValueError, match=r"^%s must be finite, got %r$" % (name, value)):
+        call(value)
+
+
 def test_wrap_angle_range():
     for t in [-9.0, -math.pi, -1.0, 0.0, 1.0, math.pi, 9.0, 100.0]:
         w = wrap_angle(t)

@@ -288,6 +288,25 @@ def test_expansions_reject_deviate_where_remainder_scale_is_not_finite(dt):
             call()
 
 
+@pytest.mark.parametrize(
+    "dt, kappa, reason",
+    [
+        # |dt|^11 = 1e22 is finite, but not its product with 1/kappa^3 = 1e300
+        (100.0, 1e-100, "its remainder scale (1 + |delta_tilde|^11) / kappa^3 is not finite"),
+        # |dt|^11 overflows, though the scale 1e440 / 1e171 would be finite
+        (1e40, 1e57, "|delta_tilde|^11 in its remainder scale (1 + |delta_tilde|^11) / kappa^3"
+         " overflows"),
+    ],
+    ids=["product", "power"],
+)
+def test_cdf_remainder_scale_message_names_what_overflows(dt, kappa, reason):
+    with pytest.raises(ValueError) as info:
+        cdf_expansion(dt, kappa)
+    assert str(info.value) == (
+        "delta_tilde=%r is outside the cdf expansion's range at this kappa: %s" % (dt, reason)
+    )
+
+
 def test_expansions_finite_at_kappa_1e_minus_100():
     kappa = 1e-100
     for dt in (-2.0, 0.0, 1e-3, 2.0):

@@ -540,6 +540,8 @@ def test_residual_scan_rejects_too_few_kappas_before_any_work(count_calls, kappa
         ([32.0, 0.0, 128.0], r"kappa must be > 0, got 0\.0"),
         # the residuals are normalized by kappa^3, which overflows above ~5.6e102
         ([1e100, 1e102, 1e104], r"kappa=1e\+104 is too large .*kappa\^3 overflows"),
+        # a repeated kappa, rejected before the slope fit would find it
+        ([10.0, 10.0, 1000.0], r"^a slope fit needs distinct kappa values, got 10\.0 more than once$"),
     ],
 )
 def test_residual_scan_rejects_bad_kappa_before_any_work(count_calls, kappas, message):
