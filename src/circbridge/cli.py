@@ -54,7 +54,7 @@ def _fmt(x, precision):
     """Shortest round-trip decimal at the requested precision."""
     if isinstance(x, float) and precision < 17:
         return format(x, ".%dg" % precision)
-    return format(x)
+    return str(x)
 
 
 def _json_value(x, precision):
@@ -76,10 +76,14 @@ def _emit(rows, header, meta, args):
         }
         text = json.dumps(payload, indent=2, sort_keys=False) + "\n"
     else:
-        # _fmt(v, 17) is format(v) for a float and a label alike
-        fmt = format if precision >= 17 else functools.partial(_fmt, precision=precision)
         lines = [",".join(header)]
-        lines.extend(",".join(map(fmt, row)) for row in rows)
+        if precision >= 17:
+            # "%s" is str, so each value prints as _fmt(v, 17): a float as
+            # its repr, a label as itself
+            line = ",".join(["%s"] * len(header))
+            lines.extend(line % row for row in rows)
+        else:
+            lines.extend(",".join(_fmt(v, precision) for v in row) for row in rows)
         text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", newline="") as fh:
