@@ -19,7 +19,8 @@ _I1_TERMS = (-0.375, -0.1171875, -0.1025390625)
 
 def _bracket(terms, kappa, order):
     u, uu = _inverse_powers(kappa)
-    if order not in (0, 1, 2, 3):
+    # type, not isinstance: True == 1 and 2.0 == 2 would pass `in`
+    if type(order) is not int or order not in (0, 1, 2, 3):
         raise ValueError("asymptotic order must be in {0,1,2,3}, got %r" % (order,))
     b = 1.0
     for c, p in zip(terms[:order], (u, uu, uu * u)):

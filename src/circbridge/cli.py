@@ -24,6 +24,7 @@ from .backend import _KAPPA_MAX
 from .distributions import (
     SQRT2,
     VonMisesParams,
+    _require_finite,
     _require_tol,
     matched_sup_gap,
     normalize_angle,
@@ -90,11 +91,6 @@ def _emit(rows, header, meta, args):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _require_finite(option, value):
-    if not (-math.inf < value < math.inf):
-        raise ValueError("%s must be finite, got %r" % (option, value))
 
 
 def _wrapped_mu(mu):

@@ -92,8 +92,9 @@ class VonMisesParams(_Frozen):
 
     Also carries the per-concentration values every evaluation at this
     kappa shares, set at construction from one call of the kernel
-    `backend.i0e_sigma2`: `i0e`, `variance` (sigma^2) and `sigma`.  The
-    log of `i0e` is `bessel.log_i0e(kappa)`, or `math.log(params.i0e)`.
+    `backend.i0e_sigma2`: `i0e`, `variance` (sigma^2) and `sigma`.  That
+    kernel is also the one check of kappa's domain, 0 <= kappa <= ~9e307.
+    The log of `i0e` is `bessel.log_i0e(kappa)`, or `math.log(params.i0e)`.
     At kappa == 0 the law is uniform: i0e, variance and sigma are all 1.
     Equality, hashing and repr depend on (mu, kappa) alone.
     """
@@ -102,10 +103,7 @@ class VonMisesParams(_Frozen):
     _fields = ("mu", "kappa")
 
     def __init__(self, mu: float, kappa: float):
-        if not (-math.inf < mu < math.inf):
-            raise ValueError("mu must be finite, got %r" % (mu,))
-        if not (0.0 <= kappa < math.inf):
-            raise ValueError("kappa must be finite and >= 0, got %r" % (kappa,))
+        _require_finite("mu", mu)
         _set_vm_mu(self, normalize_angle(mu))
         _set_vm_kappa(self, kappa)
         i0e, sigma2 = backend.i0e_sigma2(kappa)
@@ -134,8 +132,7 @@ class WrappedNormalParams(_Frozen):
     _fields = ("mu", "v")
 
     def __init__(self, mu: float, v: float):
-        if not (-math.inf < mu < math.inf):
-            raise ValueError("mu must be finite, got %r" % (mu,))
+        _require_finite("mu", mu)
         if not (0.0 < v < _WN_MAX_V):
             raise ValueError("v must be finite, > 0 and < sqrt(2 pi), got %r" % (v,))
         if v < _WN_MIN_V:
@@ -146,6 +143,11 @@ class WrappedNormalParams(_Frozen):
 
 _set_wn_mu = WrappedNormalParams.mu.__set__
 _set_wn_v = WrappedNormalParams.v.__set__
+
+
+def _require_finite(name, value):
+    if not (-math.inf < value < math.inf):
+        raise ValueError("%s must be finite, got %r" % (name, value))
 
 
 def _require_positive_kappa(kappa):
@@ -180,8 +182,7 @@ def vm_density(params: VonMisesParams, theta: float) -> float:
     Evaluated in scaled form exp(-2 kappa sin^2(t/2)) / (2 pi e^-kappa I0),
     which never overflows.  Raises ValueError unless theta is finite.
     """
-    if not (-math.inf < theta < math.inf):
-        raise ValueError("theta must be finite, got %r" % (theta,))
+    _require_finite("theta", theta)
     return _vm_density_value(params.kappa, params.i0e, wrap_angle(theta - params.mu))
 
 
@@ -237,8 +238,7 @@ def wn_density(params: WrappedNormalParams, theta: float, tol: float = 1e-12) ->
     2014).  Raises ValueError unless theta is finite.
     """
     _require_tol(tol)
-    if not (-math.inf < theta < math.inf):
-        raise ValueError("theta must be finite, got %r" % (theta,))
+    _require_finite("theta", theta)
     v = params.v
     t = wrap_angle(theta - params.mu)
     return backend.wn_density_at(t, v, _wn_wraps(t, _wn_tail_reach(v, tol)))

@@ -21,6 +21,7 @@ from .distributions import (
     VonMisesParams,
     _Frozen,
     _inverse_powers,
+    _require_finite,
     _require_positive_kappa,
     normal_cdf,
     normal_pdf,
@@ -51,8 +52,9 @@ class BulkSpec(_Frozen):
     """Region of deviates where the expansions hold uniformly.
 
     Fixed regime: |delta| <= eta * sqrt(kappa) with 0 < eta < 1.
-    Shrunken regime: |delta| <= eta_tilde * kappa^(1/4), any eta_tilde > 0;
-    this is the fixed regime with eta replaced by eta_tilde * kappa^(-1/4).
+    Shrunken regime: |delta| <= eta_tilde * kappa^(1/4), any finite
+    eta_tilde > 0; this is the fixed regime with eta replaced by
+    eta_tilde * kappa^(-1/4).
     `eta` holds the regime's parameter: eta, or eta_tilde when shrunken.
     """
 
@@ -66,6 +68,7 @@ class BulkSpec(_Frozen):
         elif regime == "shrunken":
             if not (eta > 0.0):
                 raise ValueError("shrunken regime needs eta_tilde > 0, got %r" % (eta,))
+            _require_finite("eta_tilde", eta)
         else:
             raise ValueError("regime must be 'fixed' or 'shrunken', got %r" % (regime,))
         _set_bulk_regime(self, regime)
@@ -107,7 +110,7 @@ class BulkSpec(_Frozen):
             name = "eta" if self.regime == "fixed" else "eta_tilde"
             raise ValueError(
                 "the bulk edge, %.3g rad from mu, reaches pi at kappa=%r with %s=%r;"
-                " use a smaller eta" % (edge, params.kappa, name, self.eta)
+                " use a smaller %s" % (edge, params.kappa, name, self.eta, name)
             )
         return dts, [params.mu + width * dt for dt in dts]
 
@@ -126,7 +129,8 @@ _tuple_new = tuple.__new__
 
 
 def standardized_deviate(params: VonMisesParams, x: float) -> StandardizedDeviate:
-    """Deviate of a point x on the line near mu, in units of sigma."""
+    """Deviate of a point x on the line near mu, in units of sigma; x must be finite."""
+    _require_finite("x", x)
     delta = (x - params.mu) / params.sigma
     return _tuple_new(StandardizedDeviate, (delta, delta / SQRT2))
 
@@ -220,7 +224,8 @@ def _remainder_scale(target, dt, u, uu):
 
 
 def _check_order(order):
-    if order not in (1, 2):
+    # type, not isinstance: True == 1 and 2.0 == 2 would pass `in`
+    if type(order) is not int or order not in (1, 2):
         raise ValueError("order must be 1 or 2, got %r" % (order,))
 
 
@@ -230,8 +235,7 @@ def log_ratio_exact(params: VonMisesParams, x: float) -> float:
     Evaluated entirely in log space; finite well beyond kappa = 5000.
     Raises ValueError unless x is finite.
     """
-    if not (-math.inf < x < math.inf):
-        raise ValueError("x must be finite, got %r" % (x,))
+    _require_finite("x", x)
     log_i0e, half_log_var = _log_ratio_constants(params)
     t = x - params.mu
     delta = t / params.sigma
@@ -287,7 +291,8 @@ def cdf_expansion(delta_tilde: float, kappa: float) -> ExpansionValue:
 
 
 def reference_normal_density(params: VonMisesParams, x: float) -> float:
-    """Density of the matched linear law Normal(mu, 2 sigma^2) at x."""
+    """Density of the matched linear law Normal(mu, 2 sigma^2) at x; x must be finite."""
+    _require_finite("x", x)
     sigma = params.sigma
     return _reference_density_value((x - params.mu) / sigma / SQRT2, SQRT2 * sigma)
 

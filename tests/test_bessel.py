@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from references import (
@@ -80,6 +81,15 @@ def test_asym_bracket_order_zero_is_one(kappa):
 def test_asym_bracket_order_one_exact():
     assert bessel_i0e_asymptotic(8.0, 1) == 1.015625  # 1 + 1/64
     assert bessel_i1e_asymptotic(8.0, 1) == 0.953125  # 1 - 3/64
+
+
+@pytest.mark.parametrize("order", [True, False, 1.0, 3.0, -1, 4, "2"])
+@pytest.mark.parametrize("bracket", [bessel_i0e_asymptotic, bessel_i1e_asymptotic])
+def test_asym_bracket_order_must_be_an_int_from_0_to_3(bracket, order):
+    # True == 1 and 3.0 == 3, so a test by membership alone would take them
+    message = r"^asymptotic order must be in \{0,1,2,3\}, got %s$" % re.escape(repr(order))
+    with pytest.raises(ValueError, match=message):
+        bracket(10.0, order)
 
 
 def test_asym_brackets_match_scaled_series_at_500():

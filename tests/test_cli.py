@@ -444,6 +444,17 @@ def test_error_scan_rejects_bulk_beyond_pi(target, count_calls, capsys):
     assert quadratures == []
 
 
+def test_error_scan_rejects_infinite_eta_tilde_before_any_work(count_calls, capsys):
+    quadratures = count_calls(backend, "vm_scaled_mass")
+    argv = ["error-scan", "--target", "log_ratio", "--regime", "shrunken", "--eta", "inf",
+            "--kappa-min", "10", "--kappa-max", "100"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "eta_tilde must be finite, got inf" in captured.err
+    assert quadratures == []
+
+
 @pytest.mark.parametrize("kappa", ["5e-324", "1e300", "1e307"])
 def test_eval_density_at_extreme_kappa(kappa, capsys):
     assert run(["eval", "--mu", "0", "--kappa", kappa, "--x", "0", "--quantity", "density"]) == 0

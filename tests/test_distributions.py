@@ -313,8 +313,10 @@ def test_wn_params_reject_non_finite(mu, v, field):
         (lambda a: vm_density(VonMisesParams(0.0, 5.0), a), "theta"),
         (lambda a: wn_density(WrappedNormalParams(0.0, 0.5), a), "theta"),
         (lambda a: expansions.log_ratio_exact(VonMisesParams(0.0, 5.0), a), "x"),
+        (lambda a: expansions.standardized_deviate(VonMisesParams(0.3, 50.0), a), "x"),
+        (lambda a: expansions.reference_normal_density(VonMisesParams(0.3, 50.0), a), "x"),
     ],
-    ids=["vm_density", "wn_density", "log_ratio_exact"],
+    ids=["vm_density", "wn_density", "log_ratio_exact", "standardized_deviate", "reference_normal_density"],
 )
 def test_point_functions_reject_non_finite_angle(call, name, value):
     with pytest.raises(ValueError, match=r"^%s must be finite, got %r$" % (name, value)):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from references import adaptive_quadrature, i0e_series_reference, i1e_series_reference
@@ -68,6 +69,13 @@ def test_bulk_spec_validation():
         BulkSpec.fixed(1.0)
     with pytest.raises(ValueError):
         BulkSpec.shrunken(0.0)
+    # an infinite eta_tilde fails here, not at the grid
+    with pytest.raises(ValueError, match="^eta_tilde must be finite, got inf$"):
+        BulkSpec.shrunken(math.inf)
+    with pytest.raises(ValueError, match=r"^shrunken regime needs eta_tilde > 0, got nan$"):
+        BulkSpec.shrunken(math.nan)
+    with pytest.raises(ValueError, match="^fixed regime needs 0 < eta < 1, got inf$"):
+        BulkSpec.fixed(math.inf)
     with pytest.raises(ValueError):
         BulkSpec(regime="other", eta=0.5)
     assert BulkSpec.fixed(0.5).delta_halfwidth(100.0) == 5.0
@@ -81,7 +89,8 @@ def test_bulk_spec_validation():
 def test_bulk_grid_must_stay_on_the_circle():
     # shrunken, eta_tilde = 10 at kappa = 1: sigma * 10 is about 7.44 rad
     p = VonMisesParams(0.0, 1.0)
-    with pytest.raises(ValueError, match="kappa=1.0 with eta_tilde=10.0"):
+    # the hint names the regime's parameter
+    with pytest.raises(ValueError, match="kappa=1.0 with eta_tilde=10.0; use a smaller eta_tilde$"):
         BulkSpec.shrunken(10.0).grid(p, 11)
     # the same law with a bulk just inside pi keeps its grid
     sigma = p.sigma
@@ -207,6 +216,14 @@ def test_exp_of_log_expansion_close_to_ratio_expansion(kappa):
         b = ratio_expansion(dt, kappa, 2).value
         bound = 20.0 * (1.0 + abs(dt) ** 12) / kappa ** 3
         assert abs(a - b) <= bound
+
+
+@pytest.mark.parametrize("order", [True, False, 2.0, 1.0, 0, 3, "1"])
+@pytest.mark.parametrize("expansion", [log_ratio_expansion, ratio_expansion])
+def test_expansion_order_must_be_the_int_1_or_2(expansion, order):
+    # True == 1 and 2.0 == 2, so a test by membership alone would take them
+    with pytest.raises(ValueError, match=r"^order must be 1 or 2, got %s$" % re.escape(repr(order))):
+        expansion(0.5, 10.0, order)
 
 
 def test_order_two_beats_order_one():

@@ -536,7 +536,8 @@ def test_residual_scan_rejects_too_few_kappas_before_any_work(count_calls, kappa
 @pytest.mark.parametrize(
     "kappas, message",
     [
-        ([32.0, -1.0, 128.0], r"kappa must be finite and >= 0, got -1\.0"),
+        # kappa's domain is the kernel's, checked by VonMisesParams
+        ([32.0, -1.0, 128.0], r"kappa must be finite, >= 0 and <= 8\.988465674311579e\+307, got -1\.0$"),
         ([32.0, 0.0, 128.0], r"kappa must be > 0, got 0\.0"),
         # the residuals are normalized by kappa^3, which overflows above ~5.6e102
         ([1e100, 1e102, 1e104], r"kappa=1e\+104 is too large .*kappa\^3 overflows"),

@@ -3,9 +3,9 @@ every function the benchmark traces exists, every public name resolves,
 every private module-level name is used, the package reads no
 environment variables, importing the CLI builds no parser and loads no
 module it does not need, the CLI reads no private name of the numerics,
-the README's library example runs, the package version is the one
-pyproject.toml declares, and its test extra names every package the
-tests import through importorskip."""
+each input rule is written once, the README's library example runs, the
+package version is the one pyproject.toml declares, and its test extra
+names every package the tests import through importorskip."""
 
 import ast
 import importlib
@@ -126,6 +126,43 @@ def test_cli_imports_no_private_numerics():
         and n.value.id in numerics and n.attr.startswith("_")
     ]
     assert private == []
+
+
+def _is_math_inf(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "inf"
+            and isinstance(node.value, ast.Name) and node.value.id == "math")
+
+
+def _is_finite_check(node):
+    # -math.inf < ... < math.inf
+    return (isinstance(node, ast.Compare) and isinstance(node.left, ast.UnaryOp)
+            and isinstance(node.left.op, ast.USub) and _is_math_inf(node.left.operand)
+            and _is_math_inf(node.comparators[-1]))
+
+
+def test_each_input_rule_is_written_once():
+    # "must be finite" is distributions._require_finite, and kappa's domain
+    # is the per-kappa kernel's check in backend.i0e_sigma2, so that each
+    # rule has one message
+    helper, inline, kappa_rule = [], [], []
+    for path in sorted((ROOT / "src" / "circbridge").rglob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text)
+        inside = {
+            id(n)
+            for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and f.name == "_require_finite"
+            for n in ast.walk(f)
+        }
+        for n in ast.walk(tree):
+            if _is_finite_check(n):
+                where = "%s:%d" % (path.relative_to(ROOT).as_posix(), n.lineno)
+                (helper if id(n) in inside else inline).append(where)
+        if "kappa must be finite" in text:
+            kappa_rule.append(path.name)
+    assert [h.split(":")[0] for h in helper] == ["src/circbridge/distributions.py"]
+    assert inline == []
+    assert kappa_rule == ["backend.py"]
 
 
 def test_readme_library_example_runs():
