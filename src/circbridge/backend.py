@@ -109,13 +109,14 @@ def i0_series_sum(x, head=1.0):
 
 @functools.lru_cache(maxsize=4096)
 def _sin2_nodes(n):
-    """sin(j h)^2 for j = 1 .. min(n, 28) - 1, h = pi / (2 n): the s^2 at
-    the interior nodes of `i0e_sigma2`'s n-panel rule that it can reach."""
+    """sin(j h)^2 for j = 1 .. n - 1 when n <= 28, else j = 1 .. 23,
+    h = pi / (2 n): the s^2 at the interior nodes of `i0e_sigma2`'s
+    n-panel rule that it can reach."""
     import array  # here, not at the top: only a new n reads it
 
     h = 0.5 * math.pi / n
     table = []
-    for j in range(1, min(n, 28)):
+    for j in range(1, n if n <= 28 else 24):
         u = math.sin(j * h)
         u *= u
         table.append(u)
@@ -134,12 +135,12 @@ def i0e_sigma2(kappa):
     converges exponentially: the aliasing error is about e^(-2 n^2 / kappa),
     below e^-48, and every term is positive, so nothing cancels.  The s^2
     at the nodes depend on n alone and come from `_sin2_nodes(n)`, a table
-    kept for the last 4096 n (~0.5 kB each).  It holds the nodes
-    j = 1 .. min(n, 28) - 1: every interior node for n <= 28, and for
-    n >= 29 enough, because the sum then stops by j = 22 (checked at the
-    smallest kappa of every n in 29..20,000: 22 at n = 29, 15 for large
-    n; within one n a larger kappa stops no later).  At most 28 nodes
-    are summed for any kappa.  Raises ValueError unless
+    kept for the last 4096 n (~0.4 kB each).  It holds every interior
+    node for n <= 28, and for n >= 29 the nodes j = 1 .. 23, one past the
+    last the sum then reaches: it stops by j = 22 (checked at the smallest
+    kappa of every n in 29..20,000: 22 at n = 29, 15 for large n; within
+    one n a larger kappa stops no later).  At most 28 nodes are summed
+    for any kappa.  Raises ValueError unless
     0 <= kappa <= _KAPPA_MAX (about 9e307).
     """
     if not (0.0 <= kappa <= _KAPPA_MAX):
@@ -198,9 +199,9 @@ def vm_scaled_mass(kappa, a, b, tol):
     The integrand is the circular normal density scaled to peak value one,
     so nothing overflows at any concentration.  Adaptive bisection on
     `_vm_panel`: a panel is accepted when its error estimate meets the
-    local tolerance, which is halved at every split.  The whole of [a, b]
-    is tried first, and a panel that passes is returned as is, before any
-    stack is built; most sweep segments end there.  Returns (value,
+    local tolerance, which is halved at every split.  Every panel, the
+    whole of [a, b] at depth 0 too, is popped from one depth-first stack;
+    most sweep segments pass on that first panel.  Returns (value,
     error_estimate, evaluations), (0.0, 0.0, 0) when b <= a.  Raises
     QuadratureError when a panel at depth MAX_DEPTH still fails, or when
     a panel fails after MAX_PANELS have been evaluated, so a tolerance
@@ -210,15 +211,10 @@ def vm_scaled_mass(kappa, a, b, tol):
     if b <= a:
         return 0.0, 0.0, 0
     m = -2.0 * kappa
-    val, err = _vm_panel(m, a, b)
-    if err <= tol:
-        return val, err, 15
-    mid = 0.5 * (a + b)
-    half = 0.5 * tol
-    stack = [(mid, b, half, 1), (a, mid, half, 1)]
+    stack = [(a, b, tol, 0)]
     total = 0.0
     err_total = 0.0
-    panels = 1
+    panels = 0
     while stack:
         a1, b1, tol1, depth = stack.pop()
         val, err = _vm_panel(m, a1, b1)

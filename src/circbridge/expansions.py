@@ -96,7 +96,9 @@ class BulkSpec(_Frozen):
         bulk edge, and the points x = mu + sqrt(2) sigma delta_tilde.
         Raises ValueError unless size is odd and >= TABLE_MIN_GRID and
         kappa > 0, and when the bulk edge, sigma times the half-width,
-        reaches pi, where the grid would leave the circle.
+        reaches pi, where the grid would leave the circle.  Only the
+        shrunken regime can reach it: the fixed edge eta sigma sqrt(kappa),
+        eta < 1, stays below 0.78.
         """
         if not grid_size_ok(size, TABLE_MIN_GRID):
             raise ValueError("grid size must be odd and >= %d, got %r" % (TABLE_MIN_GRID, size))
@@ -107,10 +109,9 @@ class BulkSpec(_Frozen):
         width = SQRT2 * params.sigma
         edge = width * dts[-1]
         if not (edge < math.pi):
-            name = "eta" if self.regime == "fixed" else "eta_tilde"
             raise ValueError(
-                "the bulk edge, %.3g rad from mu, reaches pi at kappa=%r with %s=%r;"
-                " use a smaller %s" % (edge, params.kappa, name, self.eta, name)
+                "the bulk edge, %.3g rad from mu, reaches pi at kappa=%r with eta_tilde=%r;"
+                " use a smaller eta_tilde" % (edge, params.kappa, self.eta)
             )
         return dts, [params.mu + width * dt for dt in dts]
 

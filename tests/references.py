@@ -11,10 +11,10 @@ gives I0 from its integral representation with it.
 offset on [0, pi], the reference for `matched_sup_gap`'s outward walk,
 and `vm_cdf_sweep_every_segment` integrates every segment of the CDF
 sweep, the reference for the sweep's stop at its 20 sigma reach.
-`vm_scaled_mass_stack_only` keeps the quadrature of the CDF sweep as it
-was before `backend.vm_scaled_mass` tried its first panel ahead of the
-stack and `backend._vm_panel` looped over its node table: the reference
-that the current kernels must match bit for bit.
+`vm_scaled_mass_stack_only` is the quadrature of the CDF sweep written
+as the generic stack driver over an index-loop panel, the reference that
+`backend.vm_scaled_mass` and its node-table loop `backend._vm_panel`
+must match bit for bit.
 MPMATH_KAPPAS are the concentrations at which the per-kappa values are
 checked against mpmath.
 """
@@ -194,10 +194,9 @@ def adaptive_quadrature(
 def adaptive_gk15_stack_only(panel, f, a, b, tol):
     """Adaptive bisection of [a, b] on `panel(f, lo, hi)`, which returns
     (estimate, error estimate), with every panel, the first too, popped
-    from a depth-first stack: `backend.vm_scaled_mass`'s driver before it
-    tried its first panel ahead of the stack.  It has no panel budget, so
-    the tests give it only calls that take far fewer panels than
-    `backend.MAX_PANELS`."""
+    from a depth-first stack as in `backend.vm_scaled_mass`, for any
+    panel.  It has no panel budget, so the tests give it only calls that
+    take far fewer panels than `backend.MAX_PANELS`."""
     stack = [(a, b, tol, 0)]
     total = 0.0
     err_total = 0.0

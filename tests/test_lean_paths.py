@@ -243,11 +243,12 @@ def test_kernel_node_table_equals_sin_per_node_at_each_n():
 
 
 def test_kernel_sum_stops_within_its_node_table():
-    # `_sin2_nodes` holds j < 28 for n >= 29: the sum must stop before it
+    # `_sin2_nodes` holds j <= 23 for n >= 29: the sum must stop before it
     # runs out, and within one n it stops soonest at the largest kappa
     stops = [sin_per_node_stop(k) for k in NODE_KAPPAS[25:]]  # n = 29 ..
     assert max(stops) == stops[0] == 22
     assert min(stops) == 15
+    assert {len(backend._sin2_nodes.__wrapped__(n)) for n in range(29, 20001)} == {23}
 
 
 def _point_cdf_outcome(f, *args):

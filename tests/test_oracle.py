@@ -141,8 +141,10 @@ def _mass_or_error(mass, kappa, a, b, tol):
 
 
 def test_vm_scaled_mass_and_panel_equal_the_stack_only_references():
-    # the first panel tried ahead of the stack, and the node-table loop,
-    # change no bit of a value, error estimate, count or error message
+    # the kernel's one stack loop and its node-table panel match the
+    # references in every bit of a value, error estimate, count or error
+    # message, whether the first panel passes, the interval is bisected or
+    # the call raises
     rng = random.Random(20261019)
     outcomes = {"first panel": 0, "bisected": 0, "error": 0}
     for _ in range(2000):
