@@ -20,7 +20,6 @@ import math
 import sys
 
 from . import __version__, oracle
-from .backend import _KAPPA_MAX
 from .distributions import (
     SQRT2,
     VonMisesParams,
@@ -41,14 +40,21 @@ from .expansions import (
 )
 from .oracle import TABLE_COLUMNS
 
-QUANTITIES = (
-    "density",
-    "logratio-exact",
-    "logratio-approx",
-    "ratio-approx",
-    "cdf-approx",
-    "cdf-quad",
-)
+# each --quantity name and its public call on (params, x, tol); a call looks
+# its function up as it runs, so a wrapper later set on the name sees it
+_EVAL_CALLS = {
+    "density": lambda p, x, tol: vm_density(p, x),
+    "logratio-exact": lambda p, x, tol: log_ratio_exact(p, x),
+    "logratio-approx": lambda p, x, tol: log_ratio_expansion(
+        standardized_deviate(p, x).delta_tilde, p.kappa, 2
+    ).value,
+    "ratio-approx": lambda p, x, tol: ratio_expansion(
+        standardized_deviate(p, x).delta_tilde, p.kappa, 2
+    ).value,
+    "cdf-approx": lambda p, x, tol: cdf_expansion(standardized_deviate(p, x).delta_tilde, p.kappa).value,
+    "cdf-quad": lambda p, x, tol: oracle.vm_cdf_quadrature(p, x, tol),
+}
+QUANTITIES = tuple(_EVAL_CALLS)
 
 
 def _fmt(x, precision):
@@ -119,21 +125,7 @@ def _cmd_eval(args):
     x = _wrapped_x(args.x, mu)
     params = VonMisesParams(mu, args.kappa)
     q = args.quantity
-    if q == "density":
-        value = vm_density(params, x)
-    elif q == "logratio-exact":
-        value = log_ratio_exact(params, x)
-    elif q == "logratio-approx":
-        dt = standardized_deviate(params, x).delta_tilde
-        value = log_ratio_expansion(dt, params.kappa, 2).value
-    elif q == "ratio-approx":
-        dt = standardized_deviate(params, x).delta_tilde
-        value = ratio_expansion(dt, params.kappa, 2).value
-    elif q == "cdf-approx":
-        dt = standardized_deviate(params, x).delta_tilde
-        value = cdf_expansion(dt, params.kappa).value
-    else:  # cdf-quad
-        value = oracle.vm_cdf_quadrature(params, x, args.tol)
+    value = _EVAL_CALLS[q](params, x, args.tol)
     meta = {"command": "eval", "quantity": q, "mu": mu, "kappa": args.kappa, "x": x}
     _emit([(q, mu, args.kappa, x, value)], ("quantity", "mu", "kappa", "x", "value"), meta, args)
     return 0
@@ -196,14 +188,13 @@ def _cmd_convergence(args):
         raise ValueError("--kappas must be a comma-separated list of numbers")
     if not kappas:
         raise ValueError("--kappas must contain positive values")
+    # every kappa passes both checks before any gap is computed
+    laws = []
     for kappa in kappas:
-        if not (0.0 < kappa <= _KAPPA_MAX):
-            raise ValueError("--kappas entries must be finite, > 0 and <= %r, got %r" % (_KAPPA_MAX, kappa))
-    rows = []
-    for kappa in kappas:
-        params = VonMisesParams(mu, kappa)
-        sup = matched_sup_gap(params, args.grid, args.tol)
-        rows.append((kappa, SQRT2 * params.sigma, sup))
+        laws.append(VonMisesParams(mu, kappa))  # the kernel checks kappa's domain
+        if not kappa > 0.0:
+            raise ValueError("--kappas entries must be > 0, got %r" % kappa)
+    rows = [(p.kappa, SQRT2 * p.sigma, matched_sup_gap(p, args.grid, args.tol)) for p in laws]
     meta = {"command": "convergence", "mu": mu, "kappas": args.kappas, "grid": args.grid}
     _emit(rows, ("kappa", "matched_v", "sup_density_gap"), meta, args)
     return 0

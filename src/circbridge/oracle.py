@@ -39,7 +39,7 @@ from .expansions import (
 # slope fits.
 RESIDUAL_FLOOR = 1e-14
 
-SCAN_TARGETS = ("log_ratio", "ratio", "cdf")
+SCAN_TARGETS = tuple(ENVELOPE_POWER)
 
 TABLE_COLUMNS = (
     "x",

@@ -21,11 +21,14 @@ from circbridge import backend, bessel
 from circbridge.distributions import (
     SQRT2,
     VonMisesParams,
+    WrappedNormalParams,
     circular_variance_exact,
     circular_variance_expansion,
     matched_sup_gap,
     normal_pdf,
     upper_incomplete_moment,
+    vm_density,
+    wn_density,
 )
 from circbridge.expansions import (
     BulkSpec,
@@ -215,6 +218,58 @@ def test_criterion_7_wrapped_normal_limit():
         "wrapped-normal limit",
         strict,
         "sup gaps=%s runtime=%.2fs" % (["%.3e" % g for g in gaps], elapsed),
+    )
+
+
+def _sup_density_gap(vm, wn, half_width):
+    # sup over t of |f(t) - g(t)| for laws centred at 0: the best of a
+    # 4,001-point grid on [0, half_width], refined by golden section on the
+    # bracket around that point
+    def gap(t):
+        return abs(vm_density(vm, t) - wn_density(wn, t))
+
+    h = half_width / 4000
+    best = max(range(4001), key=lambda i: gap(i * h))
+    a, b = max(best - 1, 0) * h, (best + 1) * h
+    r = 0.5 * (math.sqrt(5.0) - 1.0)
+    c, d = b - r * (b - a), a + r * (b - a)
+    gc, gd = gap(c), gap(d)
+    while b - a > 1e-9 * half_width:
+        if gc >= gd:
+            b, d, gd = d, c, gc
+            c = b - r * (b - a)
+            gc = gap(c)
+        else:
+            a, c, gc = c, d, gd
+            d = a + r * (b - a)
+            gd = gap(d)
+    return max(gc, gd, gap(best * h))
+
+
+def test_criterion_7_matching_the_variance_shrinks_the_gap():
+    # sqrt(kappa) * sup|f - g| tends to phi(1)/12 with the matched scale
+    # sqrt(2) sigma, and to phi(0)/8 with the textbook scale 1/sqrt(kappa),
+    # so matching the variance divides the gap by 1.5 sqrt(e)
+    t0 = time.perf_counter()
+    matched_limit, textbook_limit = normal_pdf(1.0) / 12.0, normal_pdf(0.0) / 8.0
+    worst = 0.0  # the largest kappa * miss, which must stay <= 1
+    for k in [256.0, 1024.0, 4096.0]:
+        vm = VonMisesParams(0.0, k)
+        half_width = 12.0 / math.sqrt(k)
+        matched = _sup_density_gap(vm, WrappedNormalParams(0.0, SQRT2 * vm.sigma), half_width)
+        textbook = _sup_density_gap(vm, WrappedNormalParams(0.0, 1.0 / math.sqrt(k)), half_width)
+        misses = (
+            abs(math.sqrt(k) * matched / matched_limit - 1.0),
+            abs(math.sqrt(k) * textbook / textbook_limit - 1.0),
+            abs(textbook / matched - 1.5 * math.sqrt(math.e)),
+        )
+        worst = max(worst, k * max(misses))
+    elapsed = time.perf_counter() - t0
+    _report(
+        7,
+        "matched-scale gain",
+        worst <= 1.0 and elapsed < 0.3,
+        "worst kappa*miss=%.3f runtime=%.2fs" % (worst, elapsed),
     )
 
 

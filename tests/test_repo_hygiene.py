@@ -106,11 +106,11 @@ def test_every_private_name_is_used():
 
 
 def test_cli_imports_no_private_numerics():
-    # the front end parses, formats and dispatches; the grid loops and
-    # their value-only cores stay behind the public functions of
-    # expansions and oracle
+    # the front end parses, formats and dispatches; the kernels' limits,
+    # the grid loops and their value-only cores stay behind the public
+    # functions of backend, expansions and oracle
     tree = ast.parse((ROOT / "src" / "circbridge" / "cli.py").read_text())
-    numerics = {"expansions", "oracle"}
+    numerics = {"backend", "expansions", "oracle"}
     private = [
         "%s.%s" % (stmt.module, alias.name)
         for stmt in ast.walk(tree)
@@ -143,8 +143,8 @@ def _is_finite_check(node):
 def test_each_input_rule_is_written_once():
     # "must be finite" is distributions._require_finite, and kappa's domain
     # is the per-kappa kernel's check in backend.i0e_sigma2, so that each
-    # rule has one message
-    helper, inline, kappa_rule = [], [], []
+    # rule has one message and only the kernel names its bound
+    helper, inline, kappa_rule, kappa_bound = [], [], [], []
     for path in sorted((ROOT / "src" / "circbridge").rglob("*.py")):
         text = path.read_text()
         tree = ast.parse(text)
@@ -160,9 +160,12 @@ def test_each_input_rule_is_written_once():
                 (helper if id(n) in inside else inline).append(where)
         if "kappa must be finite" in text:
             kappa_rule.append(path.name)
+        if "_KAPPA_MAX" in text:
+            kappa_bound.append(path.name)
     assert [h.split(":")[0] for h in helper] == ["src/circbridge/distributions.py"]
     assert inline == []
     assert kappa_rule == ["backend.py"]
+    assert kappa_bound == ["backend.py"]
 
 
 def test_readme_library_example_runs():
