@@ -31,23 +31,18 @@ _SUP_MARGIN = 1.0 + 1e-6
 
 def normalize_angle(theta: float) -> float:
     """Map an angle to [0, 2*pi)."""
-    t = math.fmod(theta, TWO_PI) + 0.0  # + 0.0 turns -0.0 into 0.0
-    if t < 0.0:
-        t += TWO_PI
-        # t + 2*pi rounds up to 2*pi for t in (-4.4e-16, 0)
-        if t == TWO_PI:
-            return 0.0
-    return t
+    # fmod is exact and raises at +-inf; % then adds 2 pi to a negative
+    # remainder, rounding up to 2 pi itself for one in (-4.4e-16, 0), and
+    # turns a zero into +0.0
+    t = math.fmod(theta, TWO_PI) % TWO_PI
+    return 0.0 if t == TWO_PI else t
 
 
 def wrap_angle(t: float) -> float:
     """Wrapped difference: map to (-pi, pi]."""
-    t = math.fmod(t, TWO_PI)
-    if t > math.pi:
-        t -= TWO_PI
-    elif t <= -math.pi:
-        t += TWO_PI
-    return t
+    # the IEEE remainder is exact and lies in [-pi, pi]
+    t = math.remainder(t, TWO_PI)
+    return math.pi if t == -math.pi else t
 
 
 class _Frozen:
@@ -303,31 +298,20 @@ def normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z * INV_SQRT2)
 
 
-# (j - 1)!!, the j-th moment of the standard normal
-_MOMENT_LIMITS = {2: 1.0, 4: 3.0, 6: 15.0, 8: 105.0}
-
-
 def upper_incomplete_moment(j: int, z: float) -> float:
     """Upper incomplete moment of the standard normal: integral of y^j phi(y) over (z, inf).
 
-    Closed forms for even j up to 8; j = 0 is the survival function.  The
-    limits are 0 at z = +inf and (j - 1)!! at z = -inf; a nan z gives nan.
+    For even j up to 8, by parts M_j = z^(j-1) phi(z) + (j-1) M_(j-2) from
+    the survival function M_0.  The limits are 0 at z = +inf and (j - 1)!!
+    at z = -inf; a nan z gives nan.
     """
-    if j not in (0, 2, 4, 6, 8):
+    if type(j) is not int or j not in (0, 2, 4, 6, 8):
         raise ValueError("j must be one of {0, 2, 4, 6, 8}, got %r" % (j,))
-    psi = 0.5 * math.erfc(z * INV_SQRT2)
-    if j == 0:
-        return psi
+    m = 0.5 * math.erfc(z * INV_SQRT2)
     phi = normal_pdf(z)
-    if phi == 0.0:
-        # |z| beyond about 38.6, or infinite: the z phi terms vanish, and
-        # computing them could give inf * 0 = nan
-        return _MOMENT_LIMITS[j] * psi
-    z2 = z * z
-    if j == 2:
-        return z * phi + psi
-    if j == 4:
-        return (3.0 + z2) * z * phi + 3.0 * psi
-    if j == 6:
-        return (15.0 + (5.0 + z2) * z2) * z * phi + 15.0 * psi
-    return (105.0 + (35.0 + (7.0 + z2) * z2) * z2) * z * phi + 105.0 * psi
+    for k in range(1, j, 2):
+        m *= k
+        # phi is 0 for |z| beyond about 38.6, where z^k phi could be inf * 0
+        if phi:
+            m += z ** k * phi
+    return m

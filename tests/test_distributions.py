@@ -1,7 +1,10 @@
 import copy
 import math
 import pickle
+import random
+import struct
 import types
+from fractions import Fraction
 
 import pytest
 from references import (
@@ -330,6 +333,55 @@ def test_wrap_angle_range():
         assert abs(math.sin(w) - math.sin(t)) < 1e-12
 
 
+def _finite_angles():
+    # seeded finite doubles: random bit patterns, uniform on [-20, 20],
+    # k pi, 2 k pi and k pi / 2 for |k| <= 40 each with their neighbours,
+    # and the edges of the float range
+    rng = random.Random(29)
+    angles = [0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, -4.4e-16]
+    while len(angles) < 1500:
+        (t,) = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))
+        if math.isfinite(t):
+            angles.append(t)
+    angles += [rng.uniform(-20.0, 20.0) for _ in range(1500)]
+    for k in range(-40, 41):
+        for t in (k * math.pi, k * TWO_PI, k * (0.5 * math.pi)):
+            angles += [t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)]
+    return angles
+
+
+def test_wrap_angle_is_the_exact_remainder():
+    # t mod 2 pi (the float 2 pi) shifted onto (-pi, pi], with no rounding;
+    # a zero keeps the sign of t
+    two_pi, pi = Fraction(TWO_PI), Fraction(math.pi)
+    for t in _finite_angles():
+        w = wrap_angle(t)
+        r = Fraction(t) % two_pi
+        assert Fraction(w) == (r - two_pi if r > pi else r), t
+        if w == 0.0:
+            assert math.copysign(1.0, w) == math.copysign(1.0, t), t
+
+
+def test_normalize_angle_is_the_rounded_modulus():
+    # t mod 2 pi rounded once, read as 0.0 where it rounds to 2 pi itself;
+    # every zero is +0.0
+    two_pi = Fraction(TWO_PI)
+    for t in _finite_angles():
+        n = normalize_angle(t)
+        r = float(Fraction(t) % two_pi)
+        assert n == (0.0 if r == TWO_PI else r), t
+        if n == 0.0:
+            assert math.copysign(1.0, n) == 1.0, t
+
+
+@pytest.mark.parametrize("helper", [wrap_angle, normalize_angle])
+def test_angle_helpers_at_non_finite(helper):
+    assert math.isnan(helper(math.nan))
+    for t in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^math domain error$"):
+            helper(t)
+
+
 @pytest.mark.parametrize("a", [-5e-324, -1e-20, -1e-16, -4.4e-16, -4.5e-16, -1e-15])
 def test_normalize_angle_tiny_negative_stays_below_two_pi(a):
     # a + 2*pi rounds to 2*pi itself for a in (-4.4e-16, 0)
@@ -655,6 +707,24 @@ def test_upper_incomplete_moment_limits(j, moment):
 
 
 def test_upper_incomplete_moment_rejects_odd_j():
-    for j in (1, 3, 5, 7, 9, -2):
+    for j in (1, 3, 5, 7, 9, -2, 2.0, 0.0, False):
         with pytest.raises(ValueError):
             upper_incomplete_moment(j, 0.0)
+
+
+def test_upper_incomplete_moment_matches_mpmath():
+    # reference: the incomplete-gamma form, independent of the recurrence;
+    # with s = 2^(j/2) / (2 sqrt(pi)), M = s Gamma((j+1)/2, z^2/2) for z >= 0
+    # and (j-1)!! - s Gamma((j+1)/2, z^2/2) for z < 0
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(29)
+    zs = [-8.0, -1.0, 0.0, 1.0, 8.0] + [rng.uniform(-8.0, 8.0) for _ in range(100)]
+    with mpmath.workdps(40):
+        for j, full in [(0, 1), (2, 1), (4, 3), (6, 15), (8, 105)]:
+            s = mpmath.mpf(2) ** (mpmath.mpf(j) / 2) / (2 * mpmath.sqrt(mpmath.pi))
+            worst = 0.0
+            for z in zs:
+                upper = s * mpmath.gammainc(mpmath.mpf(j + 1) / 2, mpmath.mpf(z) ** 2 / 2)
+                ref = upper if z >= 0.0 else full - upper
+                worst = max(worst, float(abs(upper_incomplete_moment(j, z) - ref) / ref))
+            assert worst <= (3e-14 if j == 0 else 5e-15), (j, worst)
