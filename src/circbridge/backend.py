@@ -1,11 +1,11 @@
 """Compute kernels: the package's hot numerical loops.
 
 The one per-concentration kernel (a trapezoid sum that gives
-e^-kappa I0(kappa) and the circular variance together), adaptive 15-point
-Gauss-Kronrod quadrature of the concentrated circular density, and the
-wrapped-normal lattice sum.  Plain Python; there is nothing to compile.
-The I0 power series `i0_series_sum`, the `sigma2_series` alias and
-`backend_name` remain only because the benchmark reads them.
+e^-kappa I0(kappa) and the circular variance together), adaptive GK15
+quadrature of the concentrated circular density (a panel passes on
+|K - G| or a Bernstein-ellipse bound) and the wrapped-normal lattice sum.
+Plain Python.  The I0 power series `i0_series_sum`, the `sigma2_series`
+alias and `backend_name` remain only because the benchmark reads them.
 """
 
 import functools
@@ -67,10 +67,9 @@ _VM_NODES = tuple(zip(_XGK[:7], _WGK[:7], (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2]
 # QuadratureError instead of splitting again.
 MAX_DEPTH = 40
 # Panels one `vm_scaled_mass` call may evaluate before it raises
-# QuadratureError.  At a tol near the panels' rounding noise some panels
-# pass and others fail, and a depth-first walk to MAX_DEPTH could visit
-# ~2^40 panels; no call in the test suite or the benchmark workloads
-# takes more than 794.
+# QuadratureError.  Near the panels' rounding noise some pass and others
+# fail, and a depth-first walk to MAX_DEPTH could visit ~2^40; no call in
+# the tests takes more than 759, none in the benchmark workloads over one.
 MAX_PANELS = 10000
 
 
@@ -193,20 +192,38 @@ def _vm_panel(m, a, b):
     return resk * h, abs(resk - resg) * h
 
 
+def _vm_kronrod_bound(kappa, h, val):
+    """`vm_scaled_mass`'s ellipse bound; inf where M rho^-24 >= 1 or rho = 1."""
+    y = min(math.sqrt(24.0 / kappa), 30.0)
+    for _ in range(3):
+        y = min(math.asinh(24.0 / (kappa * math.hypot(y, h))), 30.0)
+    lnrho = math.asinh(y / h)
+    s = math.sinh(0.5 * y)
+    expo = 2.0 * kappa * (s * s) - 24.0 * lnrho
+    if not expo < 0.0:
+        return math.inf
+    bound = 8.014 * h * math.exp(expo) / -math.expm1(-2.0 * lnrho)
+    return bound + 50.0 * sys.float_info.epsilon * val
+
+
 def vm_scaled_mass(kappa, a, b, tol):
     """Adaptive integral of exp(-2 kappa sin(t/2)^2) over [a, b].
 
     The integrand is the circular normal density scaled to peak value one,
     so nothing overflows at any concentration.  Adaptive bisection on
-    `_vm_panel`: a panel is accepted when its error estimate meets the
-    local tolerance, which is halved at every split.  Every panel, the
-    whole of [a, b] at depth 0 too, is popped from one depth-first stack;
-    most sweep segments pass on that first panel.  Returns (value,
-    error_estimate, evaluations), (0.0, 0.0, 0) when b <= a.  Raises
-    QuadratureError when a panel at depth MAX_DEPTH still fails, or when
-    a panel fails after MAX_PANELS have been evaluated, so a tolerance
-    the panels cannot meet fails loudly and soon.  The stack is
-    depth-first, so it never holds more than MAX_DEPTH + 1 panels.
+    `_vm_panel`, every panel popped from one depth-first stack (so it holds
+    at most MAX_DEPTH + 1), accepts a panel whose error estimate meets the
+    local tolerance, halved at every split.  The estimate is |K - G|, or
+    where that fails and kappa > 0, the smaller of it and twice a bound on
+    K's own error plus 50 eps |K| for rounding: the integrand is entire and
+    at most M = exp(2 kappa sinh(y/2)^2) on the Bernstein ellipse of
+    half-height y, ln rho = asinh(y/h), where K15 (degree 23, positive
+    weights) errs by at most 4.007 h M rho^-24 / (1 - rho^-2) (Trefethen
+    2008, Thm 4.5); y takes three fixed-point steps towards its minimiser,
+    capped at 30.  Returns (value, error_estimate, evaluations), (0.0,
+    0.0, 0) when b <= a.  Raises QuadratureError when a panel at depth
+    MAX_DEPTH still fails, or after MAX_PANELS panels, so a tolerance the
+    panels cannot meet fails loudly and soon.
     """
     if b <= a:
         return 0.0, 0.0, 0
@@ -219,6 +236,8 @@ def vm_scaled_mass(kappa, a, b, tol):
         a1, b1, tol1, depth = stack.pop()
         val, err = _vm_panel(m, a1, b1)
         panels += 1
+        if err > tol1 and kappa > 0.0:
+            err = min(err, _vm_kronrod_bound(kappa, 0.5 * (b1 - a1), val))
         if err <= tol1:
             total += val
             err_total += err

@@ -34,14 +34,20 @@ def normalize_angle(theta: float) -> float:
     # fmod is exact and raises at +-inf; % then adds 2 pi to a negative
     # remainder, rounding up to 2 pi itself for one in (-4.4e-16, 0), and
     # turns a zero into +0.0
-    t = math.fmod(theta, TWO_PI) % TWO_PI
+    try:
+        t = math.fmod(theta, TWO_PI) % TWO_PI
+    except ValueError:
+        raise ValueError("theta must be finite, got %r" % (theta,)) from None
     return 0.0 if t == TWO_PI else t
 
 
 def wrap_angle(t: float) -> float:
     """Wrapped difference: map to (-pi, pi]."""
-    # the IEEE remainder is exact and lies in [-pi, pi]
-    t = math.remainder(t, TWO_PI)
+    # the IEEE remainder is exact, lies in [-pi, pi] and raises at +-inf
+    try:
+        t = math.remainder(t, TWO_PI)
+    except ValueError:
+        raise ValueError("t must be finite, got %r" % (t,)) from None
     return math.pi if t == -math.pi else t
 
 

@@ -14,7 +14,8 @@ sweep, the reference for the sweep's stop at its 20 sigma reach.
 `vm_scaled_mass_stack_only` is the quadrature of the CDF sweep written
 as the generic stack driver over an index-loop panel, the reference that
 `backend.vm_scaled_mass` and its node-table loop `backend._vm_panel`
-must match bit for bit.
+must match bit for bit; `kronrod_ellipse_bound` is its second error
+bound, the one that certifies a panel whose Gauss/Kronrod estimate fails.
 MPMATH_KAPPAS are the concentrations at which the per-kappa values are
 checked against mpmath.
 """
@@ -191,12 +192,15 @@ def adaptive_quadrature(
     return QuadratureResult(value=value, abs_error_estimate=err, evaluations=evals)
 
 
-def adaptive_gk15_stack_only(panel, f, a, b, tol):
+def adaptive_gk15_stack_only(panel, f, a, b, tol, certify=None):
     """Adaptive bisection of [a, b] on `panel(f, lo, hi)`, which returns
     (estimate, error estimate), with every panel, the first too, popped
     from a depth-first stack as in `backend.vm_scaled_mass`, for any
-    panel.  It has no panel budget, so the tests give it only calls that
-    take far fewer panels than `backend.MAX_PANELS`."""
+    panel.  When a panel's estimate fails its tolerance and `certify` is
+    given, `certify(lo, hi, estimate)` is a second error bound and the
+    smaller of the two is the panel's.  It has no panel budget, so the
+    tests give it only calls that take far fewer panels than
+    `backend.MAX_PANELS`."""
     stack = [(a, b, tol, 0)]
     total = 0.0
     err_total = 0.0
@@ -205,6 +209,8 @@ def adaptive_gk15_stack_only(panel, f, a, b, tol):
         a1, b1, tol1, depth = stack.pop()
         val, err = panel(f, a1, b1)
         evals += 15
+        if err > tol1 and certify is not None:
+            err = min(err, certify(a1, b1, val))
         if err <= tol1:
             total += val
             err_total += err
@@ -244,11 +250,51 @@ def vm_panel_index_loop(m, a, b):
     return resk * h, abs(resk - resg) * h
 
 
+def kronrod_ellipse_bound(kappa):
+    """The Bernstein-ellipse certificate `backend.vm_scaled_mass` applies
+    to a failing panel of exp(kappa (cos t - 1)), kappa > 0, as a
+    `certify(lo, hi, estimate)` for `adaptive_gk15_stack_only`, written
+    from the bound itself and doing the same float operations.
+
+    On the panel's map to [-1, 1], the Bernstein ellipse E_rho of
+    half-height y in t has ln rho = asinh(y / h), and there
+    |exp(kappa (cos z - 1))| <= exp(kappa (cosh y - 1)) = M.  The
+    Chebyshev coefficients of the integrand are at most 2 M rho^-k; K15
+    is exact to degree 23 and symmetric, with positive weights that sum
+    to 2, and the integral of T_k is at most 2 / (k^2 - 1), so the error
+    is at most h (2 + 2/575) 2 M sum over even k >= 24 of rho^-k, below
+    4.007 h M rho^-24 / (1 - rho^-2).  y is three fixed-point steps, each
+    capped at 30, towards the minimiser of kappa (cosh y - 1) - 24 ln rho,
+    where kappa sinh y = 24 / hypot(y, h).
+    The certificate is twice the bound plus 50 eps of the estimate, and
+    inf where the bound is no use: M rho^-24 >= 1, or rho^-2 rounds to 1.
+    """
+    eps = 2.0 ** -52
+
+    def certify(lo, hi, estimate):
+        h = 0.5 * (hi - lo)
+        y = min(math.sqrt(24.0 / kappa), 30.0)
+        for _step in range(3):
+            y = min(math.asinh(24.0 / (kappa * math.hypot(y, h))), 30.0)
+        log_rho = math.asinh(y / h)
+        sinh_half = math.sinh(0.5 * y)
+        log_m = 2.0 * kappa * (sinh_half * sinh_half)  # kappa (cosh y - 1)
+        log_m_rho24 = log_m - 24.0 * log_rho
+        one_minus_rho_m2 = -math.expm1(-2.0 * log_rho)
+        if not (log_m_rho24 < 0.0 and one_minus_rho_m2 > 0.0):
+            return math.inf
+        bound = (2.0 * 4.007) * h * math.exp(log_m_rho24) / one_minus_rho_m2
+        return bound + (50.0 * eps) * estimate
+
+    return certify
+
+
 def vm_scaled_mass_stack_only(kappa, a, b, tol):
-    """`backend.vm_scaled_mass` on the two references above."""
+    """`backend.vm_scaled_mass` on the references above."""
     if b <= a:
         return 0.0, 0.0, 0
-    return adaptive_gk15_stack_only(vm_panel_index_loop, -2.0 * kappa, a, b, tol)
+    certify = kronrod_ellipse_bound(kappa) if kappa > 0.0 else None
+    return adaptive_gk15_stack_only(vm_panel_index_loop, -2.0 * kappa, a, b, tol, certify)
 
 
 def _sin_per_node_sums(kappa):

@@ -2,6 +2,7 @@ import contextlib
 import math
 import random
 import re
+import sys
 import time
 
 import pytest
@@ -10,6 +11,7 @@ from references import (
     adaptive_quadrature,
     bessel_i0_integral,
     gk15_panel,
+    kronrod_ellipse_bound,
     vm_panel_index_loop,
     vm_scaled_mass_stack_only,
 )
@@ -114,7 +116,7 @@ def test_vm_scaled_mass_matches_generic_engine_bitwise(kappa, hi):
         return math.exp(-2.0 * kappa * (u * u))
 
     got = backend.vm_scaled_mass(kappa, -math.pi, hi, 1e-13)
-    ref = adaptive_gk15_stack_only(gk15_panel, f, -math.pi, hi, 1e-13)
+    ref = adaptive_gk15_stack_only(gk15_panel, f, -math.pi, hi, 1e-13, kronrod_ellipse_bound(kappa))
     assert got == ref
 
 
@@ -141,26 +143,82 @@ def _mass_or_error(mass, kappa, a, b, tol):
 
 
 def test_vm_scaled_mass_and_panel_equal_the_stack_only_references():
-    # the kernel's one stack loop and its node-table panel match the
-    # references in every bit of a value, error estimate, count or error
-    # message, whether the first panel passes, the interval is bisected or
-    # the call raises
+    # the kernel's one stack loop, its node-table panel and its ellipse
+    # bound match the references in every bit of a value, error estimate,
+    # count or error message, whether the first panel passes on its
+    # Gauss/Kronrod estimate or on the ellipse bound, the interval is
+    # bisected or the call raises.  Three cases in ten are panels a few
+    # sigma wide about the mode, at the tols where a first panel fails
+    # |K - G| and the bound can certify it
     rng = random.Random(20261019)
-    outcomes = {"first panel": 0, "bisected": 0, "error": 0}
+    outcomes = {"first panel": 0, "certified": 0, "bisected": 0, "error": 0}
     for _ in range(2000):
         kappa = 10.0 ** rng.uniform(-3.0, 8.0)
-        width = 10.0 ** rng.uniform(-15.0, math.log10(3.0))
-        a = rng.uniform(-math.pi, math.pi - width)
+        if rng.random() < 0.3:
+            sigma = 1.0 / math.sqrt(kappa)
+            width = min(rng.uniform(1.5, 4.5) * sigma, 3.0)
+            a = -width * rng.random()
+            tol = sigma * 10.0 ** rng.uniform(-14.0, -7.0)
+        else:
+            width = 10.0 ** rng.uniform(-15.0, math.log10(3.0))
+            a = rng.uniform(-math.pi, math.pi - width)
+            tol = 10.0 ** rng.uniform(-300.0, -6.0)
         b = a + width
-        tol = 10.0 ** rng.uniform(-300.0, -6.0)
-        assert backend._vm_panel(-2.0 * kappa, a, b) == vm_panel_index_loop(-2.0 * kappa, a, b)
+        panel = backend._vm_panel(-2.0 * kappa, a, b)
+        assert panel == vm_panel_index_loop(-2.0 * kappa, a, b)
         got = _mass_or_error(backend.vm_scaled_mass, kappa, a, b, tol)
         assert got == _mass_or_error(vm_scaled_mass_stack_only, kappa, a, b, tol)
         if isinstance(got, str):
             outcomes["error"] += 1
+        elif got[2] > 15:
+            outcomes["bisected"] += 1
         else:
-            outcomes["first panel" if got[2] == 15 else "bisected"] += 1
+            outcomes["first panel" if panel[1] <= tol else "certified"] += 1
     assert min(outcomes.values()) >= 200, outcomes
+
+
+@pytest.mark.parametrize("kappa", [5e-324, 1e-310, 1e-300, 1e-3, 1.0, 1e8, 1e300, backend._KAPPA_MAX])
+def test_vm_kronrod_bound_neither_overflows_nor_divides_by_zero(kappa):
+    # from the smallest float to the kernel's largest kappa, and at any
+    # half-width, the bound is a number no smaller than its rounding
+    # allowance, or inf; never nan and never an exception
+    for h in (5e-324, 1e-300, 1e-20, 1e-5, 0.1, math.pi):
+        assert backend._vm_kronrod_bound(kappa, h, 1.0) >= 50.0 * sys.float_info.epsilon
+
+
+def _mpmath_mass(mpmath, kappa, a, b):
+    # the scaled mass on [a, b], split at the mode when it lies inside;
+    # Gauss-Legendre suits the entire integrand and is the faster rule here
+    k = mpmath.mpf(kappa)
+    pts = [mpmath.mpf(a)] + ([0] if a < 0.0 < b else []) + [mpmath.mpf(b)]
+    return mpmath.quad(
+        lambda u: mpmath.exp(-2 * k * mpmath.sin(u / 2) ** 2), pts, method="gauss-legendre"
+    )
+
+
+def test_vm_scaled_mass_certified_panels_are_within_their_estimate():
+    # a panel that fails tol = |K - G| / 2 and comes back as one panel was
+    # certified by the ellipse bound; its value must then lie within the
+    # returned error estimate of the integral at 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20261020)
+    certified = 0
+    with mpmath.workdps(40):
+        for _ in range(300):
+            kappa = 10.0 ** rng.uniform(-3.0, 8.0)
+            sigma = 1.0 / math.sqrt(kappa)
+            width = min(10.0 ** rng.uniform(-1.0, 0.8) * sigma, 2.0)
+            a = max(rng.uniform(-4.0, 4.0) * sigma - 0.5 * width, -math.pi)
+            b = min(a + width, math.pi)
+            err = backend._vm_panel(-2.0 * kappa, a, b)[1]
+            try:
+                value, estimate, evaluations = backend.vm_scaled_mass(kappa, a, b, 0.5 * err)
+            except QuadratureError:  # bisected, and the halves fail too
+                continue
+            if err > 0.0 and evaluations == 15:
+                certified += 1
+                assert abs(value - _mpmath_mass(mpmath, kappa, a, b)) <= estimate, (kappa, a, b)
+    assert certified >= 100
 
 
 # --------------------------------------------------- integral representation
@@ -399,6 +457,55 @@ def test_vm_cdf_matches_mpmath_on_both_sides(kappa):
             ref = _mpmath_cdf(mpmath, kappa, mpmath.mpf(x) - mpmath.mpf(mu))
             assert abs(f - ref) <= tol
             assert abs(vm_cdf_quadrature(p, x, tol) - ref) <= tol
+
+
+def test_point_cdfs_match_mpmath_to_half_an_ulp_of_one():
+    # seeded points within 6 sigma of mu or anywhere in the window, at the
+    # default tol: the first panel's Gauss/Kronrod estimate or its ellipse
+    # bound settles each one, and none is off by more than 5e-16 from the
+    # CDF at 20 digits (Gauss-Legendre in mpmath, to keep the test short)
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20261021)
+    with mpmath.workdps(20):
+        for i in range(200):
+            kappa = 10.0 ** rng.uniform(-3.0, 6.0)
+            p = VonMisesParams(0.0, kappa)
+            t = rng.uniform(-6.0, 6.0) * p.sigma if i % 2 else rng.uniform(-math.pi, math.pi)
+            if not -math.pi < t <= math.pi:
+                continue
+            k = mpmath.mpf(kappa)
+            width = min(mpmath.pi, 1 / mpmath.sqrt(k))
+            cuts = [c * width for c in (2, 8, 40) if c * width < abs(t)]
+            mass = mpmath.quad(
+                lambda u: mpmath.exp(-2 * k * mpmath.sin(u / 2) ** 2),
+                [0] + cuts + [abs(t)],
+                method="gauss-legendre",
+            )
+            half = mass / (2 * mpmath.pi * mpmath.besseli(0, k) * mpmath.exp(-k))
+            ref = 0.5 + half if t > 0.0 else 0.5 - half
+            assert abs(vm_cdf_quadrature(p, t) - ref) <= 5e-16, (kappa, t)
+
+
+def test_point_cdfs_within_three_sigma_take_one_panel(monkeypatch):
+    # every point CDF within 3 sigma is one vm_scaled_mass call over
+    # [0, |t|] that the first panel settles; before the ellipse bound about
+    # a third of these bisected that panel and evaluated 45 nodes
+    mass = backend.vm_scaled_mass
+    evaluations = []
+
+    def recorded(*args):
+        result = mass(*args)
+        evaluations.append(result[2])
+        return result
+
+    monkeypatch.setattr(backend, "vm_scaled_mass", recorded)
+    rng = random.Random(20261022)
+    lo, hi = math.log(0.5), math.log(1e5)
+    for _ in range(1000):
+        p = VonMisesParams(0.0, math.exp(rng.uniform(lo, hi)))
+        vm_cdf_quadrature(p, rng.uniform(-3.0, 3.0) * p.sigma, 1e-12)
+    assert len(evaluations) == 1000
+    assert set(evaluations) == {15}
 
 
 @pytest.mark.parametrize("kappa", [21.0, 30.0, 100.0, 4096.0, 1e5, 1e8])

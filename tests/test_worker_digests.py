@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = {
     "moderate-grid": "50f4a93c4ecc743d3b3819c7baceb474843c4d1d425eda317e73184151ea6d52",
     "concentrated-cdf": "bcfd4171c371bc1fa7ca6c249df721f75cc1b9400e6524795902ef2e21897360",
-    "point-queries": "3042ed274bed8cc529ca8a936e887557075c7689e2f32cc62e150e0c9e2daf0c",
+    "point-queries": "f714451c5f6e8151953f0917efeaecbdcfa1f6782bb19694286350657075154c",
 }
 
 
