@@ -2,8 +2,9 @@
 
 The one per-concentration kernel (a trapezoid sum that gives
 e^-kappa I0(kappa) and the circular variance together), adaptive GK15
-quadrature of the concentrated circular density (a panel passes on
-|K - G| or a Bernstein-ellipse bound) and the wrapped-normal lattice sum.
+quadrature of the concentrated circular density (w^2 max(2 kappa, 1) <= C
+takes Gauss-7 alone, its error c eps w + 50 eps |value|, C = 0.49, c = 0.02;
+a panel passes on |K - G| or a Bernstein-ellipse bound) and the wrapped-normal lattice sum.
 Plain Python.  The I0 power series `i0_series_sum`, the `sigma2_series`
 alias and `backend_name` remain only because the benchmark reads them.
 """
@@ -62,6 +63,10 @@ _WG = (
 # (node, Kronrod weight, Gauss weight) of the off-centre node pairs, for
 # `_vm_panel`; the Gauss weight is 0.0 at the Kronrod-only pairs.
 _VM_NODES = tuple(zip(_XGK[:7], _WGK[:7], (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0)))
+_G7_NODES = tuple(zip(_XGK[1:7:2], _WG[:3]))  # the Gauss pairs, for `_vm_gauss7`
+# `vm_scaled_mass`'s narrow rule (C, c eps) and rounding allowance per |value|
+_G7_WIDTH2, _G7_ERROR = 0.49, 0.02 * sys.float_info.epsilon
+_ROUNDING = 50.0 * sys.float_info.epsilon
 
 # Bisection depth at which a panel that still fails its tolerance raises
 # QuadratureError instead of splitting again.
@@ -192,18 +197,33 @@ def _vm_panel(m, a, b):
     return resk * h, abs(resk - resg) * h
 
 
+def _vm_gauss7(m, a, b):
+    """`_vm_panel`'s Gauss-7 value of exp(m * sin(t/2)^2) over [a, b] alone."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    u = math.sin(0.5 * c)
+    res = _WG[3] * math.exp(m * (u * u))
+    for x, wg in _G7_NODES:
+        u = math.sin(0.5 * (c - h * x))
+        v = math.sin(0.5 * (c + h * x))
+        res += wg * (math.exp(m * (u * u)) + math.exp(m * (v * v)))
+    return res * h
+
+
 def _vm_kronrod_bound(kappa, h, val):
     """`vm_scaled_mass`'s ellipse bound; inf where M rho^-24 >= 1 or rho = 1."""
-    y = min(math.sqrt(24.0 / kappa), 30.0)
-    for _ in range(3):
-        y = min(math.asinh(24.0 / (kappa * math.hypot(y, h))), 30.0)
+    y = math.sqrt(24.0 / kappa)
+    y = math.asinh(24.0 / (kappa * math.hypot(y if y < 30.0 else 30.0, h)))
+    y = math.asinh(24.0 / (kappa * math.hypot(y if y < 30.0 else 30.0, h)))
+    y = math.asinh(24.0 / (kappa * math.hypot(y if y < 30.0 else 30.0, h)))
+    y = y if y < 30.0 else 30.0
     lnrho = math.asinh(y / h)
     s = math.sinh(0.5 * y)
     expo = 2.0 * kappa * (s * s) - 24.0 * lnrho
     if not expo < 0.0:
         return math.inf
     bound = 8.014 * h * math.exp(expo) / -math.expm1(-2.0 * lnrho)
-    return bound + 50.0 * sys.float_info.epsilon * val
+    return bound + _ROUNDING * val
 
 
 def vm_scaled_mass(kappa, a, b, tol):
@@ -220,14 +240,23 @@ def vm_scaled_mass(kappa, a, b, tol):
     half-height y, ln rho = asinh(y/h), where K15 (degree 23, positive
     weights) errs by at most 4.007 h M rho^-24 / (1 - rho^-2) (Trefethen
     2008, Thm 4.5); y takes three fixed-point steps towards its minimiser,
-    capped at 30.  Returns (value, error_estimate, evaluations), (0.0,
-    0.0, 0) when b <= a.  Raises QuadratureError when a panel at depth
-    MAX_DEPTH still fails, or after MAX_PANELS panels, so a tolerance the
-    panels cannot meet fails loudly and soon.
+    capped at 30.  But first a width w with w^2 max(2 kappa, 1) <= 0.49
+    (C) takes Gauss-7 alone, which Thm 4.5 (rho^-14) bounds by c eps w,
+    c = 0.02 (0.0166 eps w at worst): when c eps w + 50 eps |value| meets
+    tol, it returns (value, that error, 7).  Returns (value, error_estimate,
+    evaluations), (0.0, 0.0, 0) when b <= a.  Raises QuadratureError when
+    a panel at depth MAX_DEPTH still fails, or after MAX_PANELS panels, so
+    a tolerance the panels cannot meet fails loudly and soon.
     """
     if b <= a:
         return 0.0, 0.0, 0
     m = -2.0 * kappa
+    w = b - a
+    if w * w * (2.0 * kappa if kappa > 0.5 else 1.0) <= _G7_WIDTH2:
+        val = _vm_gauss7(m, a, b)
+        err = _G7_ERROR * w + _ROUNDING * val
+        if err <= tol:
+            return val, err, 7
     stack = [(a, b, tol, 0)]
     total = 0.0
     err_total = 0.0

@@ -15,7 +15,9 @@ sweep, the reference for the sweep's stop at its 20 sigma reach.
 as the generic stack driver over an index-loop panel, the reference that
 `backend.vm_scaled_mass` and its node-table loop `backend._vm_panel`
 must match bit for bit; `kronrod_ellipse_bound` is its second error
-bound, the one that certifies a panel whose Gauss/Kronrod estimate fails.
+bound, the one that certifies a panel whose Gauss/Kronrod estimate fails,
+and `narrow_gauss7` its narrow rule on the Gauss half of `gk15_panel`,
+`gauss7_panel`, whose error `gauss7_ellipse_bound` bounds.
 MPMATH_KAPPAS are the concentrations at which the per-kappa values are
 checked against mpmath.
 """
@@ -34,6 +36,8 @@ from circbridge.distributions import (
     _wn_wraps,
     wrap_angle,
 )
+
+_EPS = 2.0 ** -52
 
 # 300 log-uniform concentrations on [1e-4, 1e6], plus both sides of the
 # kappa = 300 and 600 points where earlier versions switched algorithms.
@@ -250,11 +254,11 @@ def vm_panel_index_loop(m, a, b):
     return resk * h, abs(resk - resg) * h
 
 
-def kronrod_ellipse_bound(kappa):
+def kronrod_ellipse_certificate(kappa, h, estimate):
     """The Bernstein-ellipse certificate `backend.vm_scaled_mass` applies
-    to a failing panel of exp(kappa (cos t - 1)), kappa > 0, as a
-    `certify(lo, hi, estimate)` for `adaptive_gk15_stack_only`, written
-    from the bound itself and doing the same float operations.
+    to a failing panel of half-width h of exp(kappa (cos t - 1)),
+    kappa > 0, with the K15 value `estimate`, written from the bound
+    itself and doing the same float operations.
 
     On the panel's map to [-1, 1], the Bernstein ellipse E_rho of
     half-height y in t has ln rho = asinh(y / h), and there
@@ -269,30 +273,102 @@ def kronrod_ellipse_bound(kappa):
     The certificate is twice the bound plus 50 eps of the estimate, and
     inf where the bound is no use: M rho^-24 >= 1, or rho^-2 rounds to 1.
     """
-    eps = 2.0 ** -52
+    y = min(math.sqrt(24.0 / kappa), 30.0)
+    for _step in range(3):
+        y = min(math.asinh(24.0 / (kappa * math.hypot(y, h))), 30.0)
+    log_rho = math.asinh(y / h)
+    sinh_half = math.sinh(0.5 * y)
+    log_m = 2.0 * kappa * (sinh_half * sinh_half)  # kappa (cosh y - 1)
+    log_m_rho24 = log_m - 24.0 * log_rho
+    one_minus_rho_m2 = -math.expm1(-2.0 * log_rho)
+    if not (log_m_rho24 < 0.0 and one_minus_rho_m2 > 0.0):
+        return math.inf
+    bound = (2.0 * 4.007) * h * math.exp(log_m_rho24) / one_minus_rho_m2
+    return bound + (50.0 * _EPS) * estimate
+
+
+def kronrod_ellipse_bound(kappa):
+    """`kronrod_ellipse_certificate` at kappa as a `certify(lo, hi,
+    estimate)` for `adaptive_gk15_stack_only`."""
 
     def certify(lo, hi, estimate):
-        h = 0.5 * (hi - lo)
-        y = min(math.sqrt(24.0 / kappa), 30.0)
-        for _step in range(3):
-            y = min(math.asinh(24.0 / (kappa * math.hypot(y, h))), 30.0)
-        log_rho = math.asinh(y / h)
-        sinh_half = math.sinh(0.5 * y)
-        log_m = 2.0 * kappa * (sinh_half * sinh_half)  # kappa (cosh y - 1)
-        log_m_rho24 = log_m - 24.0 * log_rho
-        one_minus_rho_m2 = -math.expm1(-2.0 * log_rho)
-        if not (log_m_rho24 < 0.0 and one_minus_rho_m2 > 0.0):
-            return math.inf
-        bound = (2.0 * 4.007) * h * math.exp(log_m_rho24) / one_minus_rho_m2
-        return bound + (50.0 * eps) * estimate
+        return kronrod_ellipse_certificate(kappa, 0.5 * (hi - lo), estimate)
 
     return certify
+
+
+def gauss7_panel(f, a, b):
+    """The 7-point Gauss rule embedded in `gk15_panel`, alone: its value
+    of the integral of f over [a, b], a < b."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    resg = backend._WG[3] * f(c)
+    for i in (1, 3, 5):
+        dx = h * backend._XGK[i]
+        resg += backend._WG[i >> 1] * (f(c - dx) + f(c + dx))
+    return resg * h
+
+
+def gauss7_ellipse_bound(kappa, h):
+    """A bound on the error of `gauss7_panel` for exp(kappa (cos t - 1)),
+    kappa >= 0, on a panel of half-width h.
+
+    Gauss-Legendre with n = 7 points errs by at most
+    (64/15) M rho^-14 / (rho^2 - 1) on [-1, 1] (Trefethen 2008, Thm 4.5),
+    h times that on the panel, with M and rho as in
+    `kronrod_ellipse_certificate`; y is three fixed-point steps, each
+    capped at 30, towards kappa sinh y = 14 / hypot(y, h), and 30 at
+    kappa = 0, where M = 1.  Any y > 0 gives a valid bound.
+    """
+    y = 30.0
+    if kappa > 0.0:
+        y = min(math.sqrt(14.0 / kappa), 30.0)
+        for _step in range(3):
+            y = min(math.asinh(14.0 / (kappa * math.hypot(y, h))), 30.0)
+    log_rho = math.asinh(y / h)
+    sinh_half = math.sinh(0.5 * y)
+    log_m = 2.0 * kappa * (sinh_half * sinh_half)
+    # rho^-14 / (rho^2 - 1) = rho^-16 / (1 - rho^-2)
+    return (64.0 / 15.0) * h * math.exp(log_m - 16.0 * log_rho) / -math.expm1(-2.0 * log_rho)
+
+
+# `backend.vm_scaled_mass`'s narrow rule: an interval of width w with
+# w^2 max(2 kappa, 1) <= NARROW_WIDTH2 takes `gauss7_panel` alone, with
+# the error NARROW_ERROR_PER_WIDTH eps w + 50 eps |value|, when that
+# meets tol.
+NARROW_WIDTH2 = 0.49
+NARROW_ERROR_PER_WIDTH = 0.02
+
+
+def narrow_gauss7(kappa, f, a, b, tol):
+    """(value, error, 7) where `backend.vm_scaled_mass` takes its narrow
+    rule on [a, b], a < b, for f the scaled density at kappa; else None."""
+    width = b - a
+    if not width * width * max(2.0 * kappa, 1.0) <= NARROW_WIDTH2:
+        return None
+    value = gauss7_panel(f, a, b)
+    error = (NARROW_ERROR_PER_WIDTH * _EPS) * width + (50.0 * _EPS) * value
+    return (value, error, 7) if error <= tol else None
+
+
+def scaled_density(kappa):
+    """exp(-2 kappa sin(t/2)^2), with the float operations of the kernel's panels."""
+    m = -2.0 * kappa
+
+    def f(t):
+        u = math.sin(0.5 * t)
+        return math.exp(m * (u * u))
+
+    return f
 
 
 def vm_scaled_mass_stack_only(kappa, a, b, tol):
     """`backend.vm_scaled_mass` on the references above."""
     if b <= a:
         return 0.0, 0.0, 0
+    narrow = narrow_gauss7(kappa, scaled_density(kappa), a, b, tol)
+    if narrow is not None:
+        return narrow
     certify = kronrod_ellipse_bound(kappa) if kappa > 0.0 else None
     return adaptive_gk15_stack_only(vm_panel_index_loop, -2.0 * kappa, a, b, tol, certify)
 

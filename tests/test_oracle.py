@@ -7,11 +7,18 @@ import time
 
 import pytest
 from references import (
+    NARROW_ERROR_PER_WIDTH,
+    NARROW_WIDTH2,
     adaptive_gk15_stack_only,
     adaptive_quadrature,
     bessel_i0_integral,
+    gauss7_ellipse_bound,
+    gauss7_panel,
     gk15_panel,
     kronrod_ellipse_bound,
+    kronrod_ellipse_certificate,
+    narrow_gauss7,
+    scaled_density,
     vm_panel_index_loop,
     vm_scaled_mass_stack_only,
 )
@@ -110,13 +117,16 @@ def test_vm_scaled_mass_empty_interval():
 @pytest.mark.parametrize("hi", [-3.0, -0.01, 0.02, 0.5, math.pi])
 def test_vm_scaled_mass_matches_generic_engine_bitwise(kappa, hi):
     # the in-line vm panel must be the generic panel applied to the
-    # scaled density, operation for operation
+    # scaled density, operation for operation, and the narrow rule the
+    # generic panel's Gauss half ([-pi, -3] is narrow at kappa = 0.5)
     def f(t):
         u = math.sin(0.5 * t)
         return math.exp(-2.0 * kappa * (u * u))
 
     got = backend.vm_scaled_mass(kappa, -math.pi, hi, 1e-13)
-    ref = adaptive_gk15_stack_only(gk15_panel, f, -math.pi, hi, 1e-13, kronrod_ellipse_bound(kappa))
+    ref = narrow_gauss7(kappa, f, -math.pi, hi, 1e-13) or adaptive_gk15_stack_only(
+        gk15_panel, f, -math.pi, hi, 1e-13, kronrod_ellipse_bound(kappa)
+    )
     assert got == ref
 
 
@@ -143,16 +153,37 @@ def _mass_or_error(mass, kappa, a, b, tol):
 
 
 def test_vm_scaled_mass_and_panel_equal_the_stack_only_references():
-    # the kernel's one stack loop, its node-table panel and its ellipse
-    # bound match the references in every bit of a value, error estimate,
-    # count or error message, whether the first panel passes on its
+    # the kernel's one stack loop, its node-table panel, its narrow
+    # Gauss-7 rule and its ellipse bound match the references in every bit
+    # of a value, error estimate, count or error message, whether the
+    # narrow rule settles the call, the first panel passes on its
     # Gauss/Kronrod estimate or on the ellipse bound, the interval is
     # bisected or the call raises.  Three cases in ten are panels a few
     # sigma wide about the mode, at the tols where a first panel fails
-    # |K - G| and the bound can certify it
+    # |K - G| and the bound can certify it; 400 more lie within the narrow
+    # width, at tols about the narrow rule's error
     rng = random.Random(20261019)
-    outcomes = {"first panel": 0, "certified": 0, "bisected": 0, "error": 0}
-    for _ in range(2000):
+    outcomes = {"narrow": 0, "first panel": 0, "certified": 0, "bisected": 0, "error": 0}
+    for kappa, a, b, tol in _scaled_mass_cases(rng, 2000) + _narrow_cases(random.Random(20261031), 400):
+        panel = backend._vm_panel(-2.0 * kappa, a, b)
+        assert panel == vm_panel_index_loop(-2.0 * kappa, a, b)
+        assert backend._vm_gauss7(-2.0 * kappa, a, b) == gauss7_panel(scaled_density(kappa), a, b)
+        got = _mass_or_error(backend.vm_scaled_mass, kappa, a, b, tol)
+        assert got == _mass_or_error(vm_scaled_mass_stack_only, kappa, a, b, tol)
+        if isinstance(got, str):
+            outcomes["error"] += 1
+        elif got[2] == 7:
+            outcomes["narrow"] += 1
+        elif got[2] > 15:
+            outcomes["bisected"] += 1
+        else:
+            outcomes["first panel" if panel[1] <= tol else "certified"] += 1
+    assert min(outcomes.values()) >= 200, outcomes
+
+
+def _scaled_mass_cases(rng, count):
+    cases = []
+    for _ in range(count):
         kappa = 10.0 ** rng.uniform(-3.0, 8.0)
         if rng.random() < 0.3:
             sigma = 1.0 / math.sqrt(kappa)
@@ -163,18 +194,32 @@ def test_vm_scaled_mass_and_panel_equal_the_stack_only_references():
             width = 10.0 ** rng.uniform(-15.0, math.log10(3.0))
             a = rng.uniform(-math.pi, math.pi - width)
             tol = 10.0 ** rng.uniform(-300.0, -6.0)
-        b = a + width
-        panel = backend._vm_panel(-2.0 * kappa, a, b)
-        assert panel == vm_panel_index_loop(-2.0 * kappa, a, b)
-        got = _mass_or_error(backend.vm_scaled_mass, kappa, a, b, tol)
-        assert got == _mass_or_error(vm_scaled_mass_stack_only, kappa, a, b, tol)
-        if isinstance(got, str):
-            outcomes["error"] += 1
-        elif got[2] > 15:
-            outcomes["bisected"] += 1
-        else:
-            outcomes["first panel" if panel[1] <= tol else "certified"] += 1
-    assert min(outcomes.values()) >= 200, outcomes
+        cases.append((kappa, a, a + width, tol))
+    return cases
+
+
+def _narrow_width(kappa):
+    # the widest float width that `vm_scaled_mass` still calls narrow
+    scale = max(2.0 * kappa, 1.0)
+    w = math.sqrt(NARROW_WIDTH2 / scale)
+    while w * w * scale > NARROW_WIDTH2:
+        w = math.nextafter(w, 0.0)
+    while (up := math.nextafter(w, math.inf)) * up * scale <= NARROW_WIDTH2:
+        w = up
+    return w
+
+
+def _narrow_cases(rng, count):
+    # intervals within the narrow width, anywhere in [-pi, pi], at tols
+    # about the narrow rule's error, so that some take it and the rest
+    # fall through to the Kronrod panel
+    cases = []
+    for _ in range(count):
+        kappa = 10.0 ** rng.uniform(-3.0, 8.0)
+        width = rng.uniform(0.01, 1.0) * _narrow_width(kappa)
+        a = rng.uniform(-math.pi, math.pi - width)
+        cases.append((kappa, a, a + width, width * 10.0 ** rng.uniform(-17.0, -13.0)))
+    return cases
 
 
 @pytest.mark.parametrize("kappa", [5e-324, 1e-310, 1e-300, 1e-3, 1.0, 1e8, 1e300, backend._KAPPA_MAX])
@@ -184,6 +229,59 @@ def test_vm_kronrod_bound_neither_overflows_nor_divides_by_zero(kappa):
     # allowance, or inf; never nan and never an exception
     for h in (5e-324, 1e-300, 1e-20, 1e-5, 0.1, math.pi):
         assert backend._vm_kronrod_bound(kappa, h, 1.0) >= 50.0 * sys.float_info.epsilon
+
+
+def test_vm_kronrod_bound_equals_its_loop_form():
+    # the unrolled fixed-point steps and the compare-and-assign caps give
+    # the bound of the loop over min() in every bit
+    rng = random.Random(20261030)
+    for _ in range(20000):
+        kappa = 10.0 ** rng.uniform(-3.0, 12.0)
+        h = 10.0 ** rng.uniform(-12.0, 0.2)
+        val = rng.random() * 2.0 * h
+        assert backend._vm_kronrod_bound(kappa, h, val) == kronrod_ellipse_certificate(kappa, h, val)
+
+
+def test_narrow_rule_error_is_certified_at_its_widest():
+    # the Gauss-7 ellipse bound at the widest narrow interval is within
+    # the c eps w that `vm_scaled_mass` returns for it; a narrower one is
+    # within it too, since at the same y the bound per unit width falls
+    # as the width does
+    eps = sys.float_info.epsilon
+    assert backend._G7_WIDTH2 == NARROW_WIDTH2
+    assert backend._G7_ERROR == NARROW_ERROR_PER_WIDTH * eps
+    kappas = [0.0, 0.5] + [10.0 ** (-3.0 + 15.0 * i / 1500) for i in range(1501)]
+    worst = 0.0
+    for kappa in kappas:
+        w = _narrow_width(kappa)
+        ratio = gauss7_ellipse_bound(kappa, 0.5 * w) / (eps * w)
+        assert ratio <= NARROW_ERROR_PER_WIDTH, kappa
+        worst = max(worst, ratio)
+    # the worst case, near kappa = 1/2, uses most of c
+    assert worst > 0.8 * NARROW_ERROR_PER_WIDTH
+
+
+def test_narrow_rule_is_within_its_error_of_mpmath():
+    # 2,000 seeded intervals no wider than the narrow width, half within
+    # 6 sigma of the mode and half anywhere in [0, pi]: each takes the
+    # narrow rule at tol 1 and lies within its returned error of the
+    # 30-digit integral
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20261101)
+    with mpmath.workdps(30):
+        for i in range(2000):
+            kappa = 10.0 ** rng.uniform(-3.0, 12.0)
+            width = rng.random() * _narrow_width(kappa)
+            room = math.pi - width
+            if i % 2:
+                room = min(room, 6.0 / math.sqrt(kappa))
+            a = rng.uniform(0.0, room)
+            b = a + width
+            if not a < b:
+                continue
+            value, error, evaluations = backend.vm_scaled_mass(kappa, a, b, 1.0)
+            assert evaluations == 7
+            assert abs(value - _mpmath_mass(mpmath, kappa, a, b)) <= error, (kappa, a, b)
 
 
 def _mpmath_mass(mpmath, kappa, a, b):
@@ -488,8 +586,9 @@ def test_point_cdfs_match_mpmath_to_half_an_ulp_of_one():
 
 def test_point_cdfs_within_three_sigma_take_one_panel(monkeypatch):
     # every point CDF within 3 sigma is one vm_scaled_mass call over
-    # [0, |t|] that the first panel settles; before the ellipse bound about
-    # a third of these bisected that panel and evaluated 45 nodes
+    # [0, |t|] that the narrow Gauss-7 rule or the first panel settles;
+    # before the ellipse bound about a third of these bisected that panel
+    # and evaluated 45 nodes
     mass = backend.vm_scaled_mass
     evaluations = []
 
@@ -505,7 +604,7 @@ def test_point_cdfs_within_three_sigma_take_one_panel(monkeypatch):
         p = VonMisesParams(0.0, math.exp(rng.uniform(lo, hi)))
         vm_cdf_quadrature(p, rng.uniform(-3.0, 3.0) * p.sigma, 1e-12)
     assert len(evaluations) == 1000
-    assert set(evaluations) == {15}
+    assert set(evaluations) == {7, 15}
 
 
 @pytest.mark.parametrize("kappa", [21.0, 30.0, 100.0, 4096.0, 1e5, 1e8])

@@ -18,9 +18,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 DIGESTS = {
-    "moderate-grid": "50f4a93c4ecc743d3b3819c7baceb474843c4d1d425eda317e73184151ea6d52",
-    "concentrated-cdf": "bcfd4171c371bc1fa7ca6c249df721f75cc1b9400e6524795902ef2e21897360",
-    "point-queries": "f714451c5f6e8151953f0917efeaecbdcfa1f6782bb19694286350657075154c",
+    "moderate-grid": "8a0e51773489980cf2ea342f3059edd8b82f13de23ba66aa4ed12ec43ab9f5e6",
+    "concentrated-cdf": "3ed6426bdbfdd8d9d45f4f2673748ab7aa0635e7d0cf474baf8eac775b1be54f",
+    "point-queries": "0a06f0c2a98da8839decefbe14d3736d7900dcdc7b91037b190f73b3bb380028",
 }
 
 
