@@ -2,9 +2,9 @@
 
 The one per-concentration kernel (a trapezoid sum that gives
 e^-kappa I0(kappa) and the circular variance together), adaptive GK15
-quadrature of the concentrated circular density (w^2 max(2 kappa, 1) <= C
-takes Gauss-7 alone, its error c eps w + 50 eps |value|, C = 0.49, c = 0.02;
-a panel passes on |K - G| or a Bernstein-ellipse bound) and the wrapped-normal lattice sum.
+quadrature of the concentrated circular density (Gauss-7 alone on a width w
+with w^2 max(2 kappa, 1) <= C = 0.49, error c eps w + 50 eps |value|, c = 0.02;
+else a panel passes on |K - G| or an ellipse bound) and the wrapped-normal lattice sum.
 Plain Python.  The I0 power series `i0_series_sum`, the `sigma2_series`
 alias and `backend_name` remain only because the benchmark reads them.
 """
