@@ -2,9 +2,12 @@
 
 The one per-concentration kernel (a trapezoid sum that gives
 e^-kappa I0(kappa) and the circular variance together), adaptive GK15
-quadrature of the concentrated circular density (Gauss-7 alone on a width w
-with w^2 max(2 kappa, 1) <= C = 0.49, error c eps w + 50 eps |value|, c = 0.02;
-else a panel passes on |K - G| or an ellipse bound) and the wrapped-normal lattice sum.
+quadrature of the concentrated circular density (by width w and s = w^2
+max(2 kappa, 1), in rule order: Gauss-7 alone at s <= C = 0.49, error
+c eps w + 50 eps |value|, c = 0.02; one Kronrod panel at s <= C = 9, within
++-3 sigma, passing on |K - G| or on beta w + 50 eps |value|, beta = 3e-13;
+else bisection, a panel passing on |K - G| or an ellipse bound) and the
+wrapped-normal lattice sum.
 Plain Python.  The I0 power series `i0_series_sum`, the `sigma2_series`
 alias and `backend_name` remain only because the benchmark reads them.
 """
@@ -64,8 +67,10 @@ _WG = (
 # `_vm_panel`; the Gauss weight is 0.0 at the Kronrod-only pairs.
 _VM_NODES = tuple(zip(_XGK[:7], _WGK[:7], (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0)))
 _G7_NODES = tuple(zip(_XGK[1:7:2], _WG[:3]))  # the Gauss pairs, for `_vm_gauss7`
-# `vm_scaled_mass`'s narrow rule (C, c eps) and rounding allowance per |value|
+# `vm_scaled_mass`'s narrow rule (C, c eps), Kronrod class (C, beta) and
+# rounding allowance per |value|
 _G7_WIDTH2, _G7_ERROR = 0.49, 0.02 * sys.float_info.epsilon
+_K15_WIDTH2, _K15_ERROR = 9.0, 3e-13
 _ROUNDING = 50.0 * sys.float_info.epsilon
 
 # Bisection depth at which a panel that still fails its tolerance raises
@@ -230,20 +235,27 @@ def vm_scaled_mass(kappa, a, b, tol):
     """Adaptive integral of exp(-2 kappa sin(t/2)^2) over [a, b].
 
     The integrand is the circular normal density scaled to peak value one,
-    so nothing overflows at any concentration.  Adaptive bisection on
-    `_vm_panel`, every panel popped from one depth-first stack (so it holds
-    at most MAX_DEPTH + 1), accepts a panel whose error estimate meets the
-    local tolerance, halved at every split.  The estimate is |K - G|, or
-    where that fails and kappa > 0, the smaller of it and twice a bound on
-    K's own error plus 50 eps |K| for rounding: the integrand is entire and
-    at most M = exp(2 kappa sinh(y/2)^2) on the Bernstein ellipse of
-    half-height y, ln rho = asinh(y/h), where K15 (degree 23, positive
-    weights) errs by at most 4.007 h M rho^-24 / (1 - rho^-2) (Trefethen
-    2008, Thm 4.5); y takes three fixed-point steps towards its minimiser,
-    capped at 30.  But first a width w with w^2 max(2 kappa, 1) <= 0.49
-    (C) takes Gauss-7 alone, which Thm 4.5 (rho^-14) bounds by c eps w,
-    c = 0.02 (0.0166 eps w at worst): when c eps w + 50 eps |value| meets
-    tol, it returns (value, that error, 7).  Returns (value, error_estimate,
+    so nothing overflows at any concentration.  Three routes, in order, by
+    the width w and s = w^2 max(2 kappa, 1).  First, s <= 0.49 (C) takes
+    Gauss-7 alone, which the ellipse bound below (rho^-14) puts under
+    c eps w, c = 0.02 (0.0166 eps w at worst): when c eps w + 50 eps |value|
+    meets tol, it returns (value, that error, 7).  Second, s <= 9 (C; +-3
+    sigma at large kappa, 3 rad for kappa <= 1/2) evaluates one `_vm_panel`
+    with no stack and returns (K, |K - G|, 15), or else (K, beta w + 50 eps
+    |K|, 15), when that meets tol.  beta = 3e-13 is above twice the Kronrod
+    bound below per unit width over the whole class (2.6e-13 at worst, at
+    kappa = 1/2 and w = 3), so the loop would accept that panel too; one
+    that fails both is the loop's first panel, not evaluated again.  Third,
+    adaptive bisection on `_vm_panel`, every panel popped from one
+    depth-first stack (so it holds at most MAX_DEPTH + 1), accepts a panel
+    whose error estimate meets the local tolerance, halved at every split.
+    The estimate is |K - G|, or where that fails and kappa > 0, the smaller
+    of it and twice a bound on K's own error plus 50 eps |K| for rounding:
+    the integrand is entire and at most M = exp(2 kappa sinh(y/2)^2) on the
+    Bernstein ellipse of half-height y, ln rho = asinh(y/h), where K15
+    (degree 23, positive weights) errs by at most 4.007 h M rho^-24 /
+    (1 - rho^-2) (Trefethen 2008, Thm 4.5); y takes three fixed-point steps
+    towards its minimiser, capped at 30.  Returns (value, error_estimate,
     evaluations), (0.0, 0.0, 0) when b <= a.  Raises QuadratureError when
     a panel at depth MAX_DEPTH still fails, or after MAX_PANELS panels, so
     a tolerance the panels cannot meet fails loudly and soon.
@@ -252,18 +264,28 @@ def vm_scaled_mass(kappa, a, b, tol):
         return 0.0, 0.0, 0
     m = -2.0 * kappa
     w = b - a
-    if w * w * (2.0 * kappa if kappa > 0.5 else 1.0) <= _G7_WIDTH2:
+    s = w * w * (2.0 * kappa if kappa > 0.5 else 1.0)
+    if s <= _G7_WIDTH2:
         val = _vm_gauss7(m, a, b)
         err = _G7_ERROR * w + _ROUNDING * val
         if err <= tol:
             return val, err, 7
+    first = None
+    if s <= _K15_WIDTH2:
+        first = val, err = _vm_panel(m, a, b)
+        if err <= tol:
+            return val, err, 15
+        err = _K15_ERROR * w + _ROUNDING * val
+        if err <= tol:
+            return val, err, 15
     stack = [(a, b, tol, 0)]
     total = 0.0
     err_total = 0.0
     panels = 0
     while stack:
         a1, b1, tol1, depth = stack.pop()
-        val, err = _vm_panel(m, a1, b1)
+        val, err = first or _vm_panel(m, a1, b1)
+        first = None
         panels += 1
         if err > tol1 and kappa > 0.0:
             err = min(err, _vm_kronrod_bound(kappa, 0.5 * (b1 - a1), val))

@@ -273,7 +273,7 @@ def matched_sup_gap(params: VonMisesParams, grid_size: int = 1001, tol: float = 
     over all grid_size offsets may differ from the result by a few ulp of
     the peak density.
     """
-    if grid_size < 1:
+    if type(grid_size) is not int or grid_size < 1:
         raise ValueError("grid_size must be >= 1, got %r" % (grid_size,))
     _require_tol(tol)
     v = SQRT2 * params.sigma  # at most sqrt(2), as sigma^2 <= 1

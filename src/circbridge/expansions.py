@@ -40,8 +40,8 @@ SCAN_MIN_GRID = 11
 
 
 def grid_size_ok(size: int, minimum: int) -> bool:
-    """Whether size is odd and at least minimum (TABLE_MIN_GRID or SCAN_MIN_GRID)."""
-    return size >= minimum and size % 2 == 1
+    """Whether size is an odd int of at least minimum (TABLE_MIN_GRID or SCAN_MIN_GRID)."""
+    return type(size) is int and size >= minimum and size % 2 == 1
 
 
 StandardizedDeviate = namedtuple("StandardizedDeviate", "delta delta_tilde")

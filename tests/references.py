@@ -16,8 +16,9 @@ as the generic stack driver over an index-loop panel, the reference that
 `backend.vm_scaled_mass` and its node-table loop `backend._vm_panel`
 must match bit for bit; `kronrod_ellipse_bound` is its second error
 bound, the one that certifies a panel whose Gauss/Kronrod estimate fails,
-and `narrow_gauss7` its narrow rule on the Gauss half of `gk15_panel`,
-`gauss7_panel`, whose error `gauss7_ellipse_bound` bounds.
+`narrow_gauss7` its narrow rule on the Gauss half of `gk15_panel`,
+`gauss7_panel`, whose error `gauss7_ellipse_bound` bounds, and
+`kronrod_class` the one `gk15_panel` it certifies before its loop.
 MPMATH_KAPPAS are the concentrations at which the per-kappa values are
 checked against mpmath.
 """
@@ -340,6 +341,19 @@ NARROW_WIDTH2 = 0.49
 NARROW_ERROR_PER_WIDTH = 0.02
 
 
+def rule_width(kappa, width2):
+    """The widest float w with w^2 max(2 kappa, 1) <= width2 as
+    `backend.vm_scaled_mass` rounds it: the edge of the narrow rule
+    (NARROW_WIDTH2) or of the Kronrod class (KRONROD_CLASS_WIDTH2)."""
+    scale = max(2.0 * kappa, 1.0)
+    w = math.sqrt(width2 / scale)
+    while w * w * scale > width2:
+        w = math.nextafter(w, 0.0)
+    while (up := math.nextafter(w, math.inf)) * up * scale <= width2:
+        w = up
+    return w
+
+
 def narrow_gauss7(kappa, f, a, b, tol):
     """(value, error, 7) where `backend.vm_scaled_mass` takes its narrow
     rule on [a, b], a < b, for f the scaled density at kappa; else None."""
@@ -349,6 +363,28 @@ def narrow_gauss7(kappa, f, a, b, tol):
     value = gauss7_panel(f, a, b)
     error = (NARROW_ERROR_PER_WIDTH * _EPS) * width + (50.0 * _EPS) * value
     return (value, error, 7) if error <= tol else None
+
+
+# `backend.vm_scaled_mass`'s Kronrod class: an interval of width w with
+# w^2 max(2 kappa, 1) <= KRONROD_CLASS_WIDTH2 that the narrow rule has not
+# settled takes one `gk15_panel`, accepted on |K - G| or else with the
+# error KRONROD_CLASS_ERROR_PER_WIDTH w + 50 eps |value|, when either meets
+# tol; otherwise that panel is the first of the adaptive loop.
+KRONROD_CLASS_WIDTH2 = 9.0
+KRONROD_CLASS_ERROR_PER_WIDTH = 3e-13
+
+
+def kronrod_class(kappa, f, a, b, tol):
+    """(value, error, 15) where `backend.vm_scaled_mass` settles [a, b],
+    a < b, with its Kronrod class, for f the scaled density at kappa;
+    else None.  Call it only where `narrow_gauss7` has given None."""
+    width = b - a
+    if not width * width * max(2.0 * kappa, 1.0) <= KRONROD_CLASS_WIDTH2:
+        return None
+    value, estimate = gk15_panel(f, a, b)
+    if estimate > tol:
+        estimate = KRONROD_CLASS_ERROR_PER_WIDTH * width + (50.0 * _EPS) * value
+    return (value, estimate, 15) if estimate <= tol else None
 
 
 def scaled_density(kappa):
@@ -366,9 +402,10 @@ def vm_scaled_mass_stack_only(kappa, a, b, tol):
     """`backend.vm_scaled_mass` on the references above."""
     if b <= a:
         return 0.0, 0.0, 0
-    narrow = narrow_gauss7(kappa, scaled_density(kappa), a, b, tol)
-    if narrow is not None:
-        return narrow
+    f = scaled_density(kappa)
+    settled = narrow_gauss7(kappa, f, a, b, tol) or kronrod_class(kappa, f, a, b, tol)
+    if settled is not None:
+        return settled
     certify = kronrod_ellipse_bound(kappa) if kappa > 0.0 else None
     return adaptive_gk15_stack_only(vm_panel_index_loop, -2.0 * kappa, a, b, tol, certify)
 

@@ -655,6 +655,14 @@ def test_matched_sup_gap_rejects_empty_grid(grid_size):
         matched_sup_gap(VonMisesParams(0.0, 4.0), grid_size=grid_size)
 
 
+@pytest.mark.parametrize("grid_size", [2.5, True])
+def test_matched_sup_gap_rejects_grid_sizes_that_are_not_int(grid_size):
+    # 2.5 used to raise a bare TypeError from range(), and True to run a
+    # one-point grid
+    with pytest.raises(ValueError, match=r"grid_size must be >= 1, got %r$" % (grid_size,)):
+        matched_sup_gap(VonMisesParams(0.0, 4.0), grid_size)
+
+
 # ------------------------------------------------------------ linear normal
 
 

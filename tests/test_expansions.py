@@ -105,6 +105,12 @@ def test_bulk_grid_rejects_sizes_that_are_not_odd_and_at_least_3(size):
         BulkSpec.fixed(0.5).grid(VonMisesParams(0.0, 100.0), size)
 
 
+def test_bulk_grid_rejects_a_size_that_is_not_int():
+    # 5.0 used to raise a bare TypeError from range()
+    with pytest.raises(ValueError, match=r"odd and >= 3, got 5\.0$"):
+        BulkSpec.fixed(0.5).grid(VonMisesParams(0.0, 100.0), 5.0)
+
+
 def test_bulk_grid_rejects_kappa_zero():
     # the bulk |delta| <= eta sqrt(kappa) collapses to mu at kappa = 0
     with pytest.raises(ValueError, match="kappa must be > 0"):

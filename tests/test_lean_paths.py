@@ -11,11 +11,15 @@ import sys
 
 import pytest
 from references import (
+    KRONROD_CLASS_WIDTH2,
+    NARROW_WIDTH2,
     i0e_sigma2_sin_per_node,
     matched_sup_gap_full_grid,
+    rule_width,
     sin_per_node_stop,
     smallest_kappa_of_nodes,
     vm_cdf_sweep_every_segment,
+    vm_scaled_mass_stack_only,
 )
 
 from circbridge import backend, cli, oracle
@@ -305,6 +309,39 @@ def test_point_cdf_equals_one_point_sweep_seeded():
         failed += isinstance(got, tuple)
         assert got == _point_cdf_outcome(lambda *a: oracle.vm_cdf_sweep(*a)[0], p, (x,), tol)
     assert 50 < failed < 1000
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-13])
+def test_point_cdf_equals_one_point_sweep_at_the_rule_edges(tol, monkeypatch):
+    # |x - mu| one ulp inside and one ulp outside w^2 max(2 kappa, 1) = 0.49
+    # (the narrow Gauss-7 rule) and = 9 (the Kronrod class), on seeded
+    # sides of mu: the point CDF is the one-point sweep bit for bit, both
+    # integrate [0, |x - mu|] with the same call, and that call takes the
+    # stack-only reference's route: 7 evaluations, then 15, then 15 or
+    # more (past the class the loop's ellipse bound still accepts one panel)
+    mass = backend.vm_scaled_mass
+    calls = []
+
+    def recorded(*args):
+        calls.append((args, mass(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(backend, "vm_scaled_mass", recorded)
+    rng = random.Random(20261104)
+    for kappa in [0.5] + [10.0 ** (-3.0 + 11.0 * i / 44) for i in range(45)]:
+        p = VonMisesParams(0.0, kappa)
+        counts = []
+        for width2 in (NARROW_WIDTH2, KRONROD_CLASS_WIDTH2):
+            inside = rule_width(kappa, width2)
+            for t in (inside, math.nextafter(inside, math.inf)):
+                x = rng.choice((-t, t))
+                calls.clear()
+                assert oracle.vm_cdf_quadrature(p, x, tol) == oracle.vm_cdf_sweep(p, (x,), tol)[0]
+                (args, result), (sweep_args, _sweep_result) = calls
+                assert args == sweep_args and args[1:3] == (0.0, t)
+                assert result == vm_scaled_mass_stack_only(*args)
+                counts.append(result[2])
+        assert counts[:2] == [7, 15] and 15 <= counts[2] <= counts[3], (kappa, counts)
 
 
 @pytest.mark.parametrize(

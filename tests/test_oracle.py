@@ -7,6 +7,8 @@ import time
 
 import pytest
 from references import (
+    KRONROD_CLASS_ERROR_PER_WIDTH,
+    KRONROD_CLASS_WIDTH2,
     NARROW_ERROR_PER_WIDTH,
     NARROW_WIDTH2,
     adaptive_gk15_stack_only,
@@ -16,8 +18,10 @@ from references import (
     gauss7_panel,
     gk15_panel,
     kronrod_ellipse_bound,
+    kronrod_class,
     kronrod_ellipse_certificate,
     narrow_gauss7,
+    rule_width,
     scaled_density,
     vm_panel_index_loop,
     vm_scaled_mass_stack_only,
@@ -118,14 +122,17 @@ def test_vm_scaled_mass_empty_interval():
 def test_vm_scaled_mass_matches_generic_engine_bitwise(kappa, hi):
     # the in-line vm panel must be the generic panel applied to the
     # scaled density, operation for operation, and the narrow rule the
-    # generic panel's Gauss half ([-pi, -3] is narrow at kappa = 0.5)
+    # generic panel's Gauss half ([-pi, -3] is narrow at kappa = 0.5 and
+    # in the Kronrod class at kappa = 100)
     def f(t):
         u = math.sin(0.5 * t)
         return math.exp(-2.0 * kappa * (u * u))
 
     got = backend.vm_scaled_mass(kappa, -math.pi, hi, 1e-13)
-    ref = narrow_gauss7(kappa, f, -math.pi, hi, 1e-13) or adaptive_gk15_stack_only(
-        gk15_panel, f, -math.pi, hi, 1e-13, kronrod_ellipse_bound(kappa)
+    ref = (
+        narrow_gauss7(kappa, f, -math.pi, hi, 1e-13)
+        or kronrod_class(kappa, f, -math.pi, hi, 1e-13)
+        or adaptive_gk15_stack_only(gk15_panel, f, -math.pi, hi, 1e-13, kronrod_ellipse_bound(kappa))
     )
     assert got == ref
 
@@ -154,17 +161,23 @@ def _mass_or_error(mass, kappa, a, b, tol):
 
 def test_vm_scaled_mass_and_panel_equal_the_stack_only_references():
     # the kernel's one stack loop, its node-table panel, its narrow
-    # Gauss-7 rule and its ellipse bound match the references in every bit
-    # of a value, error estimate, count or error message, whether the
-    # narrow rule settles the call, the first panel passes on its
-    # Gauss/Kronrod estimate or on the ellipse bound, the interval is
-    # bisected or the call raises.  Three cases in ten are panels a few
-    # sigma wide about the mode, at the tols where a first panel fails
-    # |K - G| and the bound can certify it; 400 more lie within the narrow
-    # width, at tols about the narrow rule's error
+    # Gauss-7 rule, its Kronrod class and its ellipse bound match the
+    # references in every bit of a value, error estimate, count or error
+    # message, whether the narrow rule settles the call, the first panel
+    # passes on its Gauss/Kronrod estimate, on the class's constant or on
+    # the ellipse bound, the interval is bisected or the call raises.
+    # Three cases in ten are panels a few sigma wide about the mode, at
+    # the tols where a first panel fails |K - G| and a bound can certify
+    # it; 400 more lie within the narrow width, at tols about the narrow
+    # rule's error, and 400 within the class width, about the class's
     rng = random.Random(20261019)
-    outcomes = {"narrow": 0, "first panel": 0, "certified": 0, "bisected": 0, "error": 0}
-    for kappa, a, b, tol in _scaled_mass_cases(rng, 2000) + _narrow_cases(random.Random(20261031), 400):
+    outcomes = dict.fromkeys(["narrow", "first panel", "class", "certified", "bisected", "error"], 0)
+    cases = (
+        _scaled_mass_cases(rng, 2000)
+        + _narrow_cases(random.Random(20261031), 400)
+        + _class_cases(random.Random(20261102), 400)
+    )
+    for kappa, a, b, tol in cases:
         panel = backend._vm_panel(-2.0 * kappa, a, b)
         assert panel == vm_panel_index_loop(-2.0 * kappa, a, b)
         assert backend._vm_gauss7(-2.0 * kappa, a, b) == gauss7_panel(scaled_density(kappa), a, b)
@@ -176,8 +189,12 @@ def test_vm_scaled_mass_and_panel_equal_the_stack_only_references():
             outcomes["narrow"] += 1
         elif got[2] > 15:
             outcomes["bisected"] += 1
+        elif panel[1] <= tol:
+            outcomes["first panel"] += 1
+        elif got[1] == _class_error(a, b, got[0]):
+            outcomes["class"] += 1
         else:
-            outcomes["first panel" if panel[1] <= tol else "certified"] += 1
+            outcomes["certified"] += 1
     assert min(outcomes.values()) >= 200, outcomes
 
 
@@ -198,17 +215,6 @@ def _scaled_mass_cases(rng, count):
     return cases
 
 
-def _narrow_width(kappa):
-    # the widest float width that `vm_scaled_mass` still calls narrow
-    scale = max(2.0 * kappa, 1.0)
-    w = math.sqrt(NARROW_WIDTH2 / scale)
-    while w * w * scale > NARROW_WIDTH2:
-        w = math.nextafter(w, 0.0)
-    while (up := math.nextafter(w, math.inf)) * up * scale <= NARROW_WIDTH2:
-        w = up
-    return w
-
-
 def _narrow_cases(rng, count):
     # intervals within the narrow width, anywhere in [-pi, pi], at tols
     # about the narrow rule's error, so that some take it and the rest
@@ -216,10 +222,28 @@ def _narrow_cases(rng, count):
     cases = []
     for _ in range(count):
         kappa = 10.0 ** rng.uniform(-3.0, 8.0)
-        width = rng.uniform(0.01, 1.0) * _narrow_width(kappa)
+        width = rng.uniform(0.01, 1.0) * rule_width(kappa, NARROW_WIDTH2)
         a = rng.uniform(-math.pi, math.pi - width)
         cases.append((kappa, a, a + width, width * 10.0 ** rng.uniform(-17.0, -13.0)))
     return cases
+
+
+def _class_cases(rng, count):
+    # intervals over the mode, from half the class width to all of it, at
+    # tols about the class's error: there |K - G| often fails, and the
+    # class's constant certifies some of the panels and not the rest
+    cases = []
+    for _ in range(count):
+        kappa = 10.0 ** rng.uniform(-3.0, 8.0)
+        width = rng.uniform(0.5, 1.0) * rule_width(kappa, KRONROD_CLASS_WIDTH2)
+        a = -width * rng.random()
+        cases.append((kappa, a, a + width, width * 10.0 ** rng.uniform(-12.6, -11.6)))
+    return cases
+
+
+def _class_error(a, b, value):
+    # the error that the Kronrod class returns when |K - G| fails
+    return KRONROD_CLASS_ERROR_PER_WIDTH * (b - a) + 50.0 * sys.float_info.epsilon * value
 
 
 @pytest.mark.parametrize("kappa", [5e-324, 1e-310, 1e-300, 1e-3, 1.0, 1e8, 1e300, backend._KAPPA_MAX])
@@ -253,7 +277,7 @@ def test_narrow_rule_error_is_certified_at_its_widest():
     kappas = [0.0, 0.5] + [10.0 ** (-3.0 + 15.0 * i / 1500) for i in range(1501)]
     worst = 0.0
     for kappa in kappas:
-        w = _narrow_width(kappa)
+        w = rule_width(kappa, NARROW_WIDTH2)
         ratio = gauss7_ellipse_bound(kappa, 0.5 * w) / (eps * w)
         assert ratio <= NARROW_ERROR_PER_WIDTH, kappa
         worst = max(worst, ratio)
@@ -271,7 +295,7 @@ def test_narrow_rule_is_within_its_error_of_mpmath():
     with mpmath.workdps(30):
         for i in range(2000):
             kappa = 10.0 ** rng.uniform(-3.0, 12.0)
-            width = rng.random() * _narrow_width(kappa)
+            width = rng.random() * rule_width(kappa, NARROW_WIDTH2)
             room = math.pi - width
             if i % 2:
                 room = min(room, 6.0 / math.sqrt(kappa))
@@ -282,6 +306,71 @@ def test_narrow_rule_is_within_its_error_of_mpmath():
             value, error, evaluations = backend.vm_scaled_mass(kappa, a, b, 1.0)
             assert evaluations == 7
             assert abs(value - _mpmath_mass(mpmath, kappa, a, b)) <= error, (kappa, a, b)
+
+
+def test_kronrod_class_error_is_certified_at_its_widest():
+    # the Kronrod certificate, rounding term aside, at the widest class
+    # interval and at 1/2 to 1/1024 of that width is within the beta w
+    # that `vm_scaled_mass` returns for a class panel.  So wherever the
+    # class certifies a panel, the loop's ellipse bound would have accepted
+    # it too, and the class returns the value the loop would have
+    assert backend._K15_WIDTH2 == KRONROD_CLASS_WIDTH2
+    assert backend._K15_ERROR == KRONROD_CLASS_ERROR_PER_WIDTH
+    kappas = [0.5] + [10.0 ** (-3.0 + 15.0 * i / 1500) for i in range(1501)]
+    worst = 0.0
+    for kappa in kappas:
+        widest = rule_width(kappa, KRONROD_CLASS_WIDTH2)
+        for j in range(11):
+            w = widest * 0.5 ** j
+            ratio = kronrod_ellipse_certificate(kappa, 0.5 * w, 0.0) / w
+            assert ratio <= KRONROD_CLASS_ERROR_PER_WIDTH, (kappa, j)
+            worst = max(worst, ratio)
+    # the worst case, at kappa = 1/2 and w = 3, uses most of beta
+    assert worst > 0.8 * KRONROD_CLASS_ERROR_PER_WIDTH
+
+
+def test_kronrod_class_is_within_its_error_of_mpmath():
+    # 2,000 seeded intervals past the narrow width and within the class
+    # width, half over the mode and half anywhere in [0, pi], at tol = the
+    # class's error beta w + 50 eps |K|: each comes back as one panel and
+    # lies within that error of the 30-digit integral (their distance
+    # rounded to a double).  The error returned is |K - G| where that
+    # meets tol, else the class's error, as it is for a quarter of them
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20261103)
+    on_class_error = 0
+    with mpmath.workdps(30):
+        for i in range(2000):
+            kappa = 10.0 ** rng.uniform(-3.0, 12.0)
+            width = rng.uniform(0.25, 1.0) * rule_width(kappa, KRONROD_CLASS_WIDTH2)
+            a = -width * rng.random() if i % 2 else rng.uniform(0.0, math.pi - width)
+            b = a + width
+            k, k_minus_g = backend._vm_panel(-2.0 * kappa, a, b)
+            tol = _class_error(a, b, k)
+            value, error, evaluations = backend.vm_scaled_mass(kappa, a, b, tol)
+            assert (value, evaluations) == (k, 15)
+            assert error == (k_minus_g if k_minus_g <= tol else tol)
+            on_class_error += k_minus_g > tol
+            assert float(abs(value - _mpmath_mass(mpmath, kappa, a, b))) <= tol, (kappa, a, b)
+    assert on_class_error >= 400
+
+
+def test_a_class_panel_that_fails_is_not_evaluated_again(monkeypatch):
+    # at kappa = 1/2 on [0, 3] and tol 1e-13 the class panel fails |K - G|
+    # and beta w = 9e-13, so it becomes the loop's first panel: the loop
+    # bisects, and each panel, that one too, is evaluated once
+    panel = backend._vm_panel
+    spans = []
+
+    def recorded(m, a, b):
+        spans.append((a, b))
+        return panel(m, a, b)
+
+    monkeypatch.setattr(backend, "_vm_panel", recorded)
+    _value, _error, evaluations = backend.vm_scaled_mass(0.5, 0.0, 3.0, 1e-13)
+    assert evaluations > 15
+    assert spans[0] == (0.0, 3.0)
+    assert len(spans) == len(set(spans)) == evaluations // 15
 
 
 def _mpmath_mass(mpmath, kappa, a, b):
@@ -586,7 +675,7 @@ def test_point_cdfs_match_mpmath_to_half_an_ulp_of_one():
 
 def test_point_cdfs_within_three_sigma_take_one_panel(monkeypatch):
     # every point CDF within 3 sigma is one vm_scaled_mass call over
-    # [0, |t|] that the narrow Gauss-7 rule or the first panel settles;
+    # [0, |t|] that the narrow Gauss-7 rule or the Kronrod class settles;
     # before the ellipse bound about a third of these bisected that panel
     # and evaluated 45 nodes
     mass = backend.vm_scaled_mass
@@ -811,6 +900,12 @@ def test_residual_scan_validation():
         residual_scan(spec, [32.0, 64.0, 128.0], 21, "bogus")
     with pytest.raises(ValueError):
         residual_scan(spec, [32.0, -1.0, 128.0], 21, "log_ratio")
+
+
+def test_residual_scan_rejects_a_grid_size_that_is_not_int():
+    # 11.0 used to raise a bare TypeError from range()
+    with pytest.raises(ValueError, match=r"grid_size must be odd and >= 11, got 11\.0$"):
+        residual_scan(BulkSpec.fixed(0.5), [32.0, 64.0, 128.0], 11.0, "log_ratio")
 
 
 def test_residual_scan_log_ratio_structure():
