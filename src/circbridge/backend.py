@@ -1,13 +1,13 @@
 """Compute kernels: the package's hot numerical loops.
 
 The one per-concentration kernel (a trapezoid sum that gives
-e^-kappa I0(kappa) and the circular variance together), adaptive GK15
-quadrature of the concentrated circular density (by width w and s = w^2
-max(2 kappa, 1), in rule order: Gauss-7 alone at s <= C = 0.49, error
-c eps w + 50 eps |value|, c = 0.02; one Kronrod panel at s <= C = 9, within
-+-3 sigma, passing on |K - G| or on beta w + 50 eps |value|, beta = 3e-13;
-else bisection, a panel passing on |K - G| or an ellipse bound) and the
-wrapped-normal lattice sum.
+e^-kappa I0(kappa) and the circular variance together), GK15 quadrature
+of the concentrated circular density under a certified error (by width w
+and s = w^2 max(2 kappa, 1): one rule, Gauss-7 alone at s <= C = 0.49,
+error c eps w + 50 eps |value|, c = 0.02, else one Kronrod panel passing
+on |K - G|, on beta w + 50 eps |value| at s <= C = 9 (+-3 sigma), beta =
+3e-13, or on its ellipse bound; else k = 2 .. 64 equal Kronrod panels, k
+fixed by that bound before any runs) and the wrapped-normal lattice sum.
 Plain Python.  The I0 power series `i0_series_sum`, the `sigma2_series`
 alias and `backend_name` remain only because the benchmark reads them.
 """
@@ -73,18 +73,8 @@ _G7_WIDTH2, _G7_ERROR = 0.49, 0.02 * sys.float_info.epsilon
 _K15_WIDTH2, _K15_ERROR = 9.0, 3e-13
 _ROUNDING = 50.0 * sys.float_info.epsilon
 
-# Bisection depth at which a panel that still fails its tolerance raises
-# QuadratureError instead of splitting again.
-MAX_DEPTH = 40
-# Panels one `vm_scaled_mass` call may evaluate before it raises
-# QuadratureError.  Near the panels' rounding noise some pass and others
-# fail, and a depth-first walk to MAX_DEPTH could visit ~2^40; no call in
-# the tests takes more than 759, none in the benchmark workloads over one.
-MAX_PANELS = 10000
-
-
 class QuadratureError(ArithmeticError):
-    """Raised when adaptive refinement cannot reach the requested tolerance."""
+    """Raised when quadrature cannot certify an error within the requested tolerance."""
 
 
 # perfbench/worker.py records this name; the next change to the benchmark
@@ -232,33 +222,31 @@ def _vm_kronrod_bound(kappa, h, val):
 
 
 def vm_scaled_mass(kappa, a, b, tol):
-    """Adaptive integral of exp(-2 kappa sin(t/2)^2) over [a, b].
+    """Integral of exp(-2 kappa sin(t/2)^2) over [a, b], under a certified error.
 
     The integrand is the circular normal density scaled to peak value one,
-    so nothing overflows at any concentration.  Three routes, in order, by
-    the width w and s = w^2 max(2 kappa, 1).  First, s <= 0.49 (C) takes
-    Gauss-7 alone, which the ellipse bound below (rho^-14) puts under
-    c eps w, c = 0.02 (0.0166 eps w at worst): when c eps w + 50 eps |value|
-    meets tol, it returns (value, that error, 7).  Second, s <= 9 (C; +-3
-    sigma at large kappa, 3 rad for kappa <= 1/2) evaluates one `_vm_panel`
-    with no stack and returns (K, |K - G|, 15), or else (K, beta w + 50 eps
-    |K|, 15), when that meets tol.  beta = 3e-13 is above twice the Kronrod
-    bound below per unit width over the whole class (2.6e-13 at worst, at
-    kappa = 1/2 and w = 3), so the loop would accept that panel too; one
-    that fails both is the loop's first panel, not evaluated again.  Third,
-    adaptive bisection on `_vm_panel`, every panel popped from one
-    depth-first stack (so it holds at most MAX_DEPTH + 1), accepts a panel
-    whose error estimate meets the local tolerance, halved at every split.
-    The estimate is |K - G|, or where that fails and kappa > 0, the smaller
-    of it and twice a bound on K's own error plus 50 eps |K| for rounding:
-    the integrand is entire and at most M = exp(2 kappa sinh(y/2)^2) on the
-    Bernstein ellipse of half-height y, ln rho = asinh(y/h), where K15
-    (degree 23, positive weights) errs by at most 4.007 h M rho^-24 /
-    (1 - rho^-2) (Trefethen 2008, Thm 4.5); y takes three fixed-point steps
-    towards its minimiser, capped at 30.  Returns (value, error_estimate,
-    evaluations), (0.0, 0.0, 0) when b <= a.  Raises QuadratureError when
-    a panel at depth MAX_DEPTH still fails, or after MAX_PANELS panels, so
-    a tolerance the panels cannot meet fails loudly and soon.
+    so nothing overflows at any concentration.  Two straight-line stages,
+    by the width w and s = w^2 max(2 kappa, 1).  One rule: s <= 0.49 (C)
+    takes Gauss-7 alone, which the ellipse bound below (rho^-14) puts under
+    c eps w, c = 0.02, and returns (value, c eps w + 50 eps |value|, 7) when
+    that meets tol; else one `_vm_panel` gives (K, |K - G|) and returns
+    (K, err, 15) with the first err that meets tol of: |K - G|; where s <= 9
+    (C; +-3 sigma at large kappa), beta w + 50 eps |K|, beta = 3e-13 above
+    twice B per unit width over the whole class (2.6e-13 at kappa = 1/2,
+    w = 3); B(w/2) + 50 eps |K|.  B(h) is twice a bound on K's error on a
+    panel of half-width h: the integrand is entire and at most M = exp(2
+    kappa sinh(y/2)^2) on the Bernstein ellipse of half-height y, ln rho =
+    asinh(y/h), where K15 (degree 23, positive weights) errs by at most
+    4.007 h M rho^-24 / (1 - rho^-2) (Trefethen 2008, Thm 4.5); y takes
+    three fixed-point steps towards its minimiser, capped at 30.  At kappa
+    = 0 |K - G| is exactly 0.  Else k panels: k is the least power of two
+    in 2 .. 64 with k B(w/2k) + 50 eps |K| <= tol, [a, b] is halved into k
+    equal panels, and each errs by at most min(|K_i - G_i|, B(w/2k)) + 50
+    eps |K_i|; returns (sum K_i, sum of those errors, 15 (k + 1)).  So a
+    call evaluates at most 65 panels.  Returns (0.0, 0.0, 0) when b <= a.
+    Raises QuadratureError before the k panels run when 50 eps |K| >= tol
+    or 64 panels are not enough, and after them when their errors sum
+    past tol.
     """
     if b <= a:
         return 0.0, 0.0, 0
@@ -270,44 +258,37 @@ def vm_scaled_mass(kappa, a, b, tol):
         err = _G7_ERROR * w + _ROUNDING * val
         if err <= tol:
             return val, err, 7
-    first = None
+    val, err = _vm_panel(m, a, b)
+    if err <= tol:
+        return val, err, 15
     if s <= _K15_WIDTH2:
-        first = val, err = _vm_panel(m, a, b)
-        if err <= tol:
-            return val, err, 15
         err = _K15_ERROR * w + _ROUNDING * val
         if err <= tol:
             return val, err, 15
-    stack = [(a, b, tol, 0)]
-    total = 0.0
-    err_total = 0.0
-    panels = 0
-    while stack:
-        a1, b1, tol1, depth = stack.pop()
-        val, err = first or _vm_panel(m, a1, b1)
-        first = None
-        panels += 1
-        if err > tol1 and kappa > 0.0:
-            err = min(err, _vm_kronrod_bound(kappa, 0.5 * (b1 - a1), val))
-        if err <= tol1:
-            total += val
-            err_total += err
-        elif depth >= MAX_DEPTH:
-            raise QuadratureError(
-                "no convergence on [%r, %r] at depth %d (err=%.3e, tol=%.3e)"
-                % (a1, b1, depth, err, tol1)
-            )
-        elif panels >= MAX_PANELS:
-            raise QuadratureError(
-                "no convergence on [%r, %r] within %d panels (err=%.3e, tol=%.3e)"
-                % (a1, b1, MAX_PANELS, err, tol1)
-            )
-        else:
-            mid = 0.5 * (a1 + b1)
-            half = 0.5 * tol1
-            stack.append((mid, b1, half, depth + 1))
-            stack.append((a1, mid, half, depth + 1))
-    return total, err_total, 15 * panels
+    err = _vm_kronrod_bound(kappa, 0.5 * w, val)  # k = 1 of the search below
+    if err <= tol:
+        return val, err, 15
+    rounding = _ROUNDING * val
+    k = 1
+    while rounding < tol < err and k < 64:
+        k *= 2
+        bound = _vm_kronrod_bound(kappa, w / (2 * k), 0.0)
+        err = k * bound + rounding
+    if err <= tol:
+        cuts = [a, b]
+        while len(cuts) <= k:
+            cuts[1:] = [c for lo, hi in zip(cuts, cuts[1:]) for c in (0.5 * (lo + hi), hi)]
+        val = err = 0.0
+        for lo, hi in zip(cuts, cuts[1:]):
+            part, diff = _vm_panel(m, lo, hi)
+            val += part
+            err += (diff if diff < bound else bound) + _ROUNDING * part
+        if err <= tol:
+            return val, err, 15 * (k + 1)
+    raise QuadratureError(
+        "no convergence on [%r, %r] (panels=%d, err=%.3e, rounding=%.3e, tol=%.3e)"
+        % (a, b, k, err, rounding, tol)
+    )
 
 
 def wn_density_at(t, v, kmax):

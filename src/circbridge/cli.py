@@ -8,8 +8,10 @@ Subcommands:
 
 Output is CSV (default) or JSON, to stdout or --out.  Identical argument
 vectors produce byte-identical output.  Every setting is a command-line
-option; quadrature bisects to depth 40 and 10,000 panels per segment at
-most, and a --tol it cannot meet there is a numerical failure.
+option.  Quadrature returns a value only under a certified error: one rule
+per segment, or else k <= 64 equal Kronrod panels, k fixed by an ellipse
+bound before any runs.  Every point CDF is certified at --tol >= 2e-14;
+a --tol a segment cannot be certified to is a numerical failure.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure.
 """
@@ -225,7 +227,7 @@ def build_parser():
     p.add_argument("--kappa", type=float, required=True, help="concentration")
     p.add_argument("--x", type=float, required=True, help="evaluation point (radians)")
     p.add_argument("--quantity", choices=QUANTITIES, required=True)
-    _add_output_options(p, "quadrature tolerance, read only by cdf-quad")
+    _add_output_options(p, "quadrature tolerance, read only by cdf-quad; certified for any x from 2e-14")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("table", help="comparison table over the bulk")

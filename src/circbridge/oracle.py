@@ -1,11 +1,12 @@
 """Independent brute-force references and the bulk comparisons.
 
 Everything the expansions are validated against lives here: quadrature
-of the circular distribution function (on the kernels' adaptive GK15
-integrator), the `table` rows and the residual scans over the bulk, and
-the log-log slope fit used to measure decay orders.
+of the circular distribution function (on the kernels' GK15 integrator),
+the `table` rows and the residual scans over the bulk, and the log-log
+slope fit used to measure decay orders.
 """
 
+import bisect
 import math
 import sys
 from collections import namedtuple
@@ -85,10 +86,11 @@ def vm_cdf_sweep(params: VonMisesParams, xs, tol: float = 1e-12) -> list[float]:
     density is even about mu, so F(mu + t) = 1/2 + sgn(t) M(|t|), with M
     the mass on [mu, mu + |t|].  The cuts are the sorted set of 0 and
     every |t|, plus the reach min(pi, 20 sigma) when a point lies beyond
-    it.  One sweep outwards from the mode integrates, to tol / n for n
-    segments in all, each segment that starts below the reach, and M is
-    their running sum; so the cost grows with the distinct offsets
-    within 20 sigma.  A cut past the reach gets the mass at the reach:
+    it.  One sweep outwards from the mode integrates each segment that
+    starts below the reach, and M is their running sum; so the cost grows
+    with the distinct offsets within 20 sigma.  Each such segment gets an
+    equal share of tol, and so does the whole tail past the reach when a
+    cut lies there.  A cut past the reach gets the mass at the reach:
     there the integrand is at most e^-40 of its peak, and the whole tail
     holds less than e^-40 / 5 of the mass up to the reach, under half
     an ulp of it, so integrating it would change no bit.  F(mu) is
@@ -110,7 +112,8 @@ def vm_cdf_sweep(params: VonMisesParams, xs, tol: float = 1e-12) -> list[float]:
         offsets.add(reach)
     cuts = sorted(offsets)
     inv_norm = 1.0 / (2.0 * math.pi * params.i0e)
-    seg_tol = tol / inv_norm / max(len(cuts) - 1, 1)
+    shares = bisect.bisect_left(cuts, reach) + 1 if cuts[-1] > reach else max(len(cuts) - 1, 1)
+    seg_tol = tol / inv_norm / shares
     kappa = params.kappa
     half = {0.0: 0.0}  # inv_norm times the mass on [0, cut], by cut
     mass = 0.0

@@ -11,14 +11,14 @@ gives I0 from its integral representation with it.
 offset on [0, pi], the reference for `matched_sup_gap`'s outward walk,
 and `vm_cdf_sweep_every_segment` integrates every segment of the CDF
 sweep, the reference for the sweep's stop at its 20 sigma reach.
-`vm_scaled_mass_stack_only` is the quadrature of the CDF sweep written
-as the generic stack driver over an index-loop panel, the reference that
-`backend.vm_scaled_mass` and its node-table loop `backend._vm_panel`
-must match bit for bit; `kronrod_ellipse_bound` is its second error
-bound, the one that certifies a panel whose Gauss/Kronrod estimate fails,
-`narrow_gauss7` its narrow rule on the Gauss half of `gk15_panel`,
-`gauss7_panel`, whose error `gauss7_ellipse_bound` bounds, and
-`kronrod_class` the one `gk15_panel` it certifies before its loop.
+`vm_scaled_mass_k_panels` is the quadrature of the CDF sweep written
+on an index-loop panel, the reference that `backend.vm_scaled_mass` and
+its node-table loop `backend._vm_panel` must match bit for bit:
+`narrow_gauss7` is its narrow rule on the Gauss half of `gk15_panel`,
+`gauss7_panel`, whose error `gauss7_ellipse_bound` bounds,
+`kronrod_class` the one `gk15_panel` it certifies by the class's width,
+and `kronrod_k_panels`, for any panel, its one panel certified by
+`kronrod_ellipse_certificate` or else its k equal panels.
 MPMATH_KAPPAS are the concentrations at which the per-kappa values are
 checked against mpmath.
 """
@@ -131,7 +131,8 @@ def matched_sup_gap_full_grid(params, grid_size: int, tol: float) -> float:
 
 
 def vm_cdf_sweep_every_segment(params, xs, tol: float):
-    """`vm_cdf_sweep` integrating every segment, those past 20 sigma too.
+    """`vm_cdf_sweep` integrating every segment, those past 20 sigma too,
+    each to the sweep's share of tol.
 
     xs must lie in the principal window (mu - pi, mu + pi] and tol must be
     valid; neither is checked here.
@@ -143,7 +144,7 @@ def vm_cdf_sweep_every_segment(params, xs, tol: float):
         offsets.add(reach)
     cuts = sorted(offsets)
     inv_norm = 1.0 / (2.0 * math.pi * params.i0e)
-    seg_tol = tol / inv_norm / max(len(cuts) - 1, 1)
+    seg_tol = tol / inv_norm / max(sum(lo < reach for lo in cuts[:-1]) + (cuts[-1] > reach), 1)
     half = {0.0: 0.0}
     mass = 0.0
     for lo, hi in zip(cuts, cuts[1:]):
@@ -187,8 +188,8 @@ def adaptive_quadrature(
     Adaptive bisection on 15-point Kronrod panels; each panel is accepted
     when its embedded Gauss/Kronrod error estimate meets the local
     tolerance, which is halved at every split.  Raises QuadratureError if
-    a panel at bisection depth `backend.MAX_DEPTH` (40) still fails its
-    tolerance.
+    a panel at bisection depth STACK_MAX_DEPTH still fails its tolerance,
+    or after STACK_MAX_PANELS panels.
     """
     if not (a < b):
         raise ValueError("need a < b, got a=%r b=%r" % (a, b))
@@ -197,15 +198,16 @@ def adaptive_quadrature(
     return QuadratureResult(value=value, abs_error_estimate=err, evaluations=evals)
 
 
-def adaptive_gk15_stack_only(panel, f, a, b, tol, certify=None):
+# `adaptive_gk15_stack_only`'s limits: the bisection depth at which a
+# failing panel raises, and the panels one call may evaluate.
+STACK_MAX_DEPTH = 40
+STACK_MAX_PANELS = 10000
+
+
+def adaptive_gk15_stack_only(panel, f, a, b, tol):
     """Adaptive bisection of [a, b] on `panel(f, lo, hi)`, which returns
     (estimate, error estimate), with every panel, the first too, popped
-    from a depth-first stack as in `backend.vm_scaled_mass`, for any
-    panel.  When a panel's estimate fails its tolerance and `certify` is
-    given, `certify(lo, hi, estimate)` is a second error bound and the
-    smaller of the two is the panel's.  It has no panel budget, so the
-    tests give it only calls that take far fewer panels than
-    `backend.MAX_PANELS`."""
+    from a depth-first stack, for any panel."""
     stack = [(a, b, tol, 0)]
     total = 0.0
     err_total = 0.0
@@ -214,15 +216,13 @@ def adaptive_gk15_stack_only(panel, f, a, b, tol, certify=None):
         a1, b1, tol1, depth = stack.pop()
         val, err = panel(f, a1, b1)
         evals += 15
-        if err > tol1 and certify is not None:
-            err = min(err, certify(a1, b1, val))
         if err <= tol1:
             total += val
             err_total += err
-        elif depth >= backend.MAX_DEPTH:
+        elif depth >= STACK_MAX_DEPTH or evals >= 15 * STACK_MAX_PANELS:
             raise backend.QuadratureError(
-                "no convergence on [%r, %r] at depth %d (err=%.3e, tol=%.3e)"
-                % (a1, b1, depth, err, tol1)
+                "no convergence on [%r, %r] at depth %d after %d panels (err=%.3e, tol=%.3e)"
+                % (a1, b1, depth, evals // 15, err, tol1)
             )
         else:
             mid = 0.5 * (a1 + b1)
@@ -257,7 +257,7 @@ def vm_panel_index_loop(m, a, b):
 
 def kronrod_ellipse_certificate(kappa, h, estimate):
     """The Bernstein-ellipse certificate `backend.vm_scaled_mass` applies
-    to a failing panel of half-width h of exp(kappa (cos t - 1)),
+    to a panel of half-width h of exp(kappa (cos t - 1)),
     kappa > 0, with the K15 value `estimate`, written from the bound
     itself and doing the same float operations.
 
@@ -286,16 +286,6 @@ def kronrod_ellipse_certificate(kappa, h, estimate):
         return math.inf
     bound = (2.0 * 4.007) * h * math.exp(log_m_rho24) / one_minus_rho_m2
     return bound + (50.0 * _EPS) * estimate
-
-
-def kronrod_ellipse_bound(kappa):
-    """`kronrod_ellipse_certificate` at kappa as a `certify(lo, hi,
-    estimate)` for `adaptive_gk15_stack_only`."""
-
-    def certify(lo, hi, estimate):
-        return kronrod_ellipse_certificate(kappa, 0.5 * (hi - lo), estimate)
-
-    return certify
 
 
 def gauss7_panel(f, a, b):
@@ -369,7 +359,7 @@ def narrow_gauss7(kappa, f, a, b, tol):
 # w^2 max(2 kappa, 1) <= KRONROD_CLASS_WIDTH2 that the narrow rule has not
 # settled takes one `gk15_panel`, accepted on |K - G| or else with the
 # error KRONROD_CLASS_ERROR_PER_WIDTH w + 50 eps |value|, when either meets
-# tol; otherwise that panel is the first of the adaptive loop.
+# tol.
 KRONROD_CLASS_WIDTH2 = 9.0
 KRONROD_CLASS_ERROR_PER_WIDTH = 3e-13
 
@@ -398,7 +388,56 @@ def scaled_density(kappa):
     return f
 
 
-def vm_scaled_mass_stack_only(kappa, a, b, tol):
+def halving_cuts(a, b, k):
+    """The k + 1 ends of the k panels of [a, b], k a power of two, that
+    halving every piece at 0.5 (lo + hi) gives, from a to b."""
+    if k == 1:
+        return [a, b]
+    mid = 0.5 * (a + b)
+    return halving_cuts(a, mid, k // 2) + halving_cuts(mid, b, k // 2)[1:]
+
+
+def kronrod_k_panels(panel, f, kappa, a, b, tol):
+    """`backend.vm_scaled_mass` past its narrow rule and Kronrod class, for
+    any `panel(f, lo, hi)` that returns (K, |K - G|): (value, error,
+    evaluations), or the kernel's QuadratureError and message.
+
+    One panel over [a, b] passes on |K - G|, else on
+    `kronrod_ellipse_certificate`.  Else, with B(h) that certificate at
+    estimate 0 and r = 50 eps K, the first k in 2, 4, .., 64 with
+    k B((b - a) / 2k) + r <= tol (none when r >= tol) cuts [a, b] into
+    k `halving_cuts` panels, which give the sum of their K and of
+    min(|K - G|, B) + 50 eps K; a sum of errors above tol raises too."""
+    value, estimate = panel(f, a, b)
+    if estimate <= tol:
+        return value, estimate, 15
+    error = kronrod_ellipse_certificate(kappa, 0.5 * (b - a), value)
+    if error <= tol:
+        return value, error, 15
+    rounding = (50.0 * _EPS) * value
+    panels = 1
+    if rounding < tol:
+        for panels in (2, 4, 8, 16, 32, 64):
+            bound = kronrod_ellipse_certificate(kappa, (b - a) / (2 * panels), 0.0)
+            error = panels * bound + rounding
+            if error <= tol:
+                break
+    if error <= tol:
+        cuts = halving_cuts(a, b, panels)
+        value = error = 0.0
+        for lo, hi in zip(cuts, cuts[1:]):
+            part, estimate = panel(f, lo, hi)
+            value += part
+            error += min(estimate, bound) + (50.0 * _EPS) * part
+        if error <= tol:
+            return value, error, 15 * (panels + 1)
+    raise backend.QuadratureError(
+        "no convergence on [%r, %r] (panels=%d, err=%.3e, rounding=%.3e, tol=%.3e)"
+        % (a, b, panels, error, rounding, tol)
+    )
+
+
+def vm_scaled_mass_k_panels(kappa, a, b, tol):
     """`backend.vm_scaled_mass` on the references above."""
     if b <= a:
         return 0.0, 0.0, 0
@@ -406,8 +445,7 @@ def vm_scaled_mass_stack_only(kappa, a, b, tol):
     settled = narrow_gauss7(kappa, f, a, b, tol) or kronrod_class(kappa, f, a, b, tol)
     if settled is not None:
         return settled
-    certify = kronrod_ellipse_bound(kappa) if kappa > 0.0 else None
-    return adaptive_gk15_stack_only(vm_panel_index_loop, -2.0 * kappa, a, b, tol, certify)
+    return kronrod_k_panels(vm_panel_index_loop, -2.0 * kappa, kappa, a, b, tol)
 
 
 def _sin_per_node_sums(kappa):

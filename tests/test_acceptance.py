@@ -9,6 +9,7 @@ import math
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 from references import (
     adaptive_quadrature,
@@ -270,6 +271,71 @@ def test_criterion_7_matching_the_variance_shrinks_the_gap():
         "matched-scale gain",
         worst <= 1.0 and elapsed < 0.3,
         "worst kappa*miss=%.3f runtime=%.2fs" % (worst, elapsed),
+    )
+
+
+def _kl_limit(c):
+    # write the normal's variance as v^2 = (1 + c/kappa)/kappa; then f/g =
+    # 1 + r_c(z)/kappa + O(kappa^-2), z = t sqrt(kappa), with r_c = z^4/24 -
+    # 1/8 - c (z^2 - 1)/2, and as E_g[r_c] = 0, kappa^2 KL(f || g) tends to
+    # E[r_c(z)^2] / 2 for z standard normal, whose moments are E z^n = (n - 1)!!
+    r = {4: Fraction(1, 24), 2: -c / 2, 0: Fraction(-1, 8) + c / 2}
+    square = {}
+    for i, a in r.items():
+        for j, b in r.items():
+            square[i + j] = square.get(i + j, 0) + a * b
+    return sum(coef * math.prod(range(n - 1, 0, -2)) for n, coef in square.items()) / 2
+
+
+def _kappa2_kl(vm, v, tol):
+    # kappa^2 KL(f || g), g the normal density of scale v about mu = 0.
+    # Both laws hold all but e^-90 of their mass on |t| <= 14/sqrt(kappa),
+    # so KL = int f (rho - 1 + e^-rho) there, rho = log(f/g): an integrand
+    # >= 0 with no cancellation.  rho is the exact log-ratio against the
+    # package's scale s = sqrt(2) sigma plus the log of the ratio of the
+    # two normal densities
+    s = SQRT2 * vm.sigma
+    shift = math.log(v / s)
+    curvature = 0.5 * (1.0 / (v * v) - 1.0 / (s * s))
+
+    def integrand(t):
+        rho = log_ratio_exact(vm, t) + shift + curvature * (t * t)
+        return vm_density(vm, t) * (rho + math.expm1(-rho))
+
+    half = adaptive_quadrature(integrand, 0.0, 14.0 / math.sqrt(vm.kappa), 0.5 * tol).value
+    return vm.kappa ** 2 * 2.0 * half
+
+
+def test_criterion_7_resultant_length_minimises_kl():
+    # kappa^2 KL(f || g) -> (1/6 - c/2 + c^2/2)/2 for v^2 = (1 + c/kappa)/kappa:
+    # 1/12 with the textbook scale 1/sqrt(kappa) (c = 0), 7/192 with the
+    # package's sqrt(2) sigma (c = 1/4, the sup-optimal scale of the test
+    # above) and 1/48 with the resultant-length scale v^2 = -2 log(1 -
+    # sigma^2) (c = 1/2), which is the minimum over c.  That scale's
+    # sqrt(kappa) sup|f - g| tends to the textbook's phi(0)/8, not to
+    # phi(1)/12: each variance is optimal for one distance only
+    t0 = time.perf_counter()
+    limits = {c: _kl_limit(c) for c in (Fraction(0), Fraction(1, 4), Fraction(1, 2))}
+    derived = all(limit == (Fraction(1, 6) - c / 2 + c * c / 2) / 2 for c, limit in limits.items())
+    derived = derived and list(limits.values()) == [Fraction(1, 12), Fraction(7, 192), Fraction(1, 48)]
+    derived = derived and _kl_limit(Fraction(49, 100)) > limits[Fraction(1, 2)] < _kl_limit(Fraction(51, 100))
+    worst = 0.0  # the largest kappa * |kappa^2 KL / limit - 1|, which must stay <= 4
+    worst_sup = 0.0  # the largest kappa * |sqrt(kappa) sup gap / (phi(0)/8) - 1|, <= 1
+    for k in [256.0, 1024.0, 4096.0]:
+        vm = VonMisesParams(0.0, k)
+        resultant = math.sqrt(-2.0 * math.log1p(-vm.variance))
+        for v, limit in zip((1.0 / math.sqrt(k), SQRT2 * vm.sigma, resultant), limits.values()):
+            got = _kappa2_kl(vm, v, 1e-6 / k ** 2)
+            worst = max(worst, k * abs(got / float(limit) - 1.0))
+        gap = _sup_density_gap(vm, WrappedNormalParams(0.0, resultant), 12.0 / math.sqrt(k))
+        worst_sup = max(worst_sup, k * abs(math.sqrt(k) * gap / (normal_pdf(0.0) / 8.0) - 1.0))
+    elapsed = time.perf_counter() - t0
+    _report(
+        7,
+        "KL-optimal scale",
+        derived and worst <= 4.0 and worst_sup <= 1.0 and elapsed < 0.3,
+        "limits derived=%s worst kappa*miss KL=%.3f sup=%.3f runtime=%.2fs"
+        % (derived, worst, worst_sup, elapsed),
     )
 
 

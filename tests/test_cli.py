@@ -206,8 +206,8 @@ def test_error_scan_needs_kappa_min_below_kappa_max(lo, hi, capsys):
 
 
 CDF_QUAD_ARGS = ["eval", "--mu", "0", "--kappa", "100", "--x", "0.1", "--quantity", "cdf-quad"]
-# no panel of the mass on [mu, x] meets this tolerance before the fixed
-# bisection depth (x = mu would need no quadrature at all)
+# the rounding allowance of the mass on [mu, x] alone exceeds this
+# tolerance (x = mu would need no quadrature at all)
 FAILING_CDF_QUAD_ARGS = ["eval", "--mu", "0", "--kappa", "100", "--x", "-2.0",
                          "--quantity", "cdf-quad", "--tol", "1e-300"]
 
@@ -744,7 +744,7 @@ def test_runs_build_the_parser_once(fresh_parser, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "command, text",
     [
-        ("eval", "quadrature tolerance, read only by cdf-quad"),
+        ("eval", "quadrature tolerance, read only by cdf-quad; certified for any x from 2e-14"),
         ("table", "quadrature tolerance"),
         ("error-scan", "quadrature tolerance"),
         ("convergence", "wrapped-normal lattice truncation tolerance"),
@@ -753,8 +753,8 @@ def test_runs_build_the_parser_once(fresh_parser, monkeypatch, capsys):
 def test_tol_help_says_what_each_subcommand_uses_it_for(command, text, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text to the terminal
     assert run([command, "--help"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split(None, 2)[2] for line in lines if line.startswith("  --tol TOL")] == [text]
+    help_text = capsys.readouterr().out.split("\n  --tol TOL", 1)[1].split("\n  --", 1)[0]
+    assert " ".join(help_text.split()) == text
 
 
 def test_build_parser_returns_a_new_parser():

@@ -3,7 +3,6 @@ import math
 import random
 import re
 import sys
-import time
 
 import pytest
 from references import (
@@ -11,20 +10,19 @@ from references import (
     KRONROD_CLASS_WIDTH2,
     NARROW_ERROR_PER_WIDTH,
     NARROW_WIDTH2,
-    adaptive_gk15_stack_only,
     adaptive_quadrature,
     bessel_i0_integral,
     gauss7_ellipse_bound,
     gauss7_panel,
     gk15_panel,
-    kronrod_ellipse_bound,
     kronrod_class,
     kronrod_ellipse_certificate,
+    kronrod_k_panels,
     narrow_gauss7,
     rule_width,
     scaled_density,
     vm_panel_index_loop,
-    vm_scaled_mass_stack_only,
+    vm_scaled_mass_k_panels,
 )
 
 from circbridge import backend, bessel, cli, expansions, oracle
@@ -123,33 +121,72 @@ def test_vm_scaled_mass_matches_generic_engine_bitwise(kappa, hi):
     # the in-line vm panel must be the generic panel applied to the
     # scaled density, operation for operation, and the narrow rule the
     # generic panel's Gauss half ([-pi, -3] is narrow at kappa = 0.5 and
-    # in the Kronrod class at kappa = 100)
+    # in the Kronrod class at kappa = 100); at kappa >= 2048, 64 equal
+    # panels can be too wide for the peak inside [-pi, hi], and then both
+    # raise the same error
     def f(t):
         u = math.sin(0.5 * t)
         return math.exp(-2.0 * kappa * (u * u))
 
-    got = backend.vm_scaled_mass(kappa, -math.pi, hi, 1e-13)
-    ref = (
-        narrow_gauss7(kappa, f, -math.pi, hi, 1e-13)
-        or kronrod_class(kappa, f, -math.pi, hi, 1e-13)
-        or adaptive_gk15_stack_only(gk15_panel, f, -math.pi, hi, 1e-13, kronrod_ellipse_bound(kappa))
-    )
-    assert got == ref
+    def reference(kappa, a, b, tol):
+        return (
+            narrow_gauss7(kappa, f, a, b, tol)
+            or kronrod_class(kappa, f, a, b, tol)
+            or kronrod_k_panels(gk15_panel, f, kappa, a, b, tol)
+        )
+
+    got = _mass_or_error(backend.vm_scaled_mass, kappa, -math.pi, hi, 1e-13)
+    assert got == _mass_or_error(reference, kappa, -math.pi, hi, 1e-13)
 
 
-def test_vm_scaled_mass_raises_once_its_panel_budget_is_spent():
-    # tol at the panels' rounding noise: some panels pass and others fail,
-    # so without the budget the depth-first walk could visit ~2^40 panels
-    # before one reaches MAX_DEPTH
-    a, b = -0.009194654792658241, -0.009194542863874989
-    start = time.perf_counter()
-    with pytest.raises(QuadratureError, match="within %d panels" % backend.MAX_PANELS) as info:
-        backend.vm_scaled_mass(5813591.037352941, a, b, 2.380096336369539e-129)
-    assert time.perf_counter() - start < 1.0
-    # the message names the failing panel by ends that round-trip, so a
-    # panel narrower than 6 significant digits still prints two ends
-    lo, hi = map(float, re.search(r"on \[(\S+), (\S+)\]", str(info.value)).groups())
-    assert a <= lo < hi <= b
+def test_vm_scaled_mass_evaluates_at_most_65_panels(monkeypatch):
+    # counted at `_vm_panel`: a call evaluates one panel, then k <= 64
+    # more, and the count it returns is 15 per panel.  A call raises with
+    # none of the k panels run when its first panel's rounding allowance
+    # 50 eps K reaches tol (panels=1) or 64 panels cannot be certified
+    # (panels=64), else after all k.  The first case puts tol at the
+    # panels' rounding noise on a narrow interval, where some panels pass
+    # |K - G| and others fail; the next two lie over the mode, where 64
+    # panels are too wide
+    panel = backend._vm_panel
+    spans = []
+
+    def recorded(m, a, b):
+        spans.append((a, b))
+        return panel(m, a, b)
+
+    monkeypatch.setattr(backend, "_vm_panel", recorded)
+    cases = [
+        (5813591.037352941, -0.009194654792658241, -0.009194542863874989, 2.380096336369539e-129),
+        (2048.0, -math.pi, math.pi, 1e-13),
+        (1e5, -math.pi, 0.02, 1e-13),
+    ]
+    cases += _scaled_mass_cases(random.Random(20261105), 2000) + _k_panel_cases(random.Random(20261107), 1000)
+    outcomes = dict.fromkeys(["one rule", "k panels", "rounding", "64 panels"], 0)
+    for kappa, a, b, tol in cases:
+        del spans[:]
+        try:
+            _value, _error, evaluations = backend.vm_scaled_mass(kappa, a, b, tol)
+        except QuadratureError as exc:
+            # the message names the call's ends so that they round-trip,
+            # so a panel narrower than 6 significant digits prints two ends
+            ends = tuple(map(float, re.search(r"on \[(\S+), (\S+)\]", str(exc)).groups()))
+            assert ends == (a, b)
+            k = int(re.search(r"panels=(\d+)", str(exc)).group(1))
+            if 50.0 * sys.float_info.epsilon * panel(-2.0 * kappa, a, b)[0] >= tol:
+                assert k == len(spans) == 1, (kappa, a, b, tol)
+                outcomes["rounding"] += 1
+            elif len(spans) == 1:
+                assert k == 64, (kappa, a, b, tol)
+                outcomes["64 panels"] += 1
+            else:
+                assert len(spans) == k + 1, (kappa, a, b, tol)
+        else:
+            assert len(spans) == evaluations // 15
+            outcomes["one rule" if len(spans) <= 1 else "k panels"] += 1
+        assert len(spans) <= 65
+    assert outcomes["64 panels"] >= 2, outcomes
+    assert min(outcomes["one rule"], outcomes["k panels"], outcomes["rounding"]) >= 200, outcomes
 
 
 def _mass_or_error(mass, kappa, a, b, tol):
@@ -159,36 +196,37 @@ def _mass_or_error(mass, kappa, a, b, tol):
         return str(exc)
 
 
-def test_vm_scaled_mass_and_panel_equal_the_stack_only_references():
-    # the kernel's one stack loop, its node-table panel, its narrow
-    # Gauss-7 rule, its Kronrod class and its ellipse bound match the
+def test_vm_scaled_mass_and_panel_equal_the_k_panel_references():
+    # the kernel's node-table panel, its narrow Gauss-7 rule, its Kronrod
+    # class, its ellipse bound and its k equal panels match the
     # references in every bit of a value, error estimate, count or error
     # message, whether the narrow rule settles the call, the first panel
     # passes on its Gauss/Kronrod estimate, on the class's constant or on
-    # the ellipse bound, the interval is bisected or the call raises.
+    # the ellipse bound, k panels settle it or the call raises.
     # Three cases in ten are panels a few sigma wide about the mode, at
     # the tols where a first panel fails |K - G| and a bound can certify
     # it; 400 more lie within the narrow width, at tols about the narrow
     # rule's error, and 400 within the class width, about the class's
     rng = random.Random(20261019)
-    outcomes = dict.fromkeys(["narrow", "first panel", "class", "certified", "bisected", "error"], 0)
+    outcomes = dict.fromkeys(["narrow", "first panel", "class", "certified", "k panels", "error"], 0)
     cases = (
         _scaled_mass_cases(rng, 2000)
         + _narrow_cases(random.Random(20261031), 400)
         + _class_cases(random.Random(20261102), 400)
+        + _k_panel_cases(random.Random(20261106), 400)
     )
     for kappa, a, b, tol in cases:
         panel = backend._vm_panel(-2.0 * kappa, a, b)
         assert panel == vm_panel_index_loop(-2.0 * kappa, a, b)
         assert backend._vm_gauss7(-2.0 * kappa, a, b) == gauss7_panel(scaled_density(kappa), a, b)
         got = _mass_or_error(backend.vm_scaled_mass, kappa, a, b, tol)
-        assert got == _mass_or_error(vm_scaled_mass_stack_only, kappa, a, b, tol)
+        assert got == _mass_or_error(vm_scaled_mass_k_panels, kappa, a, b, tol)
         if isinstance(got, str):
             outcomes["error"] += 1
         elif got[2] == 7:
             outcomes["narrow"] += 1
         elif got[2] > 15:
-            outcomes["bisected"] += 1
+            outcomes["k panels"] += 1
         elif panel[1] <= tol:
             outcomes["first panel"] += 1
         elif got[1] == _class_error(a, b, got[0]):
@@ -238,6 +276,21 @@ def _class_cases(rng, count):
         width = rng.uniform(0.5, 1.0) * rule_width(kappa, KRONROD_CLASS_WIDTH2)
         a = -width * rng.random()
         cases.append((kappa, a, a + width, width * 10.0 ** rng.uniform(-12.6, -11.6)))
+    return cases
+
+
+def _k_panel_cases(rng, count):
+    # the segments of point CDFs past the class, [0, t] or [-t, 0] with t
+    # 3 to 20 sigma (at most pi), at tols from the contract's floor 2e-14
+    # up, times the segment's mass scale: one panel fails there, and k
+    # panels settle most of them
+    cases = []
+    for _ in range(count):
+        kappa = 10.0 ** rng.uniform(-3.0, 8.0)
+        sigma = min(1.0 / math.sqrt(kappa), 1.0)
+        t = min(rng.uniform(3.0, 20.0) * sigma, math.pi)
+        a = -t if rng.random() < 0.5 else 0.0
+        cases.append((kappa, a, a + t, sigma * 10.0 ** rng.uniform(-13.4, -9.0)))
     return cases
 
 
@@ -357,8 +410,8 @@ def test_kronrod_class_is_within_its_error_of_mpmath():
 
 def test_a_class_panel_that_fails_is_not_evaluated_again(monkeypatch):
     # at kappa = 1/2 on [0, 3] and tol 1e-13 the class panel fails |K - G|
-    # and beta w = 9e-13, so it becomes the loop's first panel: the loop
-    # bisects, and each panel, that one too, is evaluated once
+    # and beta w = 9e-13, and the ellipse bound cannot certify it either:
+    # k equal panels follow, and each panel, that one too, is evaluated once
     panel = backend._vm_panel
     spans = []
 
@@ -400,12 +453,37 @@ def test_vm_scaled_mass_certified_panels_are_within_their_estimate():
             err = backend._vm_panel(-2.0 * kappa, a, b)[1]
             try:
                 value, estimate, evaluations = backend.vm_scaled_mass(kappa, a, b, 0.5 * err)
-            except QuadratureError:  # bisected, and the halves fail too
+            except QuadratureError:  # k panels cannot be certified either
                 continue
             if err > 0.0 and evaluations == 15:
                 certified += 1
                 assert abs(value - _mpmath_mass(mpmath, kappa, a, b)) <= estimate, (kappa, a, b)
     assert certified >= 100
+
+
+def test_k_panel_segments_are_within_their_error_of_mpmath():
+    # 300 seeded point-CDF segments [0, t], t up to the sweep's reach
+    # min(pi, 20 sigma), that one panel cannot settle at a CDF tol of
+    # 1e-9, 1e-12, 1e-13 or the contract's floor 2e-14: each takes at
+    # most 8 equal panels and lies within its returned error of the
+    # integral at 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20261108)
+    found = 0
+    with mpmath.workdps(40):
+        for _ in range(5000):
+            p = VonMisesParams(0.0, 10.0 ** rng.uniform(-3.0, 8.0))
+            t = rng.uniform(0.0, min(math.pi, 20.0 * p.sigma))
+            tol = rng.choice((1e-9, 1e-12, 1e-13, 2e-14)) * (2.0 * math.pi * p.i0e)
+            value, error, evaluations = backend.vm_scaled_mass(p.kappa, 0.0, t, tol)
+            if evaluations <= 15:
+                continue
+            assert evaluations <= 15 * (8 + 1), (p.kappa, t, tol)
+            assert abs(value - _mpmath_mass(mpmath, p.kappa, 0.0, t)) <= error, (p.kappa, t, tol)
+            found += 1
+            if found == 300:
+                break
+    assert found == 300
 
 
 # --------------------------------------------------- integral representation
@@ -492,8 +570,11 @@ def test_vm_cdf_nonconvergence_raises():
     # x = mu needs no quadrature, so the failing points lie off the mode;
     # at kappa = 0.5 shorter segments (x = 1.0, -2.0, 3.0) still converge
     cases = [(0.5, math.pi)] + [(k, x) for k in (100.0, 500.0, 3000.0) for x in (1.0, -2.0)]
+    # at tol 1e-300 the first panel's rounding allowance 50 eps K alone
+    # exceeds the segment's tol, so the call raises after that one panel
+    message = r"^no convergence on \[0\.0, \S+\] \(panels=1, err=\S+, rounding=\S+, tol=\S+\)$"
     for kappa, x in cases:
-        with pytest.raises(QuadratureError, match="at depth 40"):
+        with pytest.raises(QuadratureError, match=message):
             vm_cdf_quadrature(VonMisesParams(0.0, kappa), x, 1e-300)
 
 
@@ -558,6 +639,20 @@ def test_vm_cdf_sweep_matches_per_point_within_tol(kappa, tol):
     assert len(swept) == len(xs)
     for x, f in zip(xs, swept):
         assert abs(f - vm_cdf_quadrature(p, x, tol)) <= tol
+
+
+def test_vm_cdf_sweep_gives_the_tail_past_reach_one_share_of_tol():
+    # `table --kappa 1e7 --grid 2001`'s points: 2,001 offsets 1.58 sigma
+    # apart, all but about 25 past the 20 sigma reach.  A share of tol for
+    # each of their ~1,000 segments would give the one over the mode less
+    # than its rounding allowance 50 eps K at the default tol; with one
+    # share for the whole tail it is certified, and each value is within
+    # tol of the per-point one
+    p = VonMisesParams(0.0, 1e7)
+    xs = [1.58 * p.sigma * j for j in range(-1000, 1001)]
+    swept = vm_cdf_sweep(p, xs)
+    for x, f in zip(xs[980:1021], swept[980:1021]):
+        assert abs(f - vm_cdf_quadrature(p, x)) <= 1e-12
 
 
 @pytest.mark.parametrize("lo", [-25.0, -19.0])
