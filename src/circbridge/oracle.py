@@ -6,7 +6,6 @@ the `table` rows and the residual scans over the bulk, and the log-log
 slope fit used to measure decay orders.
 """
 
-import bisect
 import math
 import sys
 from collections import namedtuple
@@ -90,7 +89,9 @@ def vm_cdf_sweep(params: VonMisesParams, xs, tol: float = 1e-12) -> list[float]:
     starts below the reach, and M is their running sum; so the cost grows
     with the distinct offsets within 20 sigma.  Each such segment gets an
     equal share of tol, and so does the whole tail past the reach when a
-    cut lies there.  A cut past the reach gets the mass at the reach:
+    cut lies there; a segment its share cannot certify runs again, after
+    the others, on an equal part of what they left unused.  A cut past
+    the reach gets the mass at the reach:
     there the integrand is at most e^-40 of its peak, and the whole tail
     holds less than e^-40 / 5 of the mass up to the reach, under half
     an ulp of it, so integrating it would change no bit.  F(mu) is
@@ -112,15 +113,27 @@ def vm_cdf_sweep(params: VonMisesParams, xs, tol: float = 1e-12) -> list[float]:
         offsets.add(reach)
     cuts = sorted(offsets)
     inv_norm = 1.0 / (2.0 * math.pi * params.i0e)
-    shares = bisect.bisect_left(cuts, reach) + 1 if cuts[-1] > reach else max(len(cuts) - 1, 1)
-    seg_tol = tol / inv_norm / shares
+    n = cuts.index(reach) if cuts[-1] > reach else len(cuts) - 1  # segments below the reach
+    seg_tol = tol / inv_norm / max(n + (1 if cuts[-1] > reach else 0), 1)
     kappa = params.kappa
+    late, spent = set(), 0.0  # lower ends of the segments their share cannot certify; others' error
     half = {0.0: 0.0}  # inv_norm times the mass on [0, cut], by cut
     mass = 0.0
-    for lo, hi in zip(cuts, cuts[1:]):
-        if lo < reach:
-            mass += backend.vm_scaled_mass(kappa, lo, hi, seg_tol)[0]
+    for lo, hi in zip(cuts, cuts[1 : n + 1]):
+        try:
+            val, err, _ = backend.vm_scaled_mass(kappa, lo, hi, seg_tol)
+        except QuadratureError:
+            late.add(lo)
+            val = err = 0.0
+        mass += val
+        spent += err
         half[hi] = inv_norm * mass
+    if late:  # again, each late one on an equal part of what the others left unused
+        late_tol, mass = (n * seg_tol - spent) / len(late), 0.0
+        for lo, hi in zip(cuts, cuts[1 : n + 1]):
+            mass += backend.vm_scaled_mass(kappa, lo, hi, late_tol if lo in late else seg_tol)[0]
+            half[hi] = inv_norm * mass
+    half.update(dict.fromkeys(cuts[n + 1 :], inv_norm * mass))
     return [0.5 - half[-t] if t < 0.0 else 0.5 + half[t] for t in ts]
 
 

@@ -134,8 +134,10 @@ def vm_cdf_sweep_every_segment(params, xs, tol: float):
     """`vm_cdf_sweep` integrating every segment, those past 20 sigma too,
     each to the sweep's share of tol.
 
-    xs must lie in the principal window (mu - pi, mu + pi] and tol must be
-    valid; neither is checked here.
+    A segment below 20 sigma that raises at its share is integrated again
+    once all of them have run, to an equal part of the shares the others
+    left unused.  xs must lie in the principal window (mu - pi, mu + pi]
+    and tol must be valid; neither is checked here.
     """
     ts = [x - params.mu for x in xs]
     reach = min(math.pi, 20.0 * params.sigma)
@@ -144,12 +146,25 @@ def vm_cdf_sweep_every_segment(params, xs, tol: float):
         offsets.add(reach)
     cuts = sorted(offsets)
     inv_norm = 1.0 / (2.0 * math.pi * params.i0e)
-    seg_tol = tol / inv_norm / max(sum(lo < reach for lo in cuts[:-1]) + (cuts[-1] > reach), 1)
+    below = sum(lo < reach for lo in cuts[:-1])
+    seg_tol = tol / inv_norm / max(below + (cuts[-1] > reach), 1)
+    parts = {}
+    spent = 0.0
+    for lo, hi in zip(cuts[:below], cuts[1 : below + 1]):
+        try:
+            parts[lo], err, _n = backend.vm_scaled_mass(params.kappa, lo, hi, seg_tol)
+            spent += err
+        except backend.QuadratureError:
+            pass
+    retried = [(lo, hi) for lo, hi in zip(cuts[:below], cuts[1 : below + 1]) if lo not in parts]
+    for lo, hi in retried:
+        parts[lo] = backend.vm_scaled_mass(params.kappa, lo, hi, (below * seg_tol - spent) / len(retried))[0]
     half = {0.0: 0.0}
     mass = 0.0
     for lo, hi in zip(cuts, cuts[1:]):
-        part, _err, _n = backend.vm_scaled_mass(params.kappa, lo, hi, seg_tol)
-        mass += part
+        if lo not in parts:
+            parts[lo] = backend.vm_scaled_mass(params.kappa, lo, hi, seg_tol)[0]
+        mass += parts[lo]
         half[hi] = inv_norm * mass
     return [0.5 - half[-t] if t < 0.0 else 0.5 + half[t] for t in ts]
 

@@ -21,6 +21,7 @@ from references import (
     narrow_gauss7,
     rule_width,
     scaled_density,
+    vm_cdf_sweep_every_segment,
     vm_panel_index_loop,
     vm_scaled_mass_k_panels,
 )
@@ -115,6 +116,16 @@ def test_vm_scaled_mass_empty_interval():
     assert backend.vm_scaled_mass(5.0, 1.0, 1.0, 1e-10) == (0.0, 0.0, 0)
 
 
+def test_vm_scaled_mass_at_kappa_zero_passes_its_first_panel_exactly():
+    # at kappa = 0 every node gives 1.0, so K and G are the two weight sums
+    # times h on any [a, b]; those sums are equal in floating point, so the
+    # first panel passes at any tol and the ellipse bound, which has no
+    # value at kappa = 0, is never reached
+    value, error, evaluations = backend.vm_scaled_mass(0.0, 0.0, 3.1, 1e-300)
+    assert (error, evaluations) == (0.0, 15)
+    assert abs(value - 3.1) <= 4.0 * sys.float_info.epsilon * 3.1
+
+
 @pytest.mark.parametrize("kappa", [0.5, 5.0, 100.0, 2048.0, 1e5])
 @pytest.mark.parametrize("hi", [-3.0, -0.01, 0.02, 0.5, math.pi])
 def test_vm_scaled_mass_matches_generic_engine_bitwise(kappa, hi):
@@ -124,19 +135,33 @@ def test_vm_scaled_mass_matches_generic_engine_bitwise(kappa, hi):
     # in the Kronrod class at kappa = 100); at kappa >= 2048, 64 equal
     # panels can be too wide for the peak inside [-pi, hi], and then both
     # raise the same error
+    got = _mass_or_error(backend.vm_scaled_mass, kappa, -math.pi, hi, 1e-13)
+    assert got == _mass_or_error(_generic_engine, kappa, -math.pi, hi, 1e-13)
+
+
+@pytest.mark.parametrize("kappa", [2048.0, 1e5])
+@pytest.mark.parametrize("ends", [(0.0, 20.0), (-10.0, 10.0), (-3.0, 17.0)])
+def test_vm_scaled_mass_k_panels_over_the_mode_match_generic_engine_bitwise(kappa, ends):
+    # 20 sigma, the widest segment the CDF sweep integrates, with the
+    # mode at an end or inside: certified on 2 .. 64 equal panels
+    sigma = VonMisesParams(0.0, kappa).sigma
+    a, b = ends[0] * sigma, ends[1] * sigma
+    got = backend.vm_scaled_mass(kappa, a, b, 1e-13)
+    assert 15 < got[2] <= 15 * 65
+    assert got == _generic_engine(kappa, a, b, 1e-13)
+
+
+def _generic_engine(kappa, a, b, tol):
+    # the kernel's routes on the generic panel and the scaled density
     def f(t):
         u = math.sin(0.5 * t)
         return math.exp(-2.0 * kappa * (u * u))
 
-    def reference(kappa, a, b, tol):
-        return (
-            narrow_gauss7(kappa, f, a, b, tol)
-            or kronrod_class(kappa, f, a, b, tol)
-            or kronrod_k_panels(gk15_panel, f, kappa, a, b, tol)
-        )
-
-    got = _mass_or_error(backend.vm_scaled_mass, kappa, -math.pi, hi, 1e-13)
-    assert got == _mass_or_error(reference, kappa, -math.pi, hi, 1e-13)
+    return (
+        narrow_gauss7(kappa, f, a, b, tol)
+        or kronrod_class(kappa, f, a, b, tol)
+        or kronrod_k_panels(gk15_panel, f, kappa, a, b, tol)
+    )
 
 
 def test_vm_scaled_mass_evaluates_at_most_65_panels(monkeypatch):
@@ -653,6 +678,25 @@ def test_vm_cdf_sweep_gives_the_tail_past_reach_one_share_of_tol():
     swept = vm_cdf_sweep(p, xs)
     for x, f in zip(xs[980:1021], swept[980:1021]):
         assert abs(f - vm_cdf_quadrature(p, x)) <= 1e-12
+
+
+@pytest.mark.parametrize("kappa", [1.0, 50.0, 1e4])
+def test_vm_cdf_sweep_gives_a_segment_its_share_cannot_certify_the_unused_tol(kappa):
+    # 2,000 points 1e-3 sigma apart from the mode and one at 19 sigma: the
+    # last segment holds most of the mass, and its rounding allowance
+    # 50 eps K alone exceeds its even share of tol, so it is integrated
+    # again on what the 2,000 narrow segments left; each value is within
+    # tol of the per-point one
+    p = VonMisesParams(0.0, kappa)
+    xs = [1e-3 * p.sigma * j for j in range(2000)] + [min(math.pi, 19.0 * p.sigma)]
+    tol = 1e-12
+    share = tol * 2.0 * math.pi * p.i0e / 2000
+    with pytest.raises(backend.QuadratureError):
+        backend.vm_scaled_mass(kappa, xs[1999], xs[2000], share)
+    swept = vm_cdf_sweep(p, xs, tol)
+    assert swept == vm_cdf_sweep_every_segment(p, xs, tol)
+    for x, f in zip(xs[::100] + xs[-1:], swept[::100] + swept[-1:]):
+        assert abs(f - vm_cdf_quadrature(p, x, tol)) <= tol
 
 
 @pytest.mark.parametrize("lo", [-25.0, -19.0])
