@@ -7,11 +7,13 @@ Subcommands:
   convergence  sup density gap between matched circular laws
 
 Output is CSV (default) or JSON, to stdout or --out.  Identical argument
-vectors produce byte-identical output.  Every setting is a command-line
-option.  Quadrature returns a value only under a certified error: one rule
-per segment, or else k <= 64 equal Kronrod panels, k fixed by an ellipse
-bound before any runs.  Every point CDF is certified at --tol >= 2e-14;
-a --tol a segment cannot be certified to is a numerical failure.
+vectors produce byte-identical output.  A CSV table converts each number
+that two exactly mirrored rows share to text once.  Every setting is a
+command-line option.  Quadrature returns a value only under a certified
+error: one rule per segment, or else k <= 64 equal Kronrod panels, k fixed
+by an ellipse bound before any runs.  Every point CDF is certified at
+--tol >= 2e-14; a --tol a segment cannot be certified to is a numerical
+failure.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure.
 """
@@ -19,6 +21,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure.
 import argparse
 import functools
 import math
+import operator
 import sys
 
 from . import __version__, oracle
@@ -42,6 +45,19 @@ from .expansions import (
 )
 from .oracle import TABLE_COLUMNS
 
+# Both laws are even about mu: on rows j and n - 1 - j of a table whose
+# offsets t = x - mu are exact negatives, `oracle.table_rows` shares one float
+# object per even column and negates the odd ones, positive in the upper row.
+# So a lower line takes those cells from the upper line: repr(-v) is
+# "-" + repr(v) for v with a clear sign bit.  The other four are each row's own.
+_EVEN = ("vm_density", "ref_normal_density", "logratio_exact", "logratio_order1",
+         "logratio_order2", "residual_log")
+_ODD = ("delta", "delta_tilde")
+_LOWER_LINE = ",".join("-%s" if c in _ODD else "%s" for c in TABLE_COLUMNS)
+_LOWER_CELLS = operator.itemgetter(
+    *(k if c in _EVEN + _ODD else len(TABLE_COLUMNS) + k for k, c in enumerate(TABLE_COLUMNS))
+)
+
 # each --quantity name and its public call on (params, x, tol); a call looks
 # its function up as it runs, so a wrapper later set on the name sees it
 _EVAL_CALLS = {
@@ -64,6 +80,18 @@ def _fmt(x, precision):
     if isinstance(x, float) and precision < 17:
         return format(x, ".%dg" % precision)
     return str(x)
+
+
+def _table_lines(rows, line):
+    """CSV lines of table rows; a mirror pair's lower line reuses its upper line's strings."""
+    h = len(rows) // 2
+    upper = [line % row for row in rows[h:]]
+    mark = TABLE_COLUMNS.index(_EVEN[0])  # one object there marks a mirror pair
+    lower = [
+        _LOWER_LINE % _LOWER_CELLS((*cells.split(","), *lo)) if lo[mark] is hi[mark] else line % lo
+        for lo, hi, cells in zip(rows[:h], reversed(rows), reversed(upper))
+    ]
+    return lower + upper
 
 
 def _json_value(x, precision):
@@ -90,7 +118,8 @@ def _emit(rows, header, meta, args):
             # "%s" is str, so each value prints as _fmt(v, 17): a float as
             # its repr, a label as itself
             line = ",".join(["%s"] * len(header))
-            lines.extend(line % row for row in rows)
+            table = header == TABLE_COLUMNS
+            lines.extend(_table_lines(rows, line) if table else (line % row for row in rows))
         else:
             lines.extend(",".join(_fmt(v, precision) for v in row) for row in rows)
         text = "\n".join(lines) + "\n"

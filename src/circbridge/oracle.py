@@ -198,8 +198,12 @@ def table_rows(params: VonMisesParams, spec: BulkSpec, size: int, tol: float = 1
     """Rows of TABLE_COLUMNS on the bulk grid `spec.grid(params, size)`.
 
     Each row holds, bit for bit, what the point functions give at its x,
-    with F(x) from `vm_cdf_sweep` at tol.  Raises ValueError before any
-    quadrature where the log_ratio or cdf remainder scale is not finite
+    with F(x) from `vm_cdf_sweep` at tol.  Both laws are even about mu, so
+    rows j and size - 1 - j whose offsets t = x - mu are exact negatives
+    are computed once, at t > 0: the lower row holds the upper row's float
+    objects in the columns even in t, the deviates negated, and 1 - v for
+    its cdf expansion v, as the cores give at -t.  Raises ValueError before
+    any quadrature where the log_ratio or cdf remainder scale is not finite
     at the grid's outer deviate, as `eval` does at one point.
     """
     dts, xs = spec.grid(params, size)
@@ -215,31 +219,28 @@ def table_rows(params: VonMisesParams, spec: BulkSpec, size: int, tol: float = 1
     log_i0e, half_log_var = _log_ratio_constants(params)
     # the sweep has rejected every offset t outside (-pi, pi]; on that
     # window wrap_angle(t) is t itself, -0.0 included
-    rows = []
-    for x, cq in zip(xs, cdf_quad):
+    rows = [None] * size
+    # the upper half from mu, each row with its exact mirror, then the
+    # lower rows left
+    for j in (*range(size // 2, size), *range(size // 2)):
+        if rows[j] is not None:
+            continue
+        x, cq = xs[j], cdf_quad[j]
         t = x - mu
         delta = t / sigma
         dt = delta / SQRT2
+        f = _vm_density_value(kappa, i0e, t)
+        g = _reference_density_value(dt, width)
         lre = _log_ratio_exact_value(kappa, log_i0e, half_log_var, t, delta)
         lr1 = _first_order_term(dt, u)
         lr2 = lr1 + _log_ratio_second_term(dt, uu)
         ca = _cdf_expansion_value(dt, u, uu)
-        rows.append(
-            (
-                x,
-                delta,
-                dt,
-                _vm_density_value(kappa, i0e, t),
-                _reference_density_value(dt, width),
-                lre,
-                lr1,
-                lr2,
-                cq,
-                ca,
-                abs(lre - lr2),
-                abs(cq - ca),
-            )
-        )
+        rl = abs(lre - lr2)
+        rows[j] = (x, delta, dt, f, g, lre, lr1, lr2, cq, ca, rl, abs(cq - ca))
+        m = size - 1 - j
+        if m < j and 0.0 < t == mu - xs[m]:
+            x, cq, ca = xs[m], cdf_quad[m], 1.0 - ca
+            rows[m] = (x, -delta, -dt, f, g, lre, lr1, lr2, cq, ca, rl, abs(cq - ca))
     return rows
 
 

@@ -59,7 +59,9 @@ def _table_rows(kappa, mu, grid, capsys):
     return [[float(f) for f in line.split(",")] for line in lines[1:]]
 
 
-@pytest.mark.parametrize("kappa, mu", [(8.0, 0.0), (4096.0, 1.3), (600.75, 5.5)])
+# at mu = 0.3, 42 of the 100 mirror pairs of a 201-point grid at kappa 4096
+# have offsets that are not exact negatives, and are computed row by row
+@pytest.mark.parametrize("kappa, mu", [(8.0, 0.0), (4096.0, 1.3), (600.75, 5.5), (4096.0, 0.3)])
 def test_table_columns_equal_point_functions_bitwise(kappa, mu, capsys):
     params = VonMisesParams(mu, kappa)
     rows = oracle.table_rows(params, BulkSpec.fixed(0.5), 201, 1e-12)
@@ -88,6 +90,17 @@ def test_table_columns_equal_point_functions_bitwise(kappa, mu, capsys):
         assert row == want
     # the CLI prints these rows, every float round-tripped by its repr
     assert _table_rows(kappa, mu, 201, capsys) == [list(row) for row in rows]
+
+
+@pytest.mark.parametrize("mu, inexact", [(0.0, 0), (0.3, 42)])
+def test_table_computes_each_exact_mirror_pair_once(mu, inexact, count_calls, capsys):
+    # the cores run on the middle row, once for each mirror pair whose
+    # offsets are exact negatives, and on both rows of every other pair
+    log_ratio = count_calls(oracle, "_log_ratio_exact_value")
+    cdf = count_calls(oracle, "_cdf_expansion_value")
+    assert cli.run(["table", "--mu", repr(mu), "--kappa", "4096", "--grid", "201"]) == 0
+    capsys.readouterr()
+    assert len(log_ratio) == len(cdf) == 101 + inexact
 
 
 @pytest.mark.parametrize(
@@ -397,6 +410,9 @@ ARGVS = [
      "--steps", "4", "--grid", "21"],
     ["convergence", "--kappas", "0.5,4,64", "--grid", "31"],
     ["eval", "--mu", "0", "--kappa", "64", "--x", "0.1", "--quantity", "cdf-approx"],
+    # 9 of its 20 mirror pairs have offsets that are not exact negatives
+    ["table", "--mu", "2", "--kappa", "50", "--grid", "41"],
+    ["table", "--mu", "1", "--kappa", "8", "--grid", "3"],
 ]
 
 
@@ -435,3 +451,40 @@ def test_json_equals_per_value_formatting(argv, precision, monkeypatch, capsys):
     got = json.loads(out)["rows"]
     want = [{k: cli._json_value(v, precision) for k, v in zip(header, row)} for row in rows]
     assert got == want
+
+
+def test_csv_equals_per_value_formatting_on_seeded_tables(monkeypatch, capsys):
+    # kappa log-uniform on [0.5, 1e5], mu uniform on [0, 2 pi): 275 of these
+    # 2,000 mirror pairs have offsets that are not exact negatives, so the
+    # writer prints pairs both from shared strings and row by row
+    seen = []
+    emit = cli._emit
+
+    def recording(rows, header, meta, args):
+        seen.append(rows)
+        emit(rows, header, meta, args)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    rng = random.Random(20261021)
+    lo_kappa, hi_kappa = math.log(0.5), math.log(1e5)
+    exact = inexact = 0
+    for _ in range(100):
+        kappa = math.exp(rng.uniform(lo_kappa, hi_kappa))
+        mu = rng.uniform(0.0, TWO_PI)
+        assert cli.run(["table", "--mu", repr(mu), "--kappa", repr(kappa), "--grid", "41"]) == 0
+        rows = seen.pop()
+        lines = [",".join(cli.TABLE_COLUMNS)]
+        lines += [",".join(cli._fmt(v, 17) for v in row) for row in rows]
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
+        # an exact mirror pair shares one object in each even column and
+        # negates the odd ones; no other pair shares any value object
+        for lo, hi in zip(rows[:20], rows[:20:-1]):
+            shared = {c for c, a, b in zip(cli.TABLE_COLUMNS, lo, hi) if a is b}
+            if 0.0 < hi[0] - mu == mu - lo[0]:
+                exact += 1
+                assert shared == set(cli._EVEN)
+                assert all(-lo[k] == hi[k] > 0.0 for k in map(cli.TABLE_COLUMNS.index, cli._ODD))
+            else:
+                inexact += 1
+                assert shared == set()
+    assert exact >= 1500 and inexact >= 100
