@@ -1,11 +1,11 @@
 """Compute kernels: the package's hot numerical loops.
 
 The one per-concentration kernel (a trapezoid sum that gives
-e^-kappa I0(kappa) and the circular variance together), GK15 quadrature of
-the concentrated circular density under a certified error (one rule,
-Gauss-7 or one Kronrod panel, else k = 2 .. 64 equal Kronrod panels, k
-fixed by an ellipse bound before any runs) and the wrapped-normal lattice
-sum.  Plain Python.  The I0 series `i0_series_sum`, the `sigma2_series`
+e^-kappa I0(kappa) and the circular variance together), quadrature of the
+concentrated circular density on the GK15 nodes under a certified error
+(one rule, Gauss-7 or one Kronrod panel, else k = 2 .. 64 equal Kronrod
+panels, k fixed by an ellipse bound before any runs; every error is a
+bound plus a rounding allowance) and the wrapped-normal lattice sum.  Plain Python.  The I0 series `i0_series_sum`, the `sigma2_series`
 alias and `backend_name` remain only because the benchmark reads them.
 """
 
@@ -60,9 +60,7 @@ _WG = (
     0.3818300505051189,
     0.4179591836734694,
 )
-# (node, Kronrod weight, Gauss weight) of the off-centre node pairs, for
-# `_vm_panel`; the Gauss weight is 0.0 at the Kronrod-only pairs.
-_VM_NODES = tuple(zip(_XGK[:7], _WGK[:7], (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0)))
+_VM_NODES = tuple(zip(_XGK[:7], _WGK[:7]))  # the off-centre Kronrod pairs, for `_vm_panel`
 _G7_NODES = tuple(zip(_XGK[1:7:2], _WG[:3]))  # the Gauss pairs, for `_vm_gauss7`
 # `vm_scaled_mass`'s narrow rule (C, c eps), Kronrod class (C, beta) and
 # rounding allowance per |value|
@@ -166,32 +164,23 @@ sigma2_series = i0e_sigma2
 
 
 def _vm_panel(m, a, b):
-    """One Kronrod-15 panel of exp(m * sin(t/2)^2) over [a, b], a < b.
-
-    Returns (kronrod, |kronrod - gauss|) from one loop over _VM_NODES.
-    The integrand lies in (0, 1], so a Kronrod-only pair adds 0.0 * fsum = +0.0 to the Gauss sum, which
-    leaves its value and its summation order as they were.
-    """
+    """The Kronrod-15 value of exp(m * sin(t/2)^2) over [a, b], a < b, from
+    one loop over _VM_NODES."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     u = math.sin(0.5 * c)
-    fc = math.exp(m * (u * u))
-    resk = _WGK[7] * fc
-    resg = _WG[3] * fc
-    for x, wk, wg in _VM_NODES:
+    res = _WGK[7] * math.exp(m * (u * u))
+    for x, wk in _VM_NODES:
         dx = h * x
         u = math.sin(0.5 * (c - dx))
-        f1 = math.exp(m * (u * u))
-        u = math.sin(0.5 * (c + dx))
-        f2 = math.exp(m * (u * u))
-        fsum = f1 + f2
-        resk += wk * fsum
-        resg += wg * fsum
-    return resk * h, abs(resk - resg) * h
+        v = math.sin(0.5 * (c + dx))
+        res += wk * (math.exp(m * (u * u)) + math.exp(m * (v * v)))
+    return res * h
 
 
 def _vm_gauss7(m, a, b):
-    """`_vm_panel`'s Gauss-7 value of exp(m * sin(t/2)^2) over [a, b] alone."""
+    """The Gauss-7 value of exp(m * sin(t/2)^2) over [a, b], on the
+    embedded Gauss nodes of `_vm_panel`'s Kronrod rule."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     u = math.sin(0.5 * c)
@@ -203,8 +192,8 @@ def _vm_gauss7(m, a, b):
     return res * h
 
 
-def _vm_kronrod_bound(kappa, h, val):
-    """`vm_scaled_mass`'s ellipse bound; inf where M rho^-24 >= 1 or rho = 1."""
+def _vm_kronrod_bound(kappa, h):
+    """`vm_scaled_mass`'s ellipse bound B(h), kappa > 0; inf where M rho^-24 >= 1 or rho = 1."""
     y = math.sqrt(24.0 / kappa)
     y = math.asinh(24.0 / (kappa * math.hypot(y if y < 30.0 else 30.0, h)))
     y = math.asinh(24.0 / (kappa * math.hypot(y if y < 30.0 else 30.0, h)))
@@ -215,38 +204,39 @@ def _vm_kronrod_bound(kappa, h, val):
     expo = 2.0 * kappa * (s * s) - 24.0 * lnrho
     if not expo < 0.0:
         return math.inf
-    bound = 8.014 * h * math.exp(expo) / -math.expm1(-2.0 * lnrho)
-    return bound + _ROUNDING * val
+    return 8.014 * h * math.exp(expo) / -math.expm1(-2.0 * lnrho)
 
 
 def vm_scaled_mass(kappa, a, b, tol):
     """Integral of exp(-2 kappa sin(t/2)^2) over [a, b], under a certified error.
 
     The integrand is the circular normal density scaled to peak value one,
-    so nothing overflows at any concentration.  Two straight-line stages,
-    by the width w and s = w^2 max(2 kappa, 1).  One rule: s <= 0.49 (C)
-    takes Gauss-7 alone, which the ellipse bound below (rho^-14) puts under
-    c eps w, c = 0.02, and returns (value, c eps w + 50 eps |value|, 7) when
-    that meets tol; else one `_vm_panel` gives (K, |K - G|) and returns
-    (K, err, 15) with the first err that meets tol of: |K - G|; where s <= 9
-    (C; +-3 sigma at large kappa), beta w + 50 eps |K|, beta = 3e-13 above
-    twice B per unit width over the whole class (2.6e-13 at kappa = 1/2,
-    w = 3); B(w/2) + 50 eps |K|.  B(h) is twice a bound on K's error on a
-    panel of half-width h: the integrand is entire and at most M = exp(2
-    kappa sinh(y/2)^2) on the Bernstein ellipse of half-height y, ln rho =
-    asinh(y/h), where K15 (degree 23, positive weights) errs by at most
-    4.007 h M rho^-24 / (1 - rho^-2) (Trefethen 2008, Thm 4.5); y takes
-    three fixed-point steps towards its minimiser, capped at 30.  At kappa
-    = 0 |K - G| is exactly 0.  Else k panels: k is the least power of two
-    in 2 .. 64 with k B(w/2k) + 50 eps |K| <= tol, [a, b] is halved into k
-    equal panels, and each errs by at most min(|K_i - G_i|, B(w/2k)) + 50
-    eps |K_i|; returns (sum K_i, sum of those errors, 15 (k + 1)).  So a
-    call evaluates at most 65 panels.  B ignores where a panel lies, so 64
-    panels span at most ~270 sigma at tol 1e-12 of the mass over a period
-    (220 at 2e-14): a period at kappa <= 1,000, and 20 sigma in the CDF
-    sweep.  Returns (0.0, 0.0, 0) when b <= a.  Raises QuadratureError
-    before the k panels run when 50 eps |K| >= tol or 64 panels are not
-    enough, and after them when their errors sum past tol.
+    so nothing overflows at any concentration.  Every error returned is a
+    bound on the rule's error plus the rounding allowance 50 eps |value|.
+    Two straight-line stages, by the width w and s = w^2 max(2 kappa, 1).
+    One rule: s <= 0.49 (C) takes Gauss-7 alone, which the ellipse bound
+    below (rho^-14) puts under c eps w, c = 0.02, and returns (value,
+    c eps w + 50 eps |value|, 7) when that meets tol; else one `_vm_panel`
+    gives K and returns (K, err, 15) with the first err of these that
+    meets tol: beta w + 50 eps |K| where s <= 9 (C; +-3 sigma at large
+    kappa), beta = 3e-13 above B(w/2) per unit width over the whole class
+    (2.6e-13 at kappa = 1/2, w = 3); B(w/2) + 50 eps |K|.  B(h) is twice
+    a bound on K's error on a panel of half-width h: the integrand is
+    entire and at most M = exp(2 kappa sinh(y/2)^2) on the Bernstein
+    ellipse of half-height y, ln rho = asinh(y/h), where K15 (degree 23,
+    positive weights) errs by at most 4.007 h M rho^-24 / (1 - rho^-2)
+    (Trefethen 2008, Thm 4.5); y takes three fixed-point steps towards its
+    minimiser, capped at 30.  At kappa = 0 the integrand is 1, every rule
+    is exact and B is 0, so the rounding allowance is the whole error.
+    Else k panels: k is the least power of two in 2 .. 64 with
+    k B(w/2k) + 50 eps |K| <= tol, [a, b] is halved into k equal panels,
+    and the call returns (sum K_i, k B(w/2k) + 50 eps |sum K_i|,
+    15 (k + 1)).  So a call evaluates at most 65 panels.  B ignores where
+    a panel lies, so 64 panels span at most ~270 sigma at tol 1e-12 of the
+    mass over a period (220 at 2e-14): a period at kappa <= 1,000, and 20
+    sigma in the CDF sweep.  Returns (0.0, 0.0, 0) when b <= a.  Raises
+    QuadratureError before the k panels run when 50 eps |K| >= tol or 64
+    panels are not enough, and after them when their error is past tol.
     """
     if b <= a:
         return 0.0, 0.0, 0
@@ -258,31 +248,26 @@ def vm_scaled_mass(kappa, a, b, tol):
         err = _G7_ERROR * w + _ROUNDING * val
         if err <= tol:
             return val, err, 7
-    val, err = _vm_panel(m, a, b)
-    if err <= tol:
-        return val, err, 15
-    if s <= _K15_WIDTH2:
-        err = _K15_ERROR * w + _ROUNDING * val
-        if err <= tol:
-            return val, err, 15
-    err = _vm_kronrod_bound(kappa, 0.5 * w, val)  # k = 1 of the search below
-    if err <= tol:
-        return val, err, 15
+    val = _vm_panel(m, a, b)
     rounding = _ROUNDING * val
+    err = _K15_ERROR * w + rounding if s <= _K15_WIDTH2 else math.inf
+    if err > tol:  # B(w/2): k = 1 of the search below
+        err = (_vm_kronrod_bound(kappa, 0.5 * w) if kappa > 0.0 else 0.0) + rounding
+    if err <= tol:
+        return val, err, 15
     k = 1
     while rounding < tol < err and k < 64:
         k *= 2
-        bound = _vm_kronrod_bound(kappa, w / (2 * k), 0.0)
+        bound = _vm_kronrod_bound(kappa, w / (2 * k))
         err = k * bound + rounding
     if err <= tol:
         cuts = [a, b]
         while len(cuts) <= k:
             cuts[1:] = [c for lo, hi in zip(cuts, cuts[1:]) for c in (0.5 * (lo + hi), hi)]
-        val = err = 0.0
+        val = 0.0
         for lo, hi in zip(cuts, cuts[1:]):
-            part, diff = _vm_panel(m, lo, hi)
-            val += part
-            err += (diff if diff < bound else bound) + _ROUNDING * part
+            val += _vm_panel(m, lo, hi)
+        err = k * bound + _ROUNDING * val
         if err <= tol:
             return val, err, 15 * (k + 1)
     raise QuadratureError(

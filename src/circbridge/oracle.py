@@ -90,11 +90,11 @@ def vm_cdf_sweep(params: VonMisesParams, xs, tol: float = 1e-12) -> list[float]:
     with the distinct offsets within 20 sigma.  Each such segment gets an
     equal share of tol, and so does the whole tail past the reach when a
     cut lies there; a segment its share cannot certify runs again, after
-    the others, on an equal part of what they left unused.  A cut past
-    the reach gets the mass at the reach:
+    the others, on an equal part of what they left unused, and the others
+    keep their values.  A cut past the reach gets the mass at the reach:
     there the integrand is at most e^-40 of its peak, and the whole tail
-    holds less than e^-40 / 5 of the mass up to the reach, under half
-    an ulp of it, so integrating it would change no bit.  F(mu) is
+    holds less than e^-40 / 5 of the mass up to the reach, under half an
+    ulp of it, so integrating it would change no bit.  F(mu) is
     exactly 1/2, and tol is absolute and holds for every value.  Values
     are not clamped: at either end of the window they may leave [0, 1]
     by up to tol.
@@ -116,22 +116,26 @@ def vm_cdf_sweep(params: VonMisesParams, xs, tol: float = 1e-12) -> list[float]:
     n = cuts.index(reach) if cuts[-1] > reach else len(cuts) - 1  # segments below the reach
     seg_tol = tol / inv_norm / max(n + (1 if cuts[-1] > reach else 0), 1)
     kappa = params.kappa
-    late, spent = set(), 0.0  # lower ends of the segments their share cannot certify; others' error
+    # each segment's mass, the segments their share cannot certify, and the others' error
+    parts, late, spent = [], [], 0.0
     half = {0.0: 0.0}  # inv_norm times the mass on [0, cut], by cut
     mass = 0.0
     for lo, hi in zip(cuts, cuts[1 : n + 1]):
         try:
             val, err, _ = backend.vm_scaled_mass(kappa, lo, hi, seg_tol)
         except QuadratureError:
-            late.add(lo)
+            late.append(len(parts))
             val = err = 0.0
+        parts.append(val)
         mass += val
         spent += err
         half[hi] = inv_norm * mass
     if late:  # again, each late one on an equal part of what the others left unused
         late_tol, mass = (n * seg_tol - spent) / len(late), 0.0
-        for lo, hi in zip(cuts, cuts[1 : n + 1]):
-            mass += backend.vm_scaled_mass(kappa, lo, hi, late_tol if lo in late else seg_tol)[0]
+        for j in late:
+            parts[j] = backend.vm_scaled_mass(kappa, cuts[j], cuts[j + 1], late_tol)[0]
+        for hi, val in zip(cuts[1:], parts):
+            mass += val
             half[hi] = inv_norm * mass
     half.update(dict.fromkeys(cuts[n + 1 :], inv_norm * mass))
     return [0.5 - half[-t] if t < 0.0 else 0.5 + half[t] for t in ts]
@@ -306,10 +310,7 @@ def _require_finite_edge_ratio(regime, params, powers, kappa_cubed, xs):
             "the exact ratio overflows at the bulk edge %s: its log is %.6g,"
             " above log(max float) = %.6g; %s" % (where, edge, _LOG_FLOAT_MAX, hint)
         )
-    # the residual as _scan_residuals takes it, from the exact value above
-    u, uu = powers
-    dt = (xs[0] - params.mu) / params.sigma / SQRT2
-    residual = abs(math.exp(edge) - (1.0 + _first_order_term(dt, u) + _ratio_second_term(dt, uu)))
+    residual = _scan_residuals("ratio", params, powers, xs[:1], None)[0]
     if not math.isfinite(residual * kappa_cubed):
         raise ValueError(
             "the normalized ratio residual overflows at the bulk edge %s: the residual"

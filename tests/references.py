@@ -16,9 +16,11 @@ on an index-loop panel, the reference that `backend.vm_scaled_mass` and
 its node-table loop `backend._vm_panel` must match bit for bit:
 `narrow_gauss7` is its narrow rule on the Gauss half of `gk15_panel`,
 `gauss7_panel`, whose error `gauss7_ellipse_bound` bounds,
-`kronrod_class` the one `gk15_panel` it certifies by the class's width,
-and `kronrod_k_panels`, for any panel, its one panel certified by
-`kronrod_ellipse_certificate` or else its k equal panels.
+`kronrod_class` the Kronrod value of `gk15_panel` that it certifies by
+the class's width, and `kronrod_k_panels`, for any panel, its one panel
+certified by `kronrod_ellipse_bound` or else its k equal panels.  Each
+accepts a value only on a bound on its error plus 50 eps of the value;
+none reads the Gauss/Kronrod difference.
 MPMATH_KAPPAS are the concentrations at which the per-kappa values are
 checked against mpmath.
 """
@@ -136,8 +138,11 @@ def vm_cdf_sweep_every_segment(params, xs, tol: float):
 
     A segment below 20 sigma that raises at its share is integrated again
     once all of them have run, to an equal part of the shares the others
-    left unused.  xs must lie in the principal window (mu - pi, mu + pi]
-    and tol must be valid; neither is checked here.
+    left unused.  A segment past 20 sigma is integrated by
+    `adaptive_quadrature` on the kernel's scaled density: the kernel's
+    ellipse bound ignores where a panel lies, so it cannot certify a
+    wide segment out in the tail.  xs must lie in the principal window
+    (mu - pi, mu + pi] and tol must be valid; neither is checked here.
     """
     ts = [x - params.mu for x in xs]
     reach = min(math.pi, 20.0 * params.sigma)
@@ -159,11 +164,12 @@ def vm_cdf_sweep_every_segment(params, xs, tol: float):
     retried = [(lo, hi) for lo, hi in zip(cuts[:below], cuts[1 : below + 1]) if lo not in parts]
     for lo, hi in retried:
         parts[lo] = backend.vm_scaled_mass(params.kappa, lo, hi, (below * seg_tol - spent) / len(retried))[0]
+    f = scaled_density(params.kappa)
     half = {0.0: 0.0}
     mass = 0.0
     for lo, hi in zip(cuts, cuts[1:]):
         if lo not in parts:
-            parts[lo] = backend.vm_scaled_mass(params.kappa, lo, hi, seg_tol)[0]
+            parts[lo] = adaptive_quadrature(f, lo, hi, seg_tol).value
         mass += parts[lo]
         half[hi] = inv_norm * mass
     return [0.5 - half[-t] if t < 0.0 else 0.5 + half[t] for t in ts]
@@ -193,6 +199,11 @@ def gk15_panel(f, a, b):
         if i & 1:
             resg += backend._WG[i >> 1] * fsum
     return resk * h, abs(resk - resg) * h
+
+
+def kronrod_value(f, a, b):
+    """The Kronrod value of `gk15_panel`, alone."""
+    return gk15_panel(f, a, b)[0]
 
 
 def adaptive_quadrature(
@@ -248,33 +259,27 @@ def adaptive_gk15_stack_only(panel, f, a, b, tol):
 
 
 def vm_panel_index_loop(m, a, b):
-    """`backend._vm_panel` as an index loop over the node arrays, adding to
-    the Gauss sum at the odd indices only."""
-    xgk, wgk, wg = backend._XGK, backend._WGK, backend._WG
+    """`backend._vm_panel` as an index loop over the Kronrod node arrays."""
+    xgk, wgk = backend._XGK, backend._WGK
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     u = math.sin(0.5 * c)
-    fc = math.exp(m * (u * u))
-    resk = wgk[7] * fc
-    resg = wg[3] * fc
+    res = wgk[7] * math.exp(m * (u * u))
     for i in range(7):
         dx = h * xgk[i]
         u = math.sin(0.5 * (c - dx))
         f1 = math.exp(m * (u * u))
         u = math.sin(0.5 * (c + dx))
         f2 = math.exp(m * (u * u))
-        fsum = f1 + f2
-        resk += wgk[i] * fsum
-        if i & 1:
-            resg += wg[i >> 1] * fsum
-    return resk * h, abs(resk - resg) * h
+        res += wgk[i] * (f1 + f2)
+    return res * h
 
 
-def kronrod_ellipse_certificate(kappa, h, estimate):
-    """The Bernstein-ellipse certificate `backend.vm_scaled_mass` applies
-    to a panel of half-width h of exp(kappa (cos t - 1)),
-    kappa > 0, with the K15 value `estimate`, written from the bound
-    itself and doing the same float operations.
+def kronrod_ellipse_bound(kappa, h):
+    """The Bernstein-ellipse bound B(h) that `backend.vm_scaled_mass`
+    applies to a panel of half-width h of exp(kappa (cos t - 1)),
+    kappa >= 0, written from the bound itself and doing the same float
+    operations.
 
     On the panel's map to [-1, 1], the Bernstein ellipse E_rho of
     half-height y in t has ln rho = asinh(y / h), and there
@@ -286,9 +291,12 @@ def kronrod_ellipse_certificate(kappa, h, estimate):
     4.007 h M rho^-24 / (1 - rho^-2).  y is three fixed-point steps, each
     capped at 30, towards the minimiser of kappa (cosh y - 1) - 24 ln rho,
     where kappa sinh y = 24 / hypot(y, h).
-    The certificate is twice the bound plus 50 eps of the estimate, and
-    inf where the bound is no use: M rho^-24 >= 1, or rho^-2 rounds to 1.
+    B is twice the bound, and inf where the bound is no use:
+    M rho^-24 >= 1, or rho^-2 rounds to 1.  At kappa = 0 the integrand
+    is 1, which K15 integrates exactly, and B is 0.
     """
+    if kappa == 0.0:
+        return 0.0
     y = min(math.sqrt(24.0 / kappa), 30.0)
     for _step in range(3):
         y = min(math.asinh(24.0 / (kappa * math.hypot(y, h))), 30.0)
@@ -299,8 +307,7 @@ def kronrod_ellipse_certificate(kappa, h, estimate):
     one_minus_rho_m2 = -math.expm1(-2.0 * log_rho)
     if not (log_m_rho24 < 0.0 and one_minus_rho_m2 > 0.0):
         return math.inf
-    bound = (2.0 * 4.007) * h * math.exp(log_m_rho24) / one_minus_rho_m2
-    return bound + (50.0 * _EPS) * estimate
+    return (2.0 * 4.007) * h * math.exp(log_m_rho24) / one_minus_rho_m2
 
 
 def gauss7_panel(f, a, b):
@@ -322,7 +329,7 @@ def gauss7_ellipse_bound(kappa, h):
     Gauss-Legendre with n = 7 points errs by at most
     (64/15) M rho^-14 / (rho^2 - 1) on [-1, 1] (Trefethen 2008, Thm 4.5),
     h times that on the panel, with M and rho as in
-    `kronrod_ellipse_certificate`; y is three fixed-point steps, each
+    `kronrod_ellipse_bound`; y is three fixed-point steps, each
     capped at 30, towards kappa sinh y = 14 / hypot(y, h), and 30 at
     kappa = 0, where M = 1.  Any y > 0 gives a valid bound.
     """
@@ -372,9 +379,8 @@ def narrow_gauss7(kappa, f, a, b, tol):
 
 # `backend.vm_scaled_mass`'s Kronrod class: an interval of width w with
 # w^2 max(2 kappa, 1) <= KRONROD_CLASS_WIDTH2 that the narrow rule has not
-# settled takes one `gk15_panel`, accepted on |K - G| or else with the
-# error KRONROD_CLASS_ERROR_PER_WIDTH w + 50 eps |value|, when either meets
-# tol.
+# settled takes one Kronrod panel, accepted with the error
+# KRONROD_CLASS_ERROR_PER_WIDTH w + 50 eps |value| when that meets tol.
 KRONROD_CLASS_WIDTH2 = 9.0
 KRONROD_CLASS_ERROR_PER_WIDTH = 3e-13
 
@@ -386,10 +392,9 @@ def kronrod_class(kappa, f, a, b, tol):
     width = b - a
     if not width * width * max(2.0 * kappa, 1.0) <= KRONROD_CLASS_WIDTH2:
         return None
-    value, estimate = gk15_panel(f, a, b)
-    if estimate > tol:
-        estimate = KRONROD_CLASS_ERROR_PER_WIDTH * width + (50.0 * _EPS) * value
-    return (value, estimate, 15) if estimate <= tol else None
+    value = kronrod_value(f, a, b)
+    error = KRONROD_CLASS_ERROR_PER_WIDTH * width + (50.0 * _EPS) * value
+    return (value, error, 15) if error <= tol else None
 
 
 def scaled_density(kappa):
@@ -414,36 +419,33 @@ def halving_cuts(a, b, k):
 
 def kronrod_k_panels(panel, f, kappa, a, b, tol):
     """`backend.vm_scaled_mass` past its narrow rule and Kronrod class, for
-    any `panel(f, lo, hi)` that returns (K, |K - G|): (value, error,
+    any `panel(f, lo, hi)` that returns a Kronrod value K: (value, error,
     evaluations), or the kernel's QuadratureError and message.
 
-    One panel over [a, b] passes on |K - G|, else on
-    `kronrod_ellipse_certificate`.  Else, with B(h) that certificate at
-    estimate 0 and r = 50 eps K, the first k in 2, 4, .., 64 with
-    k B((b - a) / 2k) + r <= tol (none when r >= tol) cuts [a, b] into
-    k `halving_cuts` panels, which give the sum of their K and of
-    min(|K - G|, B) + 50 eps K; a sum of errors above tol raises too."""
-    value, estimate = panel(f, a, b)
-    if estimate <= tol:
-        return value, estimate, 15
-    error = kronrod_ellipse_certificate(kappa, 0.5 * (b - a), value)
+    With B(h) `kronrod_ellipse_bound` and r = 50 eps K, one panel over
+    [a, b] passes on B((b - a) / 2) + r.  Else the first k in 2, 4, .., 64
+    with k B((b - a) / 2k) + r <= tol (none when r >= tol) cuts [a, b]
+    into k `halving_cuts` panels, which give the sum of their K and the
+    error k B((b - a) / 2k) + 50 eps of that sum; an error above tol
+    raises too."""
+    value = panel(f, a, b)
+    rounding = (50.0 * _EPS) * value
+    error = kronrod_ellipse_bound(kappa, 0.5 * (b - a)) + rounding
     if error <= tol:
         return value, error, 15
-    rounding = (50.0 * _EPS) * value
     panels = 1
     if rounding < tol:
         for panels in (2, 4, 8, 16, 32, 64):
-            bound = kronrod_ellipse_certificate(kappa, (b - a) / (2 * panels), 0.0)
+            bound = kronrod_ellipse_bound(kappa, (b - a) / (2 * panels))
             error = panels * bound + rounding
             if error <= tol:
                 break
     if error <= tol:
         cuts = halving_cuts(a, b, panels)
-        value = error = 0.0
+        value = 0.0
         for lo, hi in zip(cuts, cuts[1:]):
-            part, estimate = panel(f, lo, hi)
-            value += part
-            error += min(estimate, bound) + (50.0 * _EPS) * part
+            value += panel(f, lo, hi)
+        error = panels * bound + (50.0 * _EPS) * value
         if error <= tol:
             return value, error, 15 * (panels + 1)
     raise backend.QuadratureError(

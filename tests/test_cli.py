@@ -562,30 +562,45 @@ def test_error_scan_rejects_kappa_where_inverse_cube_overflows(count_calls, caps
     assert quadratures == []
 
 
+def _scan_sizes(monkeypatch):
+    # the number of points of every `oracle._scan_residuals` call
+    scan = oracle._scan_residuals
+    sizes = []
+
+    def recorded(target, params, powers, xs, cdf_quad):
+        sizes.append(len(xs))
+        return scan(target, params, powers, xs, cdf_quad)
+
+    monkeypatch.setattr(oracle, "_scan_residuals", recorded)
+    return sizes
+
+
 @pytest.mark.parametrize(
-    "regime, eta, kappa_min, kappa_max, message",
+    "regime, eta, kappa_min, kappa_max, edges, message",
     [
         # the geometric kappa grid gives 1999999.9999999993 as its last kappa
-        ("fixed", "0.5", "1e5", "2e6", "at kappa=1999999.9999999993 (fixed regime, eta=0.5)"
+        ("fixed", "0.5", "1e5", "2e6", 2, "at kappa=1999999.9999999993 (fixed regime, eta=0.5)"
          ": its log is 1296.65, above log(max float) = 709.783; use the shrunken regime"),
         # the shrunken edge log-ratio tends to eta_tilde^4 / 96 as kappa grows
-        ("shrunken", "20", "1e3", "8e3", "at kappa=999.9999999999998 (shrunken regime,"
+        ("shrunken", "20", "1e3", "8e3", 0, "at kappa=999.9999999999998 (shrunken regime,"
          " eta_tilde=20.0): its log is 1352.14, above log(max float) = 709.783;"
          " use a smaller eta_tilde"),
     ],
     ids=["fixed", "shrunken"],
 )
 def test_error_scan_rejects_ratio_that_overflows_at_the_bulk_edge(
-    regime, eta, kappa_min, kappa_max, message, count_calls, capsys
+    regime, eta, kappa_min, kappa_max, edges, message, monkeypatch, capsys
 ):
-    evaluated = count_calls(oracle, "_scan_residuals")
+    # no grid is evaluated: each kappa before the failing one checks the
+    # residual at its bulk edge alone
+    evaluated = _scan_sizes(monkeypatch)
     argv = ["error-scan", "--target", "ratio", "--regime", regime, "--eta", eta,
             "--kappa-min", kappa_min, "--kappa-max", kappa_max, "--steps", "3", "--grid", "11"]
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: the exact ratio overflows at the bulk edge %s\n" % message
-    assert evaluated == []
+    assert evaluated == [1] * edges
 
 
 @pytest.mark.parametrize(
@@ -600,11 +615,12 @@ def test_error_scan_rejects_ratio_that_overflows_at_the_bulk_edge(
     ids=["1.07e6", "1.08e6", "1.085e6", "1.0899e6"],
 )
 def test_error_scan_rejects_ratio_whose_normalized_residual_overflows_at_the_bulk_edge(
-    kappa_max, message, count_calls, capsys
+    kappa_max, message, monkeypatch, capsys
 ):
     # below the exact ratio's own overflow (kappa ~ 1.09e6 at eta = 0.5)
-    # the edge residual r is finite, but r kappa^3 is not
-    evaluated = count_calls(oracle, "_scan_residuals")
+    # the edge residual r is finite, but r kappa^3 is not; no grid is
+    # evaluated, only the residual at each of the five kappas' bulk edge
+    evaluated = _scan_sizes(monkeypatch)
     argv = ["error-scan", "--target", "ratio", "--kappa-min", "10", "--kappa-max", kappa_max,
             "--steps", "5", "--grid", "11"]
     assert run(argv) == 1
@@ -614,7 +630,7 @@ def test_error_scan_rejects_ratio_whose_normalized_residual_overflows_at_the_bul
         "error: the normalized ratio residual overflows at the bulk edge at %s"
         " times kappa^3 is not finite; use the shrunken regime\n" % message
     )
-    assert evaluated == []
+    assert evaluated == [1] * 5
 
 
 def test_error_scan_rejects_ratio_that_overflows_inside_the_bulk(capsys):

@@ -16,8 +16,9 @@ from references import (
     gauss7_panel,
     gk15_panel,
     kronrod_class,
-    kronrod_ellipse_certificate,
+    kronrod_ellipse_bound,
     kronrod_k_panels,
+    kronrod_value,
     narrow_gauss7,
     rule_width,
     scaled_density,
@@ -116,14 +117,30 @@ def test_vm_scaled_mass_empty_interval():
     assert backend.vm_scaled_mass(5.0, 1.0, 1.0, 1e-10) == (0.0, 0.0, 0)
 
 
-def test_vm_scaled_mass_at_kappa_zero_passes_its_first_panel_exactly():
-    # at kappa = 0 every node gives 1.0, so K and G are the two weight sums
-    # times h on any [a, b]; those sums are equal in floating point, so the
-    # first panel passes at any tol and the ellipse bound, which has no
-    # value at kappa = 0, is never reached
-    value, error, evaluations = backend.vm_scaled_mass(0.0, 0.0, 3.1, 1e-300)
-    assert (error, evaluations) == (0.0, 15)
-    assert abs(value - 3.1) <= 4.0 * sys.float_info.epsilon * 3.1
+def test_vm_scaled_mass_at_kappa_zero_errs_by_its_rounding_allowance_alone(monkeypatch):
+    # at kappa = 0 every node gives 1.0 and every rule is exact, so at a
+    # tol below the class's beta w each width takes one rule (narrow, class
+    # and past the class) with the error 50 eps K, or c eps w + 50 eps K on
+    # the narrow rule; a tol below 50 eps K raises QuadratureError, and
+    # the ellipse bound, which has no value at kappa = 0, is never called
+    calls = []
+    bound = backend._vm_kronrod_bound
+
+    def recorded(kappa, h):
+        calls.append(kappa)
+        return bound(kappa, h)
+
+    monkeypatch.setattr(backend, "_vm_kronrod_bound", recorded)
+    eps = sys.float_info.epsilon
+    for a, b, rule in ((0.0, 0.5, 7), (-0.5, 2.5, 15), (0.0, 3.1, 15), (-math.pi, math.pi, 15)):
+        value, error, evaluations = backend.vm_scaled_mass(0.0, a, b, 1e-13)
+        assert evaluations == rule
+        narrow = backend._G7_ERROR * (b - a) if rule == 7 else 0.0
+        assert error == narrow + 50.0 * eps * value
+        assert abs(value - (b - a)) <= 4.0 * eps * (b - a)
+        with pytest.raises(QuadratureError, match=r"panels=1,"):
+            backend.vm_scaled_mass(0.0, a, b, 1e-300)
+    assert calls == []
 
 
 @pytest.mark.parametrize("kappa", [0.5, 5.0, 100.0, 2048.0, 1e5])
@@ -160,7 +177,7 @@ def _generic_engine(kappa, a, b, tol):
     return (
         narrow_gauss7(kappa, f, a, b, tol)
         or kronrod_class(kappa, f, a, b, tol)
-        or kronrod_k_panels(gk15_panel, f, kappa, a, b, tol)
+        or kronrod_k_panels(kronrod_value, f, kappa, a, b, tol)
     )
 
 
@@ -170,9 +187,8 @@ def test_vm_scaled_mass_evaluates_at_most_65_panels(monkeypatch):
     # none of the k panels run when its first panel's rounding allowance
     # 50 eps K reaches tol (panels=1) or 64 panels cannot be certified
     # (panels=64), else after all k.  The first case puts tol at the
-    # panels' rounding noise on a narrow interval, where some panels pass
-    # |K - G| and others fail; the next two lie over the mode, where 64
-    # panels are too wide
+    # panels' rounding noise on a narrow interval; the next two lie over
+    # the mode, where 64 panels are too wide
     panel = backend._vm_panel
     spans = []
 
@@ -198,7 +214,7 @@ def test_vm_scaled_mass_evaluates_at_most_65_panels(monkeypatch):
             ends = tuple(map(float, re.search(r"on \[(\S+), (\S+)\]", str(exc)).groups()))
             assert ends == (a, b)
             k = int(re.search(r"panels=(\d+)", str(exc)).group(1))
-            if 50.0 * sys.float_info.epsilon * panel(-2.0 * kappa, a, b)[0] >= tol:
+            if 50.0 * sys.float_info.epsilon * panel(-2.0 * kappa, a, b) >= tol:
                 assert k == len(spans) == 1, (kappa, a, b, tol)
                 outcomes["rounding"] += 1
             elif len(spans) == 1:
@@ -224,16 +240,15 @@ def _mass_or_error(mass, kappa, a, b, tol):
 def test_vm_scaled_mass_and_panel_equal_the_k_panel_references():
     # the kernel's node-table panel, its narrow Gauss-7 rule, its Kronrod
     # class, its ellipse bound and its k equal panels match the
-    # references in every bit of a value, error estimate, count or error
-    # message, whether the narrow rule settles the call, the first panel
-    # passes on its Gauss/Kronrod estimate, on the class's constant or on
-    # the ellipse bound, k panels settle it or the call raises.
-    # Three cases in ten are panels a few sigma wide about the mode, at
-    # the tols where a first panel fails |K - G| and a bound can certify
-    # it; 400 more lie within the narrow width, at tols about the narrow
-    # rule's error, and 400 within the class width, about the class's
+    # references in every bit of a value, error, count or error message,
+    # whether the narrow rule settles the call, the first panel passes on
+    # the class's constant or on the ellipse bound, k panels settle it or
+    # the call raises.  Three cases in ten are panels a few sigma wide
+    # about the mode, at tols where a bound may certify one panel; 400
+    # more lie within the narrow width, at tols about the narrow rule's
+    # error, and 400 within the class width, about the class's
     rng = random.Random(20261019)
-    outcomes = dict.fromkeys(["narrow", "first panel", "class", "certified", "k panels", "error"], 0)
+    outcomes = dict.fromkeys(["narrow", "class", "certified", "k panels", "error"], 0)
     cases = (
         _scaled_mass_cases(rng, 2000)
         + _narrow_cases(random.Random(20261031), 400)
@@ -252,8 +267,6 @@ def test_vm_scaled_mass_and_panel_equal_the_k_panel_references():
             outcomes["narrow"] += 1
         elif got[2] > 15:
             outcomes["k panels"] += 1
-        elif panel[1] <= tol:
-            outcomes["first panel"] += 1
         elif got[1] == _class_error(a, b, got[0]):
             outcomes["class"] += 1
         else:
@@ -293,8 +306,8 @@ def _narrow_cases(rng, count):
 
 def _class_cases(rng, count):
     # intervals over the mode, from half the class width to all of it, at
-    # tols about the class's error: there |K - G| often fails, and the
-    # class's constant certifies some of the panels and not the rest
+    # tols about the class's error: the class's constant certifies some of
+    # the panels and not the rest
     cases = []
     for _ in range(count):
         kappa = 10.0 ** rng.uniform(-3.0, 8.0)
@@ -320,17 +333,17 @@ def _k_panel_cases(rng, count):
 
 
 def _class_error(a, b, value):
-    # the error that the Kronrod class returns when |K - G| fails
+    # the error that the Kronrod class returns
     return KRONROD_CLASS_ERROR_PER_WIDTH * (b - a) + 50.0 * sys.float_info.epsilon * value
 
 
 @pytest.mark.parametrize("kappa", [5e-324, 1e-310, 1e-300, 1e-3, 1.0, 1e8, 1e300, backend._KAPPA_MAX])
 def test_vm_kronrod_bound_neither_overflows_nor_divides_by_zero(kappa):
     # from the smallest float to the kernel's largest kappa, and at any
-    # half-width, the bound is a number no smaller than its rounding
-    # allowance, or inf; never nan and never an exception
+    # half-width, the bound is a number no smaller than 0, or inf; never
+    # nan and never an exception
     for h in (5e-324, 1e-300, 1e-20, 1e-5, 0.1, math.pi):
-        assert backend._vm_kronrod_bound(kappa, h, 1.0) >= 50.0 * sys.float_info.epsilon
+        assert backend._vm_kronrod_bound(kappa, h) >= 0.0
 
 
 def test_vm_kronrod_bound_equals_its_loop_form():
@@ -340,8 +353,7 @@ def test_vm_kronrod_bound_equals_its_loop_form():
     for _ in range(20000):
         kappa = 10.0 ** rng.uniform(-3.0, 12.0)
         h = 10.0 ** rng.uniform(-12.0, 0.2)
-        val = rng.random() * 2.0 * h
-        assert backend._vm_kronrod_bound(kappa, h, val) == kronrod_ellipse_certificate(kappa, h, val)
+        assert backend._vm_kronrod_bound(kappa, h) == kronrod_ellipse_bound(kappa, h)
 
 
 def test_narrow_rule_error_is_certified_at_its_widest():
@@ -387,8 +399,7 @@ def test_narrow_rule_is_within_its_error_of_mpmath():
 
 
 def test_kronrod_class_error_is_certified_at_its_widest():
-    # the Kronrod certificate, rounding term aside, at the widest class
-    # interval and at 1/2 to 1/1024 of that width is within the beta w
+    # the Kronrod ellipse bound at the widest class interval and at 1/2 to 1/1024 of that width is within the beta w
     # that `vm_scaled_mass` returns for a class panel.  So wherever the
     # class certifies a panel, the loop's ellipse bound would have accepted
     # it too, and the class returns the value the loop would have
@@ -400,7 +411,7 @@ def test_kronrod_class_error_is_certified_at_its_widest():
         widest = rule_width(kappa, KRONROD_CLASS_WIDTH2)
         for j in range(11):
             w = widest * 0.5 ** j
-            ratio = kronrod_ellipse_certificate(kappa, 0.5 * w, 0.0) / w
+            ratio = kronrod_ellipse_bound(kappa, 0.5 * w) / w
             assert ratio <= KRONROD_CLASS_ERROR_PER_WIDTH, (kappa, j)
             worst = max(worst, ratio)
     # the worst case, at kappa = 1/2 and w = 3, uses most of beta
@@ -410,32 +421,38 @@ def test_kronrod_class_error_is_certified_at_its_widest():
 def test_kronrod_class_is_within_its_error_of_mpmath():
     # 2,000 seeded intervals past the narrow width and within the class
     # width, half over the mode and half anywhere in [0, pi], at tol = the
-    # class's error beta w + 50 eps |K|: each comes back as one panel and
-    # lies within that error of the 30-digit integral (their distance
-    # rounded to a double).  The error returned is |K - G| where that
-    # meets tol, else the class's error, as it is for a quarter of them
+    # class's error beta w + 50 eps |K|: each comes back as one panel with
+    # that error, and lies within it of the 30-digit integral (their
+    # distance rounded to a double)
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(20261103)
-    on_class_error = 0
     with mpmath.workdps(30):
         for i in range(2000):
             kappa = 10.0 ** rng.uniform(-3.0, 12.0)
             width = rng.uniform(0.25, 1.0) * rule_width(kappa, KRONROD_CLASS_WIDTH2)
             a = -width * rng.random() if i % 2 else rng.uniform(0.0, math.pi - width)
             b = a + width
-            k, k_minus_g = backend._vm_panel(-2.0 * kappa, a, b)
+            k = backend._vm_panel(-2.0 * kappa, a, b)
             tol = _class_error(a, b, k)
-            value, error, evaluations = backend.vm_scaled_mass(kappa, a, b, tol)
-            assert (value, evaluations) == (k, 15)
-            assert error == (k_minus_g if k_minus_g <= tol else tol)
-            on_class_error += k_minus_g > tol
-            assert float(abs(value - _mpmath_mass(mpmath, kappa, a, b))) <= tol, (kappa, a, b)
-    assert on_class_error >= 400
+            assert backend.vm_scaled_mass(kappa, a, b, tol) == (k, tol, 15)
+            assert float(abs(k - _mpmath_mass(mpmath, kappa, a, b))) <= tol, (kappa, a, b)
+
+
+def test_a_class_panel_errs_by_at_least_its_distance_to_mpmath():
+    # K15 with no rounding term once returned the error 0.0 here, its
+    # Gauss/Kronrod difference, while the 30-digit integral lies 1.07e-16
+    # away; the certified error covers that distance
+    mpmath = pytest.importorskip("mpmath")
+    kappa, a, b = 0.02195831726912826, 0.3935442751506783, 1.5083261958883558
+    value, error, evaluations = backend.vm_scaled_mass(kappa, a, b, 1e-12)
+    assert evaluations == 15
+    with mpmath.workdps(30):
+        assert abs(value - _mpmath_mass(mpmath, kappa, a, b)) <= error
 
 
 def test_a_class_panel_that_fails_is_not_evaluated_again(monkeypatch):
-    # at kappa = 1/2 on [0, 3] and tol 1e-13 the class panel fails |K - G|
-    # and beta w = 9e-13, and the ellipse bound cannot certify it either:
+    # at kappa = 1/2 on [0, 3] and tol 1e-13 the class panel fails
+    # beta w = 9e-13, and the ellipse bound cannot certify it either:
     # k equal panels follow, and each panel, that one too, is evaluated once
     panel = backend._vm_panel
     spans = []
@@ -462,9 +479,10 @@ def _mpmath_mass(mpmath, kappa, a, b):
 
 
 def test_vm_scaled_mass_certified_panels_are_within_their_estimate():
-    # a panel that fails tol = |K - G| / 2 and comes back as one panel was
-    # certified by the ellipse bound; its value must then lie within the
-    # returned error estimate of the integral at 40 digits
+    # a panel that comes back as one panel at tol = |K - G| / 2, half the
+    # generic panel's Gauss/Kronrod difference, was certified by a bound
+    # far below that difference; its value must then lie within the
+    # returned error of the integral at 40 digits
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(20261020)
     certified = 0
@@ -475,7 +493,7 @@ def test_vm_scaled_mass_certified_panels_are_within_their_estimate():
             width = min(10.0 ** rng.uniform(-1.0, 0.8) * sigma, 2.0)
             a = max(rng.uniform(-4.0, 4.0) * sigma - 0.5 * width, -math.pi)
             b = min(a + width, math.pi)
-            err = backend._vm_panel(-2.0 * kappa, a, b)[1]
+            err = gk15_panel(scaled_density(kappa), a, b)[1]
             try:
                 value, estimate, evaluations = backend.vm_scaled_mass(kappa, a, b, 0.5 * err)
             except QuadratureError:  # k panels cannot be certified either
@@ -699,6 +717,31 @@ def test_vm_cdf_sweep_gives_a_segment_its_share_cannot_certify_the_unused_tol(ka
         assert abs(f - vm_cdf_quadrature(p, x, tol)) <= tol
 
 
+@pytest.mark.parametrize("kappa", [1.0, 50.0, 1e4])
+def test_vm_cdf_sweep_integrates_only_its_late_segments_again(kappa, monkeypatch):
+    # the point set above: the first pass makes one kernel call per
+    # segment, and the second one more for each segment that raised at its
+    # share, not a second call for every segment
+    mass = backend.vm_scaled_mass
+    calls, late = [], []
+
+    def recorded(*args):
+        calls.append(args[1:3])
+        try:
+            return mass(*args)
+        except backend.QuadratureError:
+            late.append(args[1:3])
+            raise
+
+    monkeypatch.setattr(backend, "vm_scaled_mass", recorded)
+    p = VonMisesParams(0.0, kappa)
+    xs = [1e-3 * p.sigma * j for j in range(2000)] + [min(math.pi, 19.0 * p.sigma)]
+    vm_cdf_sweep(p, xs, 1e-12)
+    n = len(xs) - 1
+    assert late and len(calls) == n + len(late)
+    assert calls[n:] == late
+
+
 @pytest.mark.parametrize("lo", [-25.0, -19.0])
 def test_vm_cdf_sweep_very_large_kappa_across_20_sigma(lo):
     # the farthest point lies 25 sigma out, below the mode or only above
@@ -787,8 +830,7 @@ def test_vm_cdf_matches_mpmath_on_both_sides(kappa):
 
 def test_point_cdfs_match_mpmath_to_half_an_ulp_of_one():
     # seeded points within 6 sigma of mu or anywhere in the window, at the
-    # default tol: the first panel's Gauss/Kronrod estimate or its ellipse
-    # bound settles each one, and none is off by more than 5e-16 from the
+    # default tol: one rule or k equal panels settle each one, and none is off by more than 5e-16 from the
     # CDF at 20 digits (Gauss-Legendre in mpmath, to keep the test short)
     mpmath = pytest.importorskip("mpmath")
     rng = random.Random(20261021)
@@ -1097,12 +1139,15 @@ def test_log_ratio_and_ratio_residuals_are_even_on_the_mirror_grid():
 @pytest.mark.parametrize("target, edge_checks", [("log_ratio", 0), ("ratio", 1)])
 def test_residual_scan_evaluates_half_the_grid(target, edge_checks, count_calls):
     # per kappa: the grid from its edge to mu, then the slope point; the
-    # ratio checks each kappa's edge first, before any grid is evaluated
+    # ratio checks each kappa's edge first, before any grid is evaluated,
+    # and a check reads the exact log-ratio twice: for its own test, then
+    # in the residual as the grid takes it
     exact = count_calls(expansions, "_log_ratio_exact_value")
     kappas = [64.0, 128.0, 256.0]
     residual_scan(BulkSpec.fixed(0.5), kappas, 31, target)
     per_kappa = 31 // 2 + 1 + 1
-    assert exact == kappas * edge_checks + [k for k in kappas for _ in range(per_kappa)]
+    edges = [k for k in kappas for _ in range(2 * edge_checks)]
+    assert exact == edges + [k for k in kappas for _ in range(per_kappa)]
 
 
 def test_cdf_residual_scan_evaluates_one_expansion_per_mirror_pair(count_calls):
