@@ -1,12 +1,14 @@
 """Compute kernels: the package's hot numerical loops.
 
-The one per-concentration kernel (a trapezoid sum that gives
-e^-kappa I0(kappa) and the circular variance together), quadrature of the
-concentrated circular density on the GK15 nodes under a certified error
-(one rule, Gauss-7 or one Kronrod panel, else k = 2 .. 64 equal Kronrod
-panels, k fixed by an ellipse bound before any runs; every error is a
-bound plus a rounding allowance) and the wrapped-normal lattice sum.  Plain Python.  The I0 series `i0_series_sum`, the `sigma2_series`
-alias and `backend_name` remain only because the benchmark reads them.
+The one per-concentration kernel (e^-kappa I0(kappa), the circular
+variance and D = kappa sigma^2 - 1/2 together, from Hankel series for
+kappa >= 64 and a trapezoid sum below), quadrature of the concentrated
+circular density on the GK15 nodes under a certified error (one rule,
+Gauss-7 or one Kronrod panel, else k = 2 .. 64 equal Kronrod panels, k
+fixed by an ellipse bound before any runs; every error is a bound plus a
+rounding allowance) and the wrapped-normal lattice sum.  Plain Python.
+The I0 series `i0_series_sum`, the `sigma2_series` alias and
+`backend_name` remain only because the benchmark reads them.
 """
 
 import functools
@@ -15,7 +17,6 @@ import sys
 
 TWO_PI = 2.0 * math.pi
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
 # `i0_series_sum` and its two constants have no caller in the package:
 # perfbench/tracing.py wraps the function, and the next change to the
@@ -28,6 +29,7 @@ _MAX_TERMS = 200000
 # running sum.
 _TRAPEZOID_EPS = 1e-18
 _SQRT24 = math.sqrt(24.0)
+_HALF_PI = 0.5 * math.pi  # sqrt(2 pi kappa) = 2 sqrt(kappa pi/2), finite to _KAPPA_MAX
 # Largest concentration the per-kappa kernel accepts: the largest at which
 # the exponent factor -2 kappa is still finite.
 _KAPPA_MAX = 0.5 * sys.float_info.max
@@ -102,7 +104,7 @@ def i0_series_sum(x, head=1.0):
         k += 1
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.cache
 def _sin2_nodes(n):
     """sin(j h)^2 for j = 1 .. n - 1 when n <= 28, else j = 1 .. 23,
     h = pi / (2 n): the s^2 at the interior nodes of `i0e_sigma2`'s
@@ -119,27 +121,42 @@ def _sin2_nodes(n):
 
 
 def i0e_sigma2(kappa):
-    """e^(-kappa) I0(kappa) and the circular variance 1 - I1(kappa)/I0(kappa).
+    """e^(-kappa) I0(kappa), the circular variance sigma^2 = 1 - I1/I0 and
+    D = kappa sigma^2 - 1/2.
 
-    With s = sin(t/2), both come from one positive periodic integrand:
-    e^-kappa I0 = (1/pi) int_0^pi e^(-2 kappa s^2) dt, and the variance is
-    int 2 s^2 e^(-2 kappa s^2) dt over int e^(-2 kappa s^2) dt.  Both are
-    summed by the trapezoid rule on n = ceil(sqrt(24 kappa)) + 4 panels of
-    [0, pi], from t = 0 outwards, until a term falls below _TRAPEZOID_EPS
-    of the running sum.  For a periodic analytic integrand the rule
-    converges exponentially: the aliasing error is about e^(-2 n^2 / kappa),
-    below e^-48, and every term is positive, so nothing cancels.  The s^2
-    at the nodes depend on n alone and come from `_sin2_nodes(n)`, a table
-    kept for the last 4096 n (~0.4 kB each).  It holds every interior
-    node for n <= 28, and for n >= 29 the nodes j = 1 .. 23, one past the
-    last the sum then reaches: it stops by j = 22 (checked at the smallest
-    kappa of every n in 29..20,000: 22 at n = 29, 15 for large n; within
-    one n a larger kappa stops no later).  At most 28 nodes are summed
-    for any kappa.  Raises ValueError unless
+    For kappa >= 64, u = 1/kappa: two Hankel series (Abramowitz & Stegun
+    9.7.1) to u^12, one Horner expression each, with positive coefficients:
+    P = sqrt(2 pi kappa) e^-kappa I0 and R = dP/du, the u^0 term of
+    kappa (P - P1) - P/2 cancelling in the rationals (P1 as P, for I1).  So
+    i0e = P / sqrt(2 pi kappa), sigma^2 = u (P/2 + u R) / P and D = u R / P
+    cancel nothing; at kappa = 64 the next terms are below 7e-20 of P and
+    4e-17 of R.
+    Below 64, with s = sin(t/2), e^-kappa I0 = (1/pi) int_0^pi
+    e^(-2 kappa s^2) dt, and sigma^2 is int 2 s^2 e^(-2 kappa s^2) dt over
+    int e^(-2 kappa s^2) dt (D is kappa sigma^2 - 1/2).  Both integrals are
+    summed by the trapezoid rule on n = ceil(sqrt(24 kappa)) + 4 <= 44
+    panels of [0, pi], from t = 0 outwards, until a term falls below
+    _TRAPEZOID_EPS of the running sum.
+    For a periodic analytic integrand the rule converges exponentially: the
+    aliasing error is about e^(-2 n^2 / kappa), below e^-48, and every term
+    is positive.  The s^2 at the nodes come from `_sin2_nodes(n)`; for
+    n >= 29 it holds j = 1 .. 23, and the sum stops by j = 22 (checked at
+    the smallest kappa of every n in 29..44).  Raises ValueError unless
     0 <= kappa <= _KAPPA_MAX (about 9e307).
     """
     if not (0.0 <= kappa <= _KAPPA_MAX):
         raise ValueError("kappa must be finite, >= 0 and <= %r, got %r" % (_KAPPA_MAX, kappa))
+    if kappa >= 64.0:
+        u = 1.0 / kappa
+        p = 1.0 + u * (0.125 + u * (0.0703125 + u * (0.0732421875 + u * (0.112152099609375 + u * (
+            0.22710800170898438 + u * (0.5725014209747314 + u * (1.7277275025844574 + u * (
+                6.074042001273483 + u * (24.380529699556064 + u * (110.01714026924674 + u * (
+                    551.3358961220206 + u * 3038.090510922384)))))))))))
+        r = 0.125 + u * (0.140625 + u * (0.2197265625 + u * (0.4486083984375 + u * (
+            1.1355400085449219 + u * (3.4350085258483887 + u * (12.094092518091202 + u * (
+                48.592336010187864 + u * (219.42476729600457 + u * (1100.1714026924674 + u * (
+                    6064.694857342227 + u * (36457.08613106861 + u * 237350.82116581127)))))))))))
+        return 0.5 * p / math.sqrt(_HALF_PI * kappa), u * (0.5 * p + u * r) / p, u * r / p
     n = math.ceil(_SQRT24 * math.sqrt(kappa)) + 4
     m = -2.0 * kappa
     s0 = 0.5  # the node t = 0, at half weight
@@ -155,7 +172,8 @@ def i0e_sigma2(kappa):
         f = 0.5 * math.exp(m)
         s0 += f
         s1 += f
-    return s0 / n, 2.0 * s1 / s0
+    sigma2 = 2.0 * s1 / s0
+    return s0 / n, sigma2, kappa * sigma2 - 0.5
 
 
 # perfbench/tracing.py traces the per-kappa kernel under its former name;
@@ -235,27 +253,34 @@ def vm_scaled_mass(kappa, a, b, tol):
     a panel lies, so 64 panels span at most ~270 sigma at tol 1e-12 of the
     mass over a period (220 at 2e-14): a period at kappa <= 1,000, and 20
     sigma in the CDF sweep.  Returns (0.0, 0.0, 0) when b <= a.  Raises
-    QuadratureError before the k panels run when 50 eps |K| >= tol or 64
-    panels are not enough, and after them when their error is past tol.
+    QuadratureError once a rule's rounding allowance alone reaches tol:
+    Gauss-7's (panels=0; K's would be about the same) or K's (B is not
+    computed); before the k panels run when 64 panels are not enough; and
+    after them when their error is past tol.
     """
     if b <= a:
         return 0.0, 0.0, 0
     m = -2.0 * kappa
     w = b - a
     s = w * w * (2.0 * kappa if kappa > 0.5 else 1.0)
+    k = 1
     if s <= _G7_WIDTH2:
         val = _vm_gauss7(m, a, b)
-        err = _G7_ERROR * w + _ROUNDING * val
+        rounding = _ROUNDING * val
+        err = _G7_ERROR * w + rounding
         if err <= tol:
             return val, err, 7
-    val = _vm_panel(m, a, b)
-    rounding = _ROUNDING * val
-    err = _K15_ERROR * w + rounding if s <= _K15_WIDTH2 else math.inf
-    if err > tol:  # B(w/2): k = 1 of the search below
-        err = (_vm_kronrod_bound(kappa, 0.5 * w) if kappa > 0.0 else 0.0) + rounding
-    if err <= tol:
-        return val, err, 15
-    k = 1
+        if rounding >= tol:  # K's allowance, about the same, fails too
+            k = 0
+    if k:
+        val = _vm_panel(m, a, b)
+        rounding = _ROUNDING * val
+        err = _K15_ERROR * w + rounding if s <= _K15_WIDTH2 else math.inf
+        if err > tol:  # B(w/2), k = 1 of the search below, unless rounding alone fails
+            bound = _vm_kronrod_bound(kappa, 0.5 * w) if kappa > 0.0 and rounding < tol else 0.0
+            err = bound + rounding
+        if err <= tol:
+            return val, err, 15
     while rounding < tol < err and k < 64:
         k *= 2
         bound = _vm_kronrod_bound(kappa, w / (2 * k))

@@ -93,24 +93,26 @@ class VonMisesParams(_Frozen):
 
     Also carries the per-concentration values every evaluation at this
     kappa shares, set at construction from one call of the kernel
-    `backend.i0e_sigma2`: `i0e`, `variance` (sigma^2) and `sigma`.  That
+    `backend.i0e_sigma2`: `i0e`, `variance` (sigma^2), `sigma` and
+    `d` = kappa sigma^2 - 1/2, which the exact log-ratio reads.  That
     kernel is also the one check of kappa's domain, 0 <= kappa <= ~9e307.
     The log of `i0e` is `bessel.log_i0e(kappa)`, or `math.log(params.i0e)`.
     At kappa == 0 the law is uniform: i0e, variance and sigma are all 1.
     Equality, hashing and repr depend on (mu, kappa) alone.
     """
 
-    __slots__ = ("mu", "kappa", "i0e", "variance", "sigma")
+    __slots__ = ("mu", "kappa", "i0e", "variance", "sigma", "d")
     _fields = ("mu", "kappa")
 
     def __init__(self, mu: float, kappa: float):
         _require_finite("mu", mu)
         _set_vm_mu(self, normalize_angle(mu))
         _set_vm_kappa(self, kappa)
-        i0e, sigma2 = backend.i0e_sigma2(kappa)
+        i0e, sigma2, d = backend.i0e_sigma2(kappa)
         _set_vm_i0e(self, i0e)
         _set_vm_variance(self, sigma2)
         _set_vm_sigma(self, math.sqrt(sigma2))
+        _set_vm_d(self, d)
 
 
 # slot stores, one per field: a bound descriptor's __set__ costs about
@@ -120,6 +122,7 @@ _set_vm_kappa = VonMisesParams.kappa.__set__
 _set_vm_i0e = VonMisesParams.i0e.__set__
 _set_vm_variance = VonMisesParams.variance.__set__
 _set_vm_sigma = VonMisesParams.sigma.__set__
+_set_vm_d = VonMisesParams.d.__set__
 
 
 class WrappedNormalParams(_Frozen):
@@ -196,9 +199,9 @@ def _vm_density_value(kappa, i0e, t):
 def circular_variance_exact(kappa: float) -> float:
     """Circular variance 1 - I1(kappa)/I0(kappa), for kappa > 0.
 
-    Read from the per-concentration kernel `backend.i0e_sigma2`, a
-    trapezoid sum of positive terms with no branch point; its relative
-    error is within a few ulp at every kappa.
+    Read from the per-concentration kernel `backend.i0e_sigma2` (Hankel
+    series from kappa = 64, a trapezoid sum below, all terms positive);
+    its relative error is within a few ulp at every kappa.
     """
     _require_positive_kappa(kappa)
     return backend.i0e_sigma2(kappa)[1]

@@ -15,7 +15,6 @@ power p specific to each expansion, listed in ENVELOPE_POWER.
 import math
 from collections import namedtuple
 
-from .backend import HALF_LOG_TWO_PI
 from .distributions import (
     SQRT2,
     VonMisesParams,
@@ -27,7 +26,7 @@ from .distributions import (
     normal_pdf,
 )
 
-_HALF_LOG_TWO = 0.5 * math.log(2.0)
+_HALF_LOG_PI = 0.5 * math.log(math.pi)
 
 # Envelope power p of each expansion's remainder (1 + |dt|^p) / kappa^3:
 # the log form, the ratio form and the distribution function.
@@ -144,23 +143,27 @@ def standardized_deviate(params: VonMisesParams, x: float) -> StandardizedDeviat
 
 
 def _log_ratio_constants(params: VonMisesParams) -> tuple[float, float]:
-    """log(e^-kappa I0) and log(sigma^2)/2: `_log_ratio_exact_value`'s per-kappa numbers."""
-    return math.log(params.i0e), 0.5 * math.log(params.variance)
+    """`_log_ratio_exact_value`'s per-kappa numbers: the log-ratio at the mode,
+    log(sigma^2)/2 - log(e^-kappa I0) - log(pi)/2, and 2 D."""
+    return 0.5 * math.log(params.variance) - math.log(params.i0e) - _HALF_LOG_PI, 2.0 * params.d
 
 
-def _log_ratio_exact_value(kappa, log_i0e, half_log_var, t, delta):
-    # exact log-ratio at offset t = x - mu with deviate delta = t / sigma;
-    # the large kappa terms are paired off analytically:
-    #   kappa cos t - log I0 = -2 kappa sin^2(t/2) - log(e^-kappa I0)
-    s = math.sin(0.5 * t)
-    return (
-        -2.0 * kappa * (s * s)
-        - HALF_LOG_TWO_PI
-        - log_i0e
-        + _HALF_LOG_TWO
-        + half_log_var
-        + 0.25 * (delta * delta)
-    )
+def _log_ratio_exact_value(c, d2, t, delta):
+    # exact log-ratio at offset t = x - mu, deviate delta = t / sigma, from
+    # `_log_ratio_constants`' c and d2 = 2 D: as kappa (cos t - 1) =
+    # -(delta^2/4) (1 + 2 D) sinc^2(t/2), it is c + (delta^2/4) [(1 - sinc^2)
+    # - 2 D sinc^2], and 1 - sinc^2 = q (2 - q) with q = 1 - sinc x =
+    # (x - sin x) / x, from its Taylor series for |x| <= 3/4: nothing cancels
+    x = 0.5 * t
+    q = x * x
+    if q <= 0.5625:  # to x^14; the next term is below 5e-19 of q
+        q *= 0.16666666666666666 - q * (0.008333333333333333 - q * (0.0001984126984126984 - q * (
+            2.7557319223985893e-06 - q * (2.505210838544172e-08 - q * (1.6059043836821613e-10 - q * (
+                7.647163731819816e-13 - q * 2.8114572543455206e-15))))))
+    else:
+        q = (x - math.sin(x)) / x
+    w = q * (2.0 - q)
+    return c + 0.25 * (delta * delta) * (w - d2 * (1.0 - w))
 
 
 def _first_order_term(dt, u):
@@ -233,14 +236,13 @@ def _check_order(order):
 def log_ratio_exact(params: VonMisesParams, x: float) -> float:
     """Exact log of the density ratio sqrt(2) sigma f(x) / phi(delta_tilde).
 
-    Evaluated entirely in log space; finite well beyond kappa = 5000.
+    Evaluated in log space from terms that do not cancel (`_log_ratio_exact_value`).
     Raises ValueError unless x is finite.
     """
     _require_finite("x", x)
-    log_i0e, half_log_var = _log_ratio_constants(params)
+    c, d2 = _log_ratio_constants(params)
     t = x - params.mu
-    delta = t / params.sigma
-    return _log_ratio_exact_value(params.kappa, log_i0e, half_log_var, t, delta)
+    return _log_ratio_exact_value(c, d2, t, t / params.sigma)
 
 
 def log_ratio_expansion(delta_tilde: float, kappa: float, order: int) -> ExpansionValue:

@@ -220,7 +220,7 @@ def table_rows(params: VonMisesParams, spec: BulkSpec, size: int, tol: float = 1
     sigma = params.sigma
     width = SQRT2 * sigma
     i0e = params.i0e
-    log_i0e, half_log_var = _log_ratio_constants(params)
+    c, d2 = _log_ratio_constants(params)
     # the sweep has rejected every offset t outside (-pi, pi]; on that
     # window wrap_angle(t) is t itself, -0.0 included
     rows = [None] * size
@@ -235,7 +235,7 @@ def table_rows(params: VonMisesParams, spec: BulkSpec, size: int, tol: float = 1
         dt = delta / SQRT2
         f = _vm_density_value(kappa, i0e, t)
         g = _reference_density_value(dt, width)
-        lre = _log_ratio_exact_value(kappa, log_i0e, half_log_var, t, delta)
+        lre = _log_ratio_exact_value(c, d2, t, delta)
         lr1 = _first_order_term(dt, u)
         lr2 = lr1 + _log_ratio_second_term(dt, uu)
         ca = _cdf_expansion_value(dt, u, uu)
@@ -268,37 +268,29 @@ def _scan_residuals(target, params, powers, xs, cdf_quad):
         vs = [_cdf_expansion_value(((x - mu) / sigma) / SQRT2, u, uu) for x in xs[h:]]
         lower = [abs(cq - (1.0 - v)) for cq, v in zip(cdf_quad[:h], reversed(vs))]
         return lower + [abs(cq - v) for cq, v in zip(cdf_quad[h:], vs)]
-    kappa = params.kappa
-    log_i0e, half_log_var = _log_ratio_constants(params)
+    c, d2 = _log_ratio_constants(params)
+    ratio = target == "ratio"
     out = []
     for x in xs:
         t = x - mu
         delta = t / sigma
         dt = delta / SQRT2
-        exact = _log_ratio_exact_value(kappa, log_i0e, half_log_var, t, delta)
+        exact = _log_ratio_exact_value(c, d2, t, delta)
         first = _first_order_term(dt, u)
-        if target == "log_ratio":
+        if ratio:  # finite: the ratio's edge check has passed (`_require_finite_edge_ratio`)
+            out.append(abs(math.exp(exact) - (1.0 + first + _ratio_second_term(dt, uu))))
+        else:
             out.append(abs(exact - (first + _log_ratio_second_term(dt, uu))))
-            continue
-        try:
-            ratio = math.exp(exact)
-        except OverflowError:
-            # the edge check passed, so exact is not kappa t^4 / 24 here
-            # but the rounding noise of its two cancelling terms of order
-            # delta^2 / 4
-            raise ValueError(
-                "the exact ratio overflows inside the bulk at kappa=%r, delta_tilde=%r:"
-                " the exact log-ratio there reads %.6g, rounding noise of its cancelling"
-                " terms at this kappa; use a smaller kappa" % (kappa, dt, exact)
-            ) from None
-        out.append(abs(ratio - (1.0 + first + _ratio_second_term(dt, uu))))
     return out
 
 
 def _require_finite_edge_ratio(regime, params, powers, kappa_cubed, xs):
-    # the exact log-ratio grows like kappa t^4 / 24, so on the mirror grid
-    # xs its largest value, and the ratio's largest residual, are at the
-    # edge xs[0]
+    # the exact log-ratio c + t^2 / (4 sigma^2) - 2 kappa sin^2(t/2) is even
+    # and falls, then rises on [0, pi] (its slope changes sign once at most),
+    # so on the mirror grid xs its largest value, and the ratio's largest
+    # residual, are at the edge xs[0] or at mu (c < 1; at the slope point it
+    # is below c + 1/2); the core cancels nothing, so the ratio is finite
+    # wherever the edge's is
     if regime.regime == "fixed":
         name, hint = "eta", "use the shrunken regime"
     else:
@@ -381,7 +373,7 @@ def residual_scan(
         cdf_quad = vm_cdf_sweep(params, xs, quad_tol) if target == "cdf" else None
         res = _scan_residuals(target, params, powers, xs, cdf_quad)
         max_res.append(max(res))
-        max_norm.append(max(r * kappa_cubed / (1.0 + abs(dt) ** power) for dt, r in zip(dts, res)))
+        max_norm.append(max([r * kappa_cubed / (1.0 + abs(dt) ** power) for dt, r in zip(dts, res)]))
         x1 = params.mu + SQRT2 * params.sigma
         cq1 = [vm_cdf_quadrature(params, x1, quad_tol)] if target == "cdf" else None
         slope_points.append((params.kappa, _scan_residuals(target, params, powers, [x1], cq1)[0]))

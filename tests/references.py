@@ -368,13 +368,20 @@ def rule_width(kappa, width2):
 
 def narrow_gauss7(kappa, f, a, b, tol):
     """(value, error, 7) where `backend.vm_scaled_mass` takes its narrow
-    rule on [a, b], a < b, for f the scaled density at kappa; else None."""
+    rule on [a, b], a < b, for f the scaled density at kappa; else None.
+    Raises the kernel's QuadratureError (panels=0) where the rule fails
+    and its rounding allowance 50 eps |value| alone reaches tol."""
     width = b - a
     if not width * width * max(2.0 * kappa, 1.0) <= NARROW_WIDTH2:
         return None
     value = gauss7_panel(f, a, b)
-    error = (NARROW_ERROR_PER_WIDTH * _EPS) * width + (50.0 * _EPS) * value
-    return (value, error, 7) if error <= tol else None
+    rounding = (50.0 * _EPS) * value
+    error = (NARROW_ERROR_PER_WIDTH * _EPS) * width + rounding
+    if error <= tol:
+        return value, error, 7
+    if rounding >= tol:  # no Kronrod panel runs
+        raise _no_convergence(a, b, 0, error, rounding, tol)
+    return None
 
 
 # `backend.vm_scaled_mass`'s Kronrod class: an interval of width w with
@@ -423,14 +430,15 @@ def kronrod_k_panels(panel, f, kappa, a, b, tol):
     evaluations), or the kernel's QuadratureError and message.
 
     With B(h) `kronrod_ellipse_bound` and r = 50 eps K, one panel over
-    [a, b] passes on B((b - a) / 2) + r.  Else the first k in 2, 4, .., 64
+    [a, b] passes on B((b - a) / 2) + r, and B is not computed when r
+    alone reaches tol (the error is then r).  Else the first k in 2, 4, .., 64
     with k B((b - a) / 2k) + r <= tol (none when r >= tol) cuts [a, b]
     into k `halving_cuts` panels, which give the sum of their K and the
     error k B((b - a) / 2k) + 50 eps of that sum; an error above tol
     raises too."""
     value = panel(f, a, b)
     rounding = (50.0 * _EPS) * value
-    error = kronrod_ellipse_bound(kappa, 0.5 * (b - a)) + rounding
+    error = (kronrod_ellipse_bound(kappa, 0.5 * (b - a)) if rounding < tol else 0.0) + rounding
     if error <= tol:
         return value, error, 15
     panels = 1
@@ -448,7 +456,11 @@ def kronrod_k_panels(panel, f, kappa, a, b, tol):
         error = panels * bound + (50.0 * _EPS) * value
         if error <= tol:
             return value, error, 15 * (panels + 1)
-    raise backend.QuadratureError(
+    raise _no_convergence(a, b, panels, error, rounding, tol)
+
+
+def _no_convergence(a, b, panels, error, rounding, tol):
+    return backend.QuadratureError(
         "no convergence on [%r, %r] (panels=%d, err=%.3e, rounding=%.3e, tol=%.3e)"
         % (a, b, panels, error, rounding, tol)
     )
@@ -487,10 +499,11 @@ def _sin_per_node_sums(kappa):
 
 
 def i0e_sigma2_sin_per_node(kappa):
-    """`backend.i0e_sigma2` computing sin(j h) at every node, as it did
-    before `backend._sin2_nodes`; kappa is not checked."""
+    """`backend.i0e_sigma2` below kappa = 64 computing sin(j h) at every
+    node, as it did before `backend._sin2_nodes`; kappa is not checked."""
     n, s0, s1, _stop = _sin_per_node_sums(kappa)
-    return s0 / n, 2.0 * s1 / s0
+    sigma2 = 2.0 * s1 / s0
+    return s0 / n, sigma2, kappa * sigma2 - 0.5
 
 
 def sin_per_node_stop(kappa):

@@ -1,5 +1,10 @@
+import ast
+import inspect
 import math
+import random
 import re
+import textwrap
+from fractions import Fraction
 
 import pytest
 from references import (
@@ -10,6 +15,7 @@ from references import (
     i1e_series_reference,
 )
 
+from circbridge import backend, expansions
 from circbridge.bessel import bessel_i0e_asymptotic, bessel_i1e_asymptotic, i0e, log_i0e
 
 
@@ -196,3 +202,97 @@ def test_kappa_beyond_kernel_range_rejected(fn):
     # -2 kappa would overflow; the kernel refuses rather than return nan
     with pytest.raises(ValueError, match="kappa.*1.7e\\+308"):
         fn(1.7e308)
+
+
+# The per-kappa kernel's Hankel branch, kappa >= 64: its coefficients
+# derived in the rationals, and its values against mpmath on both sides of
+# the switch.
+
+
+def _hankel_terms(nu, count):
+    # the coefficients of u^k, u = 1/kappa, in sqrt(2 pi kappa) e^-kappa
+    # I_nu(kappa) ~ sum_k (-1)^k prod_{j <= k} (4 nu^2 - (2j - 1)^2) / (k! 8^k)
+    # (Abramowitz & Stegun 9.7.1)
+    terms = [Fraction(1)]
+    for j in range(1, count):
+        terms.append(terms[-1] * Fraction((2 * j - 1) ** 2 - 4 * nu * nu, 8 * j))
+    return terms
+
+
+def _horner_literals(function, name):
+    # the literals c0, c1, .. of the Horner expression c0 + v * (c1 + v * (..))
+    # (or with -) that function assigns to name, and its operators
+    value = next(
+        node.value
+        for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(function))))
+        if isinstance(node, (ast.Assign, ast.AugAssign))
+        and [t.id for t in getattr(node, "targets", [getattr(node, "target", None)])] == [name]
+        and isinstance(node.value, ast.BinOp)
+        and isinstance(node.value.left, ast.Constant)
+    )
+    literals, ops = [], set()
+    while isinstance(value, ast.BinOp):
+        literals.append(value.left.value)
+        ops.add(type(value.op))
+        assert isinstance(value.right.op, ast.Mult)
+        value = value.right.right
+    return literals + [value.value], ops
+
+
+def test_hankel_coefficients_equal_their_rational_derivation():
+    # P = sqrt(2 pi kappa) e^-kappa I0 and P1 (the same for I1) to u^14;
+    # kappa (P - P1) - P/2 has no u^0 term, and its quotient by u is R
+    p0, p1 = _hankel_terms(0, 15), _hankel_terms(1, 15)
+    assert (p0[1] - p1[1]) - p0[0] / 2 == 0
+    r = [(p0[j + 2] - p1[j + 2]) - p0[j + 1] / 2 for j in range(13)]
+    assert r == [(j + 1) * p0[j + 1] for j in range(13)]  # R = dP/du
+    assert min(p0 + r) > 0
+    assert _horner_literals(backend.i0e_sigma2, "p") == ([float(c) for c in p0[:13]], {ast.Add})
+    assert _horner_literals(backend.i0e_sigma2, "r") == ([float(c) for c in r], {ast.Add})
+
+
+def test_log_ratio_taylor_coefficients_equal_their_rational_values():
+    # (x - sin x) / x^3 = sum_k (-1)^k x^(2k) / (2k + 3)!, to x^14
+    taylor = [float(Fraction(1, math.factorial(2 * k + 3))) for k in range(8)]
+    assert _horner_literals(expansions._log_ratio_exact_value, "q") == (taylor, {ast.Sub})
+
+
+def _per_kappa_reference(mpmath, kappa):
+    # e^-kappa I0, sigma^2 = 1 - I1/I0 and D = kappa sigma^2 - 1/2, which
+    # cancel about 2 log10(kappa) digits
+    with mpmath.workdps(30 + 2 * max(0, int(math.log10(kappa)))):
+        k = mpmath.mpf(kappa)
+        i0 = mpmath.besseli(0, k)
+        sigma2 = 1 - mpmath.besseli(1, k) / i0
+        return i0 * mpmath.exp(-k), sigma2, k * sigma2 - mpmath.mpf(1) / 2
+
+
+def _ulps(mpmath, got, ref):
+    # |got - ref| in units of eps |ref|, eps = 2^-52 (one ulp of 1.0 and
+    # at least one ulp of ref), or of the subnormal spacing 5e-324
+    return float(abs(got - ref) / max(abs(ref) * mpmath.mpf(2) ** -52, mpmath.mpf(5e-324)))
+
+
+def test_per_kappa_kernel_matches_mpmath_on_both_sides_of_the_hankel_switch():
+    # from kappa = 64 up to _KAPPA_MAX (sigma^2 and D subnormal at the top)
+    # the Hankel branch holds i0e and sigma^2 within 2 ulp and D within
+    # 1e-15 (or one subnormal spacing); below 64 the trapezoid holds its
+    # own bound, 2e-15, for i0e and sigma^2, and D = kappa sigma^2 - 1/2
+    # carries sigma^2's error: 2e-15 of kappa sigma^2
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20261021)
+    above = [64.0, math.nextafter(64.0, math.inf), 1e100, 1e300, 2.5e307, backend._KAPPA_MAX]
+    above += [10.0 ** rng.uniform(math.log10(64.0), 6.0) for _ in range(60)]
+    above += [10.0 ** rng.uniform(6.0, 40.0) for _ in range(15)]
+    below = [math.nextafter(64.0, 0.0)] + [10.0 ** rng.uniform(1.0, math.log10(64.0)) for _ in range(40)]
+    for kappa in above + below:
+        i0e_ref, sigma2_ref, d_ref = _per_kappa_reference(mpmath, kappa)
+        got_i0e, got_sigma2, got_d = backend.i0e_sigma2(kappa)
+        if kappa >= 64.0:
+            assert _ulps(mpmath, got_i0e, i0e_ref) <= 2.0, kappa
+            assert _ulps(mpmath, got_sigma2, sigma2_ref) <= 2.0, kappa
+            assert float(abs(got_d - d_ref)) <= max(1e-15 * float(d_ref), 5e-324), kappa
+        else:
+            assert float(abs(got_i0e - i0e_ref) / i0e_ref) <= 2e-15, kappa
+            assert float(abs(got_sigma2 - sigma2_ref) / sigma2_ref) <= 2e-15, kappa
+            assert float(abs(got_d - d_ref)) <= 2e-15 * kappa * float(sigma2_ref), kappa

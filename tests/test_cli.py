@@ -633,19 +633,17 @@ def test_error_scan_rejects_ratio_whose_normalized_residual_overflows_at_the_bul
     assert evaluated == [1] * 5
 
 
-def test_error_scan_rejects_ratio_that_overflows_inside_the_bulk(capsys):
-    # the edge passes its check, but at kappa = 7.38e52 the exact log-ratio
-    # inside the grid is rounding noise of order 1e7, past log(max float)
+def test_error_scan_ratio_far_past_the_order_checks_has_too_few_residuals_to_fit(capsys):
+    # the edge passes its check, and inside the grid the exact ratio is
+    # finite too (the cancelling exact log-ratio once read rounding noise
+    # of order 1e7 there, at kappa = 7.38e52, and overflowed); but every
+    # slope residual is below the floating-point floor
     argv = ["error-scan", "--target", "ratio", "--kappa-min", "6.36e+27", "--kappa-max", "7.38e+52",
             "--steps", "5", "--grid", "25", "--regime", "shrunken", "--eta", "0.116"]
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        "error: the exact ratio overflows inside the bulk at kappa=7.379999999999975e+52,"
-        " delta_tilde=-1013954215760.4701: the exact log-ratio there reads 6.71089e+07,"
-        " rounding noise of its cancelling terms at this kappa; use a smaller kappa\n"
-    )
+    assert captured.err == "error: too few residuals above the floating-point floor for a slope fit\n"
 
 
 def test_error_scan_rejects_colliding_kappas_before_any_work(count_calls, capsys):

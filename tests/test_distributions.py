@@ -225,6 +225,7 @@ def test_per_kappa_values_are_set_in_order():
         "i0e",
         "variance",
         "sigma",
+        "d",
     ]
     assert [name for name, _ in slot_values(WrappedNormalParams(0.5, 0.25))] == ["mu", "v"]
     assert [name for name, _ in slot_values(BulkSpec.fixed(0.5))] == ["regime", "eta"]

@@ -1,10 +1,11 @@
 import math
+import random
 import re
 
 import pytest
 from references import adaptive_quadrature, i0e_series_reference, i1e_series_reference
 
-from circbridge import oracle
+from circbridge import backend, oracle
 from circbridge.distributions import SQRT2, VonMisesParams
 from circbridge.expansions import (
     BulkSpec,
@@ -165,6 +166,39 @@ def test_log_ratio_exact_agrees_with_expansion():
     exact = log_ratio_exact(p, x)
     approx = log_ratio_expansion(1.0, kappa, 2)
     assert abs(exact - approx.value) <= 10.0 * approx.remainder_scale
+
+
+def test_log_ratio_exact_matches_mpmath_at_large_kappa():
+    # 50 seeded kappa log-uniform on [1e3, 1e6], four points each at 0.1 to
+    # 100 sigma: within 2e-15 of 60-digit mpmath, relative to max(1, |value|)
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(20261022)
+    worst = 0.0
+    for _ in range(50):
+        kappa = 10.0 ** rng.uniform(3.0, 6.0)
+        p = VonMisesParams(0.0, kappa)
+        with mpmath.workdps(60):
+            k = mpmath.mpf(kappa)
+            i0 = mpmath.besseli(0, k)
+            sigma2 = 1 - mpmath.besseli(1, k) / i0
+            mode = mpmath.log(2 * sigma2 / (2 * mpmath.pi)) / 2 - mpmath.log(i0 * mpmath.exp(-k))
+            for _ in range(4):
+                x = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-1.0, 2.0) * p.sigma
+                t = mpmath.mpf(x)
+                ref = mode + k * (mpmath.cos(t) - 1) + t * t / (4 * sigma2)
+                worst = max(worst, float(abs(log_ratio_exact(p, x) - ref) / max(1, abs(ref))))
+    assert worst <= 2e-15
+
+
+def test_log_ratio_exact_is_a_number_at_the_largest_kappa():
+    # sigma^2 is subnormal there; the value is finite within sigma of mu
+    # and inf where it overflows, never nan
+    p = VonMisesParams(0.0, backend._KAPPA_MAX)
+    near = [log_ratio_exact(p, t * p.sigma) for t in (0.0, 1e-3, 1.0, 30.0)]
+    assert all(math.isfinite(v) and abs(v) < 1e-12 for v in near)
+    far = [log_ratio_exact(p, x) for x in (-math.pi, -1e-3, 1e-3, 1.0, math.pi)]
+    assert not any(math.isnan(v) for v in far)
+    assert far[1] > 1e290 and far[-1] == math.inf
 
 
 # ------------------------------------------------------------- expansions

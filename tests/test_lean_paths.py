@@ -237,24 +237,26 @@ def test_vm_cdf_sweep_stops_at_reach_equals_every_segment():
     assert crossed > 300 and 100 < failed < 500
 
 
-# the smallest kappa of every panel count n up to 20,000, the worst case
-# for where the kernel's sum stops within one n
-NODE_KAPPAS = [smallest_kappa_of_nodes(n) for n in range(4, 20001)]
+# the smallest kappa of every panel count n of the trapezoid, which runs
+# below kappa = 64, where n <= 44: the worst case for where the kernel's
+# sum stops within one n
+NODE_KAPPAS = [smallest_kappa_of_nodes(n) for n in range(4, 45)]
+BELOW_HANKEL = math.nextafter(64.0, 0.0)  # the largest kappa the trapezoid takes
 
 
 def test_kernel_node_table_equals_sin_per_node_log_uniform():
-    # kappa log-uniform over the kernel's range: most n are new, so most
-    # calls build a table
+    # kappa log-uniform over the trapezoid's range
     rng = random.Random(20231018)
-    kappas = [10.0 ** rng.uniform(-12.0, math.log10(8.9e307)) for _ in range(100000)]
+    kappas = [10.0 ** rng.uniform(-12.0, math.log10(64.0)) for _ in range(100000)]
     kernel = backend.i0e_sigma2
+    kappas = [k for k in kappas if k < 64.0]
     assert [k for k in kappas if kernel(k) != i0e_sigma2_sin_per_node(k)] == []
 
 
 def test_kernel_node_table_equals_sin_per_node_at_each_n():
-    # the range's ends, the smallest subnormal and the smallest kappa of
-    # every n <= 20,000
-    kappas = [0.0, 5e-324, backend._KAPPA_MAX] + NODE_KAPPAS
+    # the trapezoid's range's ends, the smallest subnormal and the
+    # smallest kappa of every n <= 44
+    kappas = [0.0, 5e-324, BELOW_HANKEL] + NODE_KAPPAS
     kernel = backend.i0e_sigma2
     assert [k for k in kappas if kernel(k) != i0e_sigma2_sin_per_node(k)] == []
 
@@ -262,10 +264,10 @@ def test_kernel_node_table_equals_sin_per_node_at_each_n():
 def test_kernel_sum_stops_within_its_node_table():
     # `_sin2_nodes` holds j <= 23 for n >= 29: the sum must stop before it
     # runs out, and within one n it stops soonest at the largest kappa
-    stops = [sin_per_node_stop(k) for k in NODE_KAPPAS[25:]]  # n = 29 ..
+    stops = [sin_per_node_stop(k) for k in NODE_KAPPAS[25:]]  # n = 29 .. 44
     assert max(stops) == stops[0] == 22
-    assert min(stops) == 15
-    assert {len(backend._sin2_nodes.__wrapped__(n)) for n in range(29, 20001)} == {23}
+    assert min(stops) == stops[-1] == sin_per_node_stop(BELOW_HANKEL) == 17
+    assert {len(backend._sin2_nodes.__wrapped__(n)) for n in range(29, 45)} == {23}
 
 
 def _point_cdf_outcome(f, *args):

@@ -138,9 +138,29 @@ def test_vm_scaled_mass_at_kappa_zero_errs_by_its_rounding_allowance_alone(monke
         narrow = backend._G7_ERROR * (b - a) if rule == 7 else 0.0
         assert error == narrow + 50.0 * eps * value
         assert abs(value - (b - a)) <= 4.0 * eps * (b - a)
-        with pytest.raises(QuadratureError, match=r"panels=1,"):
+        # no Kronrod panel runs after the narrow rule fails on its rounding
+        with pytest.raises(QuadratureError, match=r"panels=%d," % (rule == 15)):
             backend.vm_scaled_mass(0.0, a, b, 1e-300)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "b, calls, message",
+    [
+        (0.04, (1, 0, 0), "panels=0, err=4.327e-16, rounding=4.325e-16"),
+        (0.05, (0, 1, 0), "panels=1, err=5.328e-16, rounding=5.328e-16"),
+    ],
+)
+def test_vm_scaled_mass_raises_once_a_rounding_allowance_alone_reaches_tol(b, calls, message, count_calls):
+    # at tol 5e-17, below 50 eps of the mass: [0, 0.04] is narrow, and no
+    # Kronrod panel runs after Gauss-7; [0, 0.05] is just past the narrow
+    # width (w^2 2 kappa = 0.5), and its one panel computes no ellipse bound
+    gauss7 = count_calls(backend, "_vm_gauss7")
+    panels = count_calls(backend, "_vm_panel")
+    bounds = count_calls(backend, "_vm_kronrod_bound")
+    with pytest.raises(QuadratureError, match=re.escape(message)):
+        backend.vm_scaled_mass(100.0, 0.0, b, 5e-17)
+    assert (len(gauss7), len(panels), len(bounds)) == calls
 
 
 @pytest.mark.parametrize("kappa", [0.5, 5.0, 100.0, 2048.0, 1e5])
@@ -184,11 +204,12 @@ def _generic_engine(kappa, a, b, tol):
 def test_vm_scaled_mass_evaluates_at_most_65_panels(monkeypatch):
     # counted at `_vm_panel`: a call evaluates one panel, then k <= 64
     # more, and the count it returns is 15 per panel.  A call raises with
-    # none of the k panels run when its first panel's rounding allowance
-    # 50 eps K reaches tol (panels=1) or 64 panels cannot be certified
+    # no panel run when the narrow rule's rounding allowance 50 eps G
+    # reaches tol (panels=0), with none of the k panels run when its first
+    # panel's 50 eps K does (panels=1) or 64 panels cannot be certified
     # (panels=64), else after all k.  The first case puts tol at the
-    # panels' rounding noise on a narrow interval; the next two lie over
-    # the mode, where 64 panels are too wide
+    # narrow rule's rounding noise; the next two lie over the mode, where
+    # 64 panels are too wide
     panel = backend._vm_panel
     spans = []
 
@@ -203,7 +224,7 @@ def test_vm_scaled_mass_evaluates_at_most_65_panels(monkeypatch):
         (1e5, -math.pi, 0.02, 1e-13),
     ]
     cases += _scaled_mass_cases(random.Random(20261105), 2000) + _k_panel_cases(random.Random(20261107), 1000)
-    outcomes = dict.fromkeys(["one rule", "k panels", "rounding", "64 panels"], 0)
+    outcomes = dict.fromkeys(["one rule", "k panels", "narrow rounding", "rounding", "64 panels"], 0)
     for kappa, a, b, tol in cases:
         del spans[:]
         try:
@@ -214,7 +235,11 @@ def test_vm_scaled_mass_evaluates_at_most_65_panels(monkeypatch):
             ends = tuple(map(float, re.search(r"on \[(\S+), (\S+)\]", str(exc)).groups()))
             assert ends == (a, b)
             k = int(re.search(r"panels=(\d+)", str(exc)).group(1))
-            if 50.0 * sys.float_info.epsilon * panel(-2.0 * kappa, a, b) >= tol:
+            if k == 0:
+                assert spans == [], (kappa, a, b, tol)
+                assert 50.0 * sys.float_info.epsilon * backend._vm_gauss7(-2.0 * kappa, a, b) >= tol
+                outcomes["narrow rounding"] += 1
+            elif 50.0 * sys.float_info.epsilon * panel(-2.0 * kappa, a, b) >= tol:
                 assert k == len(spans) == 1, (kappa, a, b, tol)
                 outcomes["rounding"] += 1
             elif len(spans) == 1:
@@ -227,7 +252,9 @@ def test_vm_scaled_mass_evaluates_at_most_65_panels(monkeypatch):
             outcomes["one rule" if len(spans) <= 1 else "k panels"] += 1
         assert len(spans) <= 65
     assert outcomes["64 panels"] >= 2, outcomes
-    assert min(outcomes["one rule"], outcomes["k panels"], outcomes["rounding"]) >= 200, outcomes
+    rounding = outcomes["narrow rounding"] + outcomes["rounding"]
+    assert min(outcomes["one rule"], outcomes["k panels"], rounding) >= 200, outcomes
+    assert min(outcomes["narrow rounding"], outcomes["rounding"]) >= 50, outcomes
 
 
 def _mass_or_error(mass, kappa, a, b, tol):
@@ -1113,6 +1140,27 @@ def test_residual_scan_shrunken_regime():
     assert -3.5 < rep.fitted_slope < -2.5
 
 
+def test_exact_log_ratio_on_a_bulk_grid_peaks_at_its_edge_or_mu():
+    # why the ratio scan checks only the edge: on [0, pi] the exact
+    # log-ratio falls, then rises, so a grid's largest value is at its edge
+    # or at mu; kappa up to 1e60, where a cancelling form read rounding
+    # noise of order 1e7 inside the bulk
+    rng = random.Random(20261021)
+    for _ in range(300):
+        kappa = 10.0 ** rng.uniform(-1.0, 60.0)
+        if rng.random() < 0.5:
+            spec = BulkSpec.fixed(rng.uniform(0.05, 0.95))
+        else:
+            spec = BulkSpec.shrunken(rng.uniform(0.05, 3.0))
+        params = VonMisesParams(0.0, kappa)
+        try:
+            _dts, xs = spec.grid(params, rng.randrange(11, 202, 2))
+        except ValueError:  # the shrunken edge reaches pi
+            continue
+        values = [log_ratio_exact(params, x) for x in xs]
+        assert max(values) == max(values[0], log_ratio_exact(params, 0.0)), (kappa, spec)
+
+
 def test_log_ratio_and_ratio_residuals_are_even_on_the_mirror_grid():
     # residual_scan evaluates these two targets on half the grid; at
     # mu = 0 BulkSpec.grid mirrors exactly and each residual list is its
@@ -1142,12 +1190,14 @@ def test_residual_scan_evaluates_half_the_grid(target, edge_checks, count_calls)
     # ratio checks each kappa's edge first, before any grid is evaluated,
     # and a check reads the exact log-ratio twice: for its own test, then
     # in the residual as the grid takes it
+    # (the core's first argument is its kappa's log-ratio at the mode)
     exact = count_calls(expansions, "_log_ratio_exact_value")
     kappas = [64.0, 128.0, 256.0]
+    modes = [expansions._log_ratio_constants(VonMisesParams(0.0, k))[0] for k in kappas]
     residual_scan(BulkSpec.fixed(0.5), kappas, 31, target)
     per_kappa = 31 // 2 + 1 + 1
-    edges = [k for k in kappas for _ in range(2 * edge_checks)]
-    assert exact == edges + [k for k in kappas for _ in range(per_kappa)]
+    edges = [c for c in modes for _ in range(2 * edge_checks)]
+    assert exact == edges + [c for c in modes for _ in range(per_kappa)]
 
 
 def test_cdf_residual_scan_evaluates_one_expansion_per_mirror_pair(count_calls):

@@ -18,9 +18,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 DIGESTS = {
-    "moderate-grid": "8a0e51773489980cf2ea342f3059edd8b82f13de23ba66aa4ed12ec43ab9f5e6",
-    "concentrated-cdf": "3ed6426bdbfdd8d9d45f4f2673748ab7aa0635e7d0cf474baf8eac775b1be54f",
-    "point-queries": "0a06f0c2a98da8839decefbe14d3736d7900dcdc7b91037b190f73b3bb380028",
+    "moderate-grid": "2059aeab87909e6e1864994e74f8236b1966156ea99baafac5421cb7cecab686",
+    "concentrated-cdf": "a4b0a565d6d32bb8c9fe62f4c3a235dc02a8ff62f0a0c82c3c00e68790b8cab5",
+    "point-queries": "cd40a826100c9c870ffc13f23d6695b754c9c1dd620d2c7fe0081e5709291976",
 }
 
 
