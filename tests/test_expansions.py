@@ -191,7 +191,7 @@ def test_log_ratio_exact_matches_mpmath_at_large_kappa():
 
 
 def test_log_ratio_exact_is_a_number_at_the_largest_kappa():
-    # sigma^2 is subnormal there; the value is finite within sigma of mu
+    # sigma^2 is subnormal there; the value is finite to 30 sigma from mu
     # and inf where it overflows, never nan
     p = VonMisesParams(0.0, backend._KAPPA_MAX)
     near = [log_ratio_exact(p, t * p.sigma) for t in (0.0, 1e-3, 1.0, 30.0)]
